@@ -109,7 +109,7 @@ def _bookkeeping_cost_per_op():
     """Seconds per off-path bookkeeping sequence, measured directly.
 
     This is the exact extra work ``_align_assemblies_parallel`` and
-    ``_extend_parallel`` do per gathered unit when a telemetry bundle
+    ``stream_extension`` do per gathered unit when a telemetry bundle
     is attached to an untraced run (no bus, no tracer): two histogram
     observations into the registry, the no-op progress calls, and the
     bus-is-None checks.

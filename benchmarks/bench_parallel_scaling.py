@@ -1,25 +1,28 @@
-"""Barrier vs streamed scheduling of the parallel extension stage.
+"""Serial vs streamed scheduling of the extension stage.
 
-Runs the most distant (most extension-heavy) species pair end-to-end at
-several worker counts under both parallel schedules — the historical
-barrier phases (``streaming=False``) and the streamed bounded-queue
-dataflow — asserting every run is byte-identical to serial, and records
-the study into ``BENCH_PIPELINE.json`` under ``parallel_scaling``:
+Runs the most distant (most extension-heavy) species pair end-to-end
+serially and under the streamed bounded-queue dataflow at several
+worker counts, asserting every run is byte-identical to serial, and
+records the study into ``BENCH_PIPELINE.json`` under
+``parallel_scaling``:
 
-* per-mode wall-clock (best of ``ROUNDS`` to damp scheduler noise),
-* ``streaming_improvement`` — barrier wall / streamed wall,
-* per-mode ``idle_tail_seconds`` / ``occupancy`` from the schedule's
-  :class:`repro.obs.occupancy.StreamStats`, and the derived
-  ``idle_tail_reduction``,
-* the targets ``repro bench check`` gates against: the streamed
-  schedule must beat the barrier by >= 1.3x at workers=2 on this pair
-  and remove >= 50% of its idle tail.
+* per-worker-count wall-clock (best of ``ROUNDS`` to damp scheduler
+  noise) next to the serial wall-clock,
+* ``streamed_speedup`` — serial wall / streamed wall,
+* ``idle_tail_seconds`` / ``occupancy`` / dispatch counts from the
+  schedule's :class:`repro.obs.occupancy.StreamStats`,
+* the target ``repro bench check`` gates against: the streamed schedule
+  at workers=2 must reach at least 0.7x the serial run.
 
-The improvement on a single-core container comes from cutting wasted
-speculation (the barrier dispatches whole batch windows against a stale
-coverage grid; the stream's eager replay and diagonal deferral keep
-dispatched work near the serial minimum) plus producer/extension
-overlap; on multicore boxes the overlap term grows.
+The target is a floor, not a speedup claim: the reference container has
+one or two shared cores, where a process pool barely beats serial and
+everything the schedule adds (pool start, dispatch round trips, speculative extensions
+discarded at replay) shows up as loss.  Eager replay and diagonal
+deferral keep dispatched work near the serial minimum, which is what
+holds the ratio near 1.0 here; on multicore boxes the overlap term
+takes it above.  (The barrier schedule this study used to compare
+against measured 0.63x serial on the same pair and was removed for it —
+see EXPERIMENTS.md.)
 """
 
 import json
@@ -28,7 +31,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import DarwinWGA, StreamParams  # noqa: F401 (A/B knob)
+from repro.core import DarwinWGA
 from repro.genome import make_species_pair
 
 from .conftest import (
@@ -42,24 +45,23 @@ from .conftest import (
 
 WORKER_COUNTS = (1, 2, 4)
 
-#: Repeats per (mode, workers) cell; best wall-clock is recorded.
+#: Repeats per worker count; best wall-clock is recorded.
 ROUNDS = 2
 
 #: Gated by ``repro bench check`` against the current artifact.
 TARGETS = {
-    "streaming_improvement": 1.3,
-    "idle_tail_reduction": 0.5,
+    "streamed_speedup": 0.7,
     "at_workers": "2",
 }
 
 
-def _run_mode(target, query, workers, streaming):
-    """Best-of-ROUNDS wall clock for one schedule; returns stream stats
-    of the fastest round alongside the result."""
+def _run(target, query, workers):
+    """Best-of-ROUNDS wall clock; returns the stream stats of the
+    fastest round alongside the result."""
     best = None
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        with DarwinWGA(workers=workers, streaming=streaming) as aligner:
+        with DarwinWGA(workers=workers) as aligner:
             result = aligner.align(target, query)
         wall = time.perf_counter() - start
         if best is None or wall < best[0]:
@@ -68,7 +70,7 @@ def _run_mode(target, query, workers, streaming):
 
 
 def _record_scaling(pair_name, study):
-    """Merge the barrier-vs-stream study into the aggregate artifact."""
+    """Merge the serial-vs-streamed study into the aggregate artifact."""
     try:
         artifact = json.loads(BENCH_PIPELINE_PATH.read_text())
     except (OSError, ValueError):
@@ -84,12 +86,6 @@ def _record_scaling(pair_name, study):
     )
 
 
-def _idle_tail_reduction(barrier_idle, streamed_idle):
-    if barrier_idle <= 1e-9:
-        return 1.0 if streamed_idle <= barrier_idle + 1e-9 else 0.0
-    return 1.0 - streamed_idle / barrier_idle
-
-
 @pytest.mark.benchmark(group="parallel_scaling")
 def test_parallel_scaling(benchmark):
     name, distance, seed = PAIR_SPECS[-1]
@@ -103,79 +99,51 @@ def test_parallel_scaling(benchmark):
     target, query = pair.target.genome, pair.query.genome
 
     def sweep():
-        serial_wall, serial, _ = _run_mode(target, query, 1, None)
-        modes = {"barrier": {}, "streamed": {}}
+        serial_wall, serial, _ = _run(target, query, 1)
+        streamed = {}
         identical = True
         for workers in WORKER_COUNTS[1:]:
-            for mode, streaming in (
-                ("barrier", False),
-                ("streamed", None),
-            ):
-                wall, result, stream = _run_mode(
-                    target, query, workers, streaming
-                )
-                identical = identical and (
-                    result.alignments == serial.alignments
-                )
-                modes[mode][str(workers)] = {
-                    "wall_seconds": wall,
-                    "idle_tail_seconds": stream["idle_tail_seconds"],
-                    "occupancy": stream["occupancy"],
-                    "peak_in_flight": stream["peak_in_flight"],
-                    "backpressure_stalls": stream["backpressure_stalls"],
-                    "dispatched_tasks": stream["dispatched_tasks"],
-                }
-        return serial_wall, modes, identical
+            wall, result, stream = _run(target, query, workers)
+            identical = identical and (
+                result.alignments == serial.alignments
+            )
+            streamed[str(workers)] = {
+                "wall_seconds": wall,
+                "idle_tail_seconds": stream["idle_tail_seconds"],
+                "occupancy": stream["occupancy"],
+                "peak_in_flight": stream["peak_in_flight"],
+                "backpressure_stalls": stream["backpressure_stalls"],
+                "dispatched_tasks": stream["dispatched_tasks"],
+            }
+        return serial_wall, streamed, identical
 
-    serial_wall, modes, identical = benchmark.pedantic(
+    serial_wall, streamed, identical = benchmark.pedantic(
         sweep, rounds=1, iterations=1
     )
-    assert identical, "a parallel schedule changed the output"
+    assert identical, "the streamed schedule changed the output"
 
     study = {
         "serial_seconds": serial_wall,
-        "modes": modes,
+        "streamed": streamed,
         "identical_output": identical,
-        "streaming_improvement": {
-            w: modes["barrier"][w]["wall_seconds"]
-            / modes["streamed"][w]["wall_seconds"]
-            for w in modes["streamed"]
-        },
-        "idle_tail_reduction": {
-            w: _idle_tail_reduction(
-                modes["barrier"][w]["idle_tail_seconds"],
-                modes["streamed"][w]["idle_tail_seconds"],
-            )
-            for w in modes["streamed"]
+        "streamed_speedup": {
+            w: serial_wall / streamed[w]["wall_seconds"] for w in streamed
         },
     }
     _record_scaling(name, study)
 
-    rows = []
-    for w in sorted(modes["streamed"]):
-        barrier, streamed = modes["barrier"][w], modes["streamed"][w]
-        rows.append(
+    print_table(
+        f"Serial vs streamed ({name}, {GENOME_LENGTH:,} bp, "
+        f"serial {serial_wall:.2f}s)",
+        ("workers", "streamed s", "speedup", "idle tail", "occupancy"),
+        [
             (
                 w,
-                f"{barrier['wall_seconds']:.2f}",
-                f"{streamed['wall_seconds']:.2f}",
-                f"{study['streaming_improvement'][w]:.2f}x",
-                f"{barrier['idle_tail_seconds']:.3f}",
-                f"{streamed['idle_tail_seconds']:.3f}",
-                f"{study['idle_tail_reduction'][w]:.0%}",
+                f"{streamed[w]['wall_seconds']:.2f}",
+                f"{study['streamed_speedup'][w]:.2f}x",
+                f"{streamed[w]['idle_tail_seconds']:.3f}",
+                f"{streamed[w]['occupancy']:.2f}",
             )
-        )
-    print_table(
-        f"Barrier vs streamed ({name}, {GENOME_LENGTH:,} bp, "
-        f"serial {serial_wall:.2f}s)",
-        (
-            "workers",
-            "barrier s",
-            "streamed s",
-            "improvement",
-            "barrier idle",
-            "streamed idle",
-            "tail cut",
-        ),
-        rows,
+            for w in sorted(streamed)
+        ],
     )

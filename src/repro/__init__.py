@@ -25,11 +25,10 @@ from .core import (
     ExtensionParams,
     FilterParams,
     WGAResult,
-    align_pair,
 )
 from .genome import Sequence, make_species_pair
 from .hw import CostModel
-from .lastz import LastzAligner, LastzConfig, align_pair_lastz
+from .lastz import LastzAligner, LastzConfig
 
 __version__ = "1.0.0"
 
@@ -46,12 +45,10 @@ __all__ = [
     "ExtensionParams",
     "FilterParams",
     "WGAResult",
-    "align_pair",
     "Sequence",
     "make_species_pair",
     "CostModel",
     "LastzAligner",
     "LastzConfig",
-    "align_pair_lastz",
     "__version__",
 ]

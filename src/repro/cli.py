@@ -34,11 +34,10 @@ import numpy as np
 
 from .analysis.app import add_lint_arguments, run_lint
 from .chain import GapCosts, build_chains, top_chain_scores, total_matches
-from .core import DarwinWGA, DarwinWGAConfig, Workload, align_assemblies
+from .core import Workload, align_assemblies, aligner_named
 from .genome import make_species_pair, read_fasta, write_fasta
 from .hw import CostModel, asic_estimate
 from .io import write_assembly_maf, write_chains, write_maf
-from .lastz import LastzAligner
 from .obs import (
     NO_PROGRESS,
     NULL_TRACER,
@@ -54,7 +53,12 @@ from .obs import (
     write_run_report,
 )
 from .obs.gate import render_gate
-from .resilience import FaultPlan, ResilienceOptions, RetryPolicy
+from .resilience import (
+    FaultPlan,
+    ManifestError,
+    ResilienceOptions,
+    RetryPolicy,
+)
 
 
 def _add_generate(subparsers) -> None:
@@ -155,15 +159,6 @@ def _add_align(subparsers) -> None:
         default=1,
         help="worker processes for the extension stage "
         "(output is byte-identical for any value)",
-    )
-    parser.add_argument(
-        "--no-streaming",
-        dest="streaming",
-        action="store_false",
-        default=None,
-        help="run parallel strand extension as barrier phases instead "
-        "of the streamed seed->filter->extend dataflow (A/B lever; "
-        "output is byte-identical either way)",
     )
     parser.add_argument(
         "--index-cache",
@@ -339,14 +334,8 @@ def _cmd_align(args) -> int:
         from .parallel import install_signal_cleanup
 
         install_signal_cleanup()
-    if args.aligner == "darwin":
-        config = DarwinWGAConfig(both_strands=not args.plus_only)
-        aligner_class = DarwinWGA
-    else:
-        from .lastz import LastzConfig
-
-        config = LastzConfig(both_strands=not args.plus_only)
-        aligner_class = LastzAligner
+    aligner_class = aligner_named(args.aligner)
+    config = aligner_class.config_class(both_strands=not args.plus_only)
     assembly_mode = (
         len(targets) > 1 or len(queries) > 1 or args.checkpoint is not None
     )
@@ -358,19 +347,25 @@ def _cmd_align(args) -> int:
     with capture:
         if assembly_mode:
             progress.begin("align", total=len(targets) * len(queries))
-            result = align_assemblies(
-                targets,
-                queries,
-                config=config,
-                aligner_class=aligner_class,
-                tracer=tracer,
-                workers=args.workers,
-                index_cache=args.index_cache,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                resilience=resilience,
-                telemetry=telemetry,
-            )
+            try:
+                result = align_assemblies(
+                    targets,
+                    queries,
+                    config=config,
+                    aligner_class=aligner_class,
+                    tracer=tracer,
+                    workers=args.workers,
+                    index_cache=args.index_cache,
+                    checkpoint=args.checkpoint,
+                    resume=args.resume,
+                    resilience=resilience,
+                    telemetry=telemetry,
+                )
+            except ManifestError as error:
+                # Raised before any unit runs: --resume against a
+                # manifest from other inputs/config, or an unusable one.
+                progress.close()
+                raise SystemExit(str(error))
         else:
             progress.begin("align", total=1)
             aligner = aligner_class(
@@ -380,7 +375,6 @@ def _cmd_align(args) -> int:
                 index_cache=args.index_cache,
                 resilience=resilience,
                 telemetry=telemetry,
-                streaming=args.streaming,
             )
             with aligner:
                 result = aligner.align(targets[0], queries[0])

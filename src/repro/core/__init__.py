@@ -27,7 +27,7 @@ from .pipeline import (
     WGAResult,
     Workload,
     align_assemblies,
-    align_pair,
+    aligner_named,
 )
 from .stream import BoundedQueue, StrandStream, StreamParams
 
@@ -50,7 +50,7 @@ __all__ = [
     "DarwinWGA",
     "WGAResult",
     "Workload",
-    "align_pair",
+    "aligner_named",
     "align_assemblies",
     "BoundedQueue",
     "StrandStream",

@@ -1,49 +1,33 @@
-"""Deterministic parallel anchor extension.
+"""Serial anchor extension: the oracle every schedule reproduces.
 
 The extension stage is *almost* embarrassingly parallel: each anchor's
 GACT-X extension is independent, but the pipelines consult a
 :class:`~repro.core.anchors.CoverageGrid` so anchors already covered by
 an earlier (higher filter score) alignment are absorbed without being
-extended.  That check is a serial dependency, so a naive fan-out would
+extended.  That check is a serial dependency — the only cross-anchor
+dependency in the seed-filter-extend graph — so a naive fan-out would
 change which anchors are extended.
 
-:func:`extend_anchors` keeps the serial semantics exactly — byte for
-byte, for any worker count — with **speculative dispatch and in-order
-replay**:
-
-* batches are formed in serial anchor order, pre-filtering anchors the
-  grid *already* absorbs at formation time.  The grid only ever grows,
-  so an anchor absorbed against today's partial grid would also be
-  absorbed by the serial run's (larger) grid at its turn — the skip is
-  always correct;
-* up to ``workers + 1`` batches are in flight; the oldest batch is then
-  *replayed* in submission order: each result re-checks ``absorbs``
-  against the now-complete grid, and results whose anchors were
-  absorbed in the meantime are dropped — together with their worker
-  spans and counters, so workload accounting and the trace funnel both
-  match the serial run exactly;
-* the replayed commit path (dedup by span, ``grid.add_alignment``) is
-  literally the serial loop body, so ordering-sensitive state evolves
-  identically.
-
-Speculation wastes only the extensions of anchors that a concurrent
-batch absorbs — a small tax (absorbed anchors are the cheap, already
-covered ones) for keeping the output bit-identical.
+:func:`extend_anchors` is that dependency written down in its simplest
+form: walk the anchors in priority order, skip the absorbed ones,
+extend the rest, commit each result (:func:`_commit`) before looking at
+the next anchor.  The streamed parallel schedule
+(:mod:`repro.core.stream`) keeps these semantics exactly — byte for
+byte, for any worker count — by **speculative dispatch and in-order
+replay**: anchors the grid already absorbs are skipped when a batch is
+formed (the grid only ever grows, so the skip is always correct),
+results are replayed in dispatch order with ``absorbs`` re-checked
+against the now-complete grid, and the replayed commit is literally
+:func:`_commit`, so ordering-sensitive state evolves identically.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 from ..align.alignment import Alignment
-from ..obs.export import graft_span_dicts
 from ..obs.tracer import NULL_TRACER
 from .gact_x import gact_x_extend
-from .worker import extend_batch_task
-
-if TYPE_CHECKING:  # repro.parallel sits above core in the layer DAG
-    from ..parallel.engine import ExecutionEngine
 
 __all__ = ["extend_anchors"]
 
@@ -57,45 +41,29 @@ def extend_anchors(
     grid,
     workload,
     tracer=NULL_TRACER,
-    engine: Optional[ExecutionEngine] = None,
     keep_tile_traces: bool = True,
-    observer=None,
 ) -> List[Alignment]:
     """Extend ``anchors`` (already in serial priority order) with GACT-X.
 
-    Mutates ``grid`` and ``workload`` exactly as the serial loop would
-    and returns the alignments in serial order.  With an active
-    ``engine`` the per-anchor extensions run in worker processes; the
-    result is identical either way.  ``observer`` (a
-    :class:`repro.obs.occupancy.StreamStats`) records the dispatch
-    schedule so barrier runs report the same occupancy/idle-tail
-    numbers the streamed dataflow does.
+    Mutates ``grid`` and ``workload`` and returns the alignments in
+    serial order.
     """
     with tracer.span("extend") as extend_span:
-        if engine is not None and engine.active and len(anchors) > 1:
-            alignments = _extend_parallel(
-                target,
-                query,
-                anchors,
-                scoring,
-                params,
-                grid,
-                workload,
-                tracer,
-                engine,
-                keep_tile_traces,
-                observer,
+        alignments: List[Alignment] = []
+        seen_spans: set = set()
+        for anchor in anchors:
+            if grid.absorbs(anchor):
+                workload.absorbed_anchors += 1
+                continue
+            extension = gact_x_extend(
+                target, query, anchor, scoring, params, tracer=tracer
             )
-        else:
-            alignments = _extend_serial(
-                target,
-                query,
-                anchors,
-                scoring,
-                params,
+            _commit(
+                extension,
                 grid,
                 workload,
-                tracer,
+                alignments,
+                seen_spans,
                 keep_tile_traces,
             )
         extend_span.inc("extension_tiles", workload.extension_tiles)
@@ -125,142 +93,3 @@ def _commit(
         if span not in seen_spans:
             seen_spans.add(span)
             alignments.append(alignment)
-
-
-def _extend_serial(
-    target,
-    query,
-    anchors,
-    scoring,
-    params,
-    grid,
-    workload,
-    tracer,
-    keep_tile_traces,
-) -> List[Alignment]:
-    alignments: List[Alignment] = []
-    seen_spans: set = set()
-    for anchor in anchors:
-        if grid.absorbs(anchor):
-            workload.absorbed_anchors += 1
-            continue
-        extension = gact_x_extend(
-            target, query, anchor, scoring, params, tracer=tracer
-        )
-        _commit(
-            extension,
-            grid,
-            workload,
-            alignments,
-            seen_spans,
-            keep_tile_traces,
-        )
-    return alignments
-
-
-def _extend_parallel(
-    target,
-    query,
-    anchors,
-    scoring,
-    params,
-    grid,
-    workload,
-    tracer,
-    engine: ExecutionEngine,
-    keep_tile_traces,
-    observer=None,
-) -> List[Alignment]:
-    traced = tracer.enabled
-    telemetry = engine.telemetry
-    registry = telemetry.registry if telemetry is not None else None
-    bus = engine.bus
-    progress = engine.progress
-    target_handle = engine.share(target)
-    query_handle = engine.share(query)
-    batch_size = engine.batch_size_for(len(anchors))
-    max_in_flight = engine.workers + 1
-
-    alignments: List[Alignment] = []
-    seen_spans: set = set()
-    # Bounded by max_in_flight via the dispatch() guard below.
-    in_flight: deque = deque()  # repro: allow[PAR003] capped at max_in_flight batches
-    position = 0
-    batch_number = 0
-
-    def form_batch() -> tuple:
-        """Next batch in serial order, skipping already-absorbed anchors."""
-        nonlocal position
-        batch = []
-        while position < len(anchors) and len(batch) < batch_size:
-            anchor = anchors[position]
-            position += 1
-            if grid.absorbs(anchor):
-                workload.absorbed_anchors += 1
-                continue
-            batch.append(anchor)
-        return tuple(batch)
-
-    def dispatch() -> None:
-        nonlocal batch_number
-        while position < len(anchors) and len(in_flight) < max_in_flight:
-            batch = form_batch()
-            if not batch:
-                continue
-            base = tracer.now()
-            ticket = engine.dispatch(
-                extend_batch_task,
-                target_handle,
-                query_handle,
-                batch,
-                scoring,
-                params,
-                traced,
-                key=f"extend:{batch_number}",
-            )
-            batch_number += 1
-            in_flight.append((batch, ticket, base))
-            if observer is not None:
-                # Depth is counted in dispatch units (one batch = one
-                # task occupying one worker slot), matching `slots`.
-                observer.dispatched()
-        progress.set_in_flight(len(in_flight))
-
-    dispatch()
-    while in_flight:
-        batch, ticket, base = in_flight.popleft()
-        results, span_dicts, ack = engine.result(ticket, tracer=tracer)
-        if observer is not None:
-            observer.collected()
-        if registry is not None:
-            registry.histogram("queue_depth").observe(len(in_flight))
-            if ack is not None:
-                latency = tracer.now() - base - ack.get("busy", 0.0)
-                registry.histogram("dispatch_latency_seconds").observe(
-                    max(0.0, latency)
-                )
-        if bus is not None and ack is not None:
-            bus.record_ack(ack, done_at=tracer.now())
-        committed_cells = 0
-        for slot, (anchor, extension) in enumerate(zip(batch, results)):
-            # Replay in submission order: a batch dispatched while this
-            # one was running may have been formed before these results
-            # landed in the grid, so the absorption check is repeated —
-            # absorbed results are dropped, spans and counters included.
-            if grid.absorbs(anchor):
-                workload.absorbed_anchors += 1
-                continue
-            if traced and span_dicts is not None:
-                graft_span_dicts(tracer, [span_dicts[slot]], base=base)
-            committed_cells += extension.cells
-            _commit(
-                extension,
-                grid,
-                workload,
-                alignments,
-                seen_spans,
-                keep_tile_traces,
-            )
-        progress.advance(cells=committed_cells)
-        dispatch()
-    return alignments

@@ -6,16 +6,21 @@ banded-Smith-Waterman gapped filtering, and GACT-X tiled extension with
 anchor absorption.  Per-stage workload counters (seeds, filter tiles,
 extension tiles — the paper's Table V columns) are collected on every run
 and consumed by the performance models in :mod:`repro.hw`.
+
+The dataflow is one graph — seed -> filter -> extend, with coverage-grid
+absorption as the only cross-anchor dependency — and lives once, in
+:class:`SeedFilterExtendAligner`.  :class:`DarwinWGA` and the LASTZ
+baseline (:class:`repro.lastz.pipeline.LastzAligner`) differ only in
+the filter stage they plug into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-
-from ..align.alignment import Alignment
+from ..align.alignment import Alignment, AnchorHit
 from ..genome.sequence import Sequence
 from ..obs.export import graft_span_dicts
 from ..obs.progress import NO_PROGRESS
@@ -38,9 +43,10 @@ from .gact_x import TileTrace
 from .gapped_filter import gapped_filter
 from .stream import (
     BoundedQueue,
+    StrandStream,
     StreamParams,
     _stall_if_planned,
-    streamed_strand_align,
+    stream_extension,
 )
 from .worker import align_unit_task
 
@@ -132,14 +138,15 @@ class WGAResult:
         return sum(a.matches for a in self.alignments)
 
 
-class DarwinWGA:
-    """Whole genome aligner with gapped filtering and GACT-X extension.
+class SeedFilterExtendAligner:
+    """The one seed -> filter -> extend dataflow both aligners run.
 
-    >>> from repro.genome import make_species_pair
-    >>> import numpy as np
-    >>> pair = make_species_pair(3000, 0.2, np.random.default_rng(0))
-    >>> aligner = DarwinWGA()
-    >>> result = aligner.align(pair.target.genome, pair.query.genome)
+    Everything here is shared: engine lifecycle, index construction,
+    the strand loop, workload bookkeeping, GACT-X extension with anchor
+    absorption, and the two schedules (serial, and the streamed
+    dataflow of :mod:`repro.core.stream` when workers are available).
+    A concrete aligner supplies only the swappable stage — the class
+    attributes below and :meth:`_seed_filter`.
 
     Pass a :class:`repro.obs.Tracer` to record per-stage spans (seed /
     filter / per-anchor extension); the default :data:`NULL_TRACER` makes
@@ -149,12 +156,9 @@ class DarwinWGA:
     (deterministically — output is byte-identical to ``workers=1``);
     an externally owned :class:`~repro.parallel.engine.ExecutionEngine`
     may be passed instead to share one pool across aligners.  Parallel
-    runs use the streamed dataflow (:mod:`repro.core.stream`) by
-    default: seeding/filtering of later strands overlaps in-flight
-    extensions under a bounded in-flight watermark.  ``streaming=False``
-    keeps the legacy barrier schedule (all seed+filter, then all
-    extension, per strand) — the output is byte-identical either way;
-    only the schedule (and the idle tail) differs.
+    runs use the streamed dataflow: seeding/filtering of later strands
+    overlaps in-flight extensions under a bounded in-flight watermark
+    (tunable through ``stream_params``).
     ``index_cache`` (a directory path or
     :class:`~repro.seed.cache.SeedIndexCache`) persists seed indexes
     across runs.  ``telemetry`` (a
@@ -164,20 +168,26 @@ class DarwinWGA:
     be closed (:meth:`close` or a ``with`` block) when ``workers > 1``.
     """
 
+    #: Configuration dataclass; ``config_class()`` is the default config.
+    config_class: type
+    #: The ``--aligner`` name, recorded on the ``align`` span.
+    label: str
+    #: Whether results accumulate per-tile traces (the :mod:`repro.hw`
+    #: models replay them; runs that never feed the models skip the cost).
+    keep_tile_traces: bool
+
     def __init__(
         self,
-        config: Optional[DarwinWGAConfig] = None,
+        config=None,
         tracer=None,
         workers: int = 1,
         engine: Optional[ExecutionEngine] = None,
         index_cache: Union[SeedIndexCache, str, Path, None] = None,
         resilience: Optional[ResilienceOptions] = None,
         telemetry: Optional[TelemetryOptions] = None,
-        streaming: Optional[bool] = None,
         stream_params: Optional[StreamParams] = None,
     ) -> None:
-        self.config = config or DarwinWGAConfig()
-        self.streaming = streaming
+        self.config = config or self.config_class()
         self.stream_params = stream_params
         #: Occupancy/backpressure summary of the last parallel align()
         #: (a :meth:`repro.obs.occupancy.StreamStats.summary` dict), or
@@ -213,7 +223,7 @@ class DarwinWGA:
             self._engine = None
             self._owns_engine = False
 
-    def __enter__(self) -> "DarwinWGA":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -228,6 +238,15 @@ class DarwinWGA:
             )
         with self.tracer.span("build_index", target=target.name or "target"):
             return SeedIndex.build(target, self.config.seed)
+
+    def _seed_filter(
+        self, target: Sequence, query: Sequence, index: SeedIndex, strand: int
+    ) -> Tuple[int, int, int, List[AnchorHit]]:
+        """The swappable stage: seed one strand and filter its hits.
+
+        Returns ``(seed_hits, filter_tiles, filter_cells, anchors)``.
+        """
+        raise NotImplementedError
 
     def align(
         self,
@@ -246,7 +265,7 @@ class DarwinWGA:
         tracer = self.tracer
         with tracer.span(
             "align",
-            aligner="darwin",
+            aligner=self.label,
             target=target.name or "target",
             query=query.name or "query",
             target_bp=len(target),
@@ -256,37 +275,72 @@ class DarwinWGA:
                 index = self._build_index(target)
             strands = (1, -1) if config.both_strands else (1,)
             engine = self.engine
-            parallel = engine is not None and engine.active
-            if parallel and self.streaming is not False:
-                alignments, workload, stats = streamed_strand_align(
-                    self, target, query, index, strands,
-                    keep_tile_traces=True,
+            streamed = engine is not None and engine.active
+
+            def strand_stage(i: int) -> StrandStream:
+                """Strand ``i``: seed, filter, order anchors — and, on
+                the serial schedule, extend them inside the same span.
+
+                The sort by filter score is a deliberate per-strand
+                ordering barrier: extension priority determines
+                absorption (best-filter-score first keeps the anchors
+                most likely to seed the strongest alignments), so it is
+                part of the byte-identical-output contract.
+                """
+                strand = strands[i]
+                oriented = query if strand == 1 else query.reverse_complement()
+                with tracer.span(
+                    "strand", strand="+" if strand == 1 else "-"
+                ):
+                    hits, tiles, cells, anchors = self._seed_filter(
+                        target, oriented, index, strand
+                    )
+                    state = StrandStream(
+                        oriented,
+                        sorted(anchors, key=lambda a: -a.filter_score),
+                        CoverageGrid(config.absorb_granularity),
+                        Workload(
+                            seed_hits=hits,
+                            filter_tiles=tiles,
+                            filter_cells=cells,
+                            anchors=len(anchors),
+                        ),
+                    )
+                    if not streamed:
+                        state.alignments = extend_anchors(
+                            target,
+                            oriented,
+                            state.anchors,
+                            config.scoring,
+                            config.extension,
+                            state.grid,
+                            state.workload,
+                            tracer=tracer,
+                            keep_tile_traces=self.keep_tile_traces,
+                        )
+                return state
+
+            if streamed:
+                states, stats = stream_extension(
+                    target,
+                    len(strands),
+                    strand_stage,
+                    config.scoring,
+                    config.extension,
+                    engine,
+                    tracer=tracer,
+                    stream=self.stream_params,
+                    keep_tile_traces=self.keep_tile_traces,
+                    resilience=self.resilience,
                 )
                 self.last_stream = stats.summary()
             else:
-                observer = (
-                    StreamStats(slots=engine.workers) if parallel else None
-                )
-                alignments = []
-                workload = Workload()
-                for strand in strands:
-                    oriented = (
-                        query if strand == 1 else query.reverse_complement()
-                    )
-                    with tracer.span(
-                        "strand", strand="+" if strand == 1 else "-"
-                    ):
-                        strand_result = self._align_strand(
-                            target, oriented, index, strand,
-                            observer=observer,
-                        )
-                    alignments.extend(strand_result.alignments)
-                    workload.merge(strand_result.workload)
-                if observer is not None:
-                    observer.close()
-                self.last_stream = (
-                    observer.summary() if observer is not None else None
-                )
+                states = [strand_stage(i) for i in range(len(strands))]
+                self.last_stream = None
+            alignments = [a for state in states for a in state.alignments]
+            workload = states[0].workload
+            for state in states[1:]:
+                workload.merge(state.workload)
             alignments.sort(key=lambda a: -a.score)
             span.inc("seed_hits", workload.seed_hits)
             span.inc("filter_tiles", workload.filter_tiles)
@@ -298,25 +352,29 @@ class DarwinWGA:
             span.inc("alignments", len(alignments))
             return WGAResult(alignments=alignments, workload=workload)
 
-    def _seed_filter_strand(
-        self,
-        target: Sequence,
-        query: Sequence,
-        index: SeedIndex,
-        strand: int,
-    ):
-        """One strand's producer stage: seed, filter, order anchors.
 
-        Returns ``(ordered_anchors, workload, grid)`` — everything the
-        extension stage (serial, barrier-parallel or streamed) needs.
-        The sort by filter score is a deliberate per-strand ordering
-        barrier: extension priority determines absorption, so it is
-        part of the byte-identical-output contract.
-        """
+class DarwinWGA(SeedFilterExtendAligner):
+    """Whole genome aligner with gapped filtering and GACT-X extension.
+
+    >>> from repro.genome import make_species_pair
+    >>> import numpy as np
+    >>> pair = make_species_pair(3000, 0.2, np.random.default_rng(0))
+    >>> aligner = DarwinWGA()
+    >>> result = aligner.align(pair.target.genome, pair.query.genome)
+
+    The paper's pipeline: D-SOFT diagonal-band seeding, then the banded
+    Smith-Waterman gapped filter.  Constructor options, tracing and the
+    parallel schedule are :class:`SeedFilterExtendAligner`'s.
+    """
+
+    config_class = DarwinWGAConfig
+    label = "darwin"
+    keep_tile_traces = True
+
+    def _seed_filter(self, target, query, index, strand):
         config = self.config
-        tracer = self.tracer
-        seeding = dsoft_seed(index, query, config.dsoft, tracer=tracer)
-        filter_result = gapped_filter(
+        seeding = dsoft_seed(index, query, config.dsoft, tracer=self.tracer)
+        result = gapped_filter(
             target,
             query,
             seeding.target_positions,
@@ -324,92 +382,25 @@ class DarwinWGA:
             config.scoring,
             config.filtering,
             strand=strand,
-            tracer=tracer,
-        )
-        workload = Workload(
-            seed_hits=seeding.raw_hit_count,
-            filter_tiles=filter_result.tiles,
-            filter_cells=filter_result.cells,
-            anchors=len(filter_result.anchors),
-        )
-        grid = CoverageGrid(config.absorb_granularity)
-        # Extend best-filter-score first so absorption keeps the anchors
-        # most likely to seed the strongest alignments.
-        ordered = sorted(
-            filter_result.anchors, key=lambda a: -a.filter_score
-        )
-        return ordered, workload, grid
-
-    def _align_strand(
-        self,
-        target: Sequence,
-        query: Sequence,
-        index: SeedIndex,
-        strand: int,
-        observer: Optional[StreamStats] = None,
-    ) -> WGAResult:
-        ordered, workload, grid = self._seed_filter_strand(
-            target, query, index, strand
-        )
-        alignments = extend_anchors(
-            target,
-            query,
-            ordered,
-            self.config.scoring,
-            self.config.extension,
-            grid,
-            workload,
             tracer=self.tracer,
-            engine=self.engine,
-            keep_tile_traces=True,
-            observer=observer,
         )
-        return WGAResult(alignments=alignments, workload=workload)
+        return (
+            seeding.raw_hit_count, result.tiles, result.cells, result.anchors
+        )
 
 
-def align_pair(
-    target: Sequence,
-    query: Sequence,
-    config: Optional[DarwinWGAConfig] = None,
-    tracer=None,
-    workers: int = 1,
-    index_cache=None,
-    telemetry: Optional[TelemetryOptions] = None,
-) -> WGAResult:
-    """One-call convenience wrapper around :class:`DarwinWGA`."""
-    with DarwinWGA(
-        config,
-        tracer=tracer,
-        workers=workers,
-        index_cache=index_cache,
-        telemetry=telemetry,
-    ) as aligner:
-        return aligner.align(target, query)
+def aligner_named(label: str) -> type:
+    """The aligner class behind an ``--aligner`` name."""
+    # Deferred: repro.lastz is a sibling layer that imports this module
+    # at module level, so the reverse import must wait for call time.
+    from ..lastz.pipeline import LastzAligner
+
+    return {cls.label: cls for cls in (DarwinWGA, LastzAligner)}[label]
 
 
 def _unit_key(ti: int, target: Sequence, qi: int, query: Sequence) -> str:
     """Stable identity of one (target, query) chromosome-pair unit."""
     return f"{ti}:{target.name or 'target'}|{qi}:{query.name or 'query'}"
-
-
-def _attach_manifest(
-    checkpoint,
-    resume: bool,
-    aligner_class,
-    resolved_config,
-    target_assembly,
-    query_assembly,
-) -> Optional[RunManifest]:
-    if checkpoint is None:
-        return None
-    return RunManifest.attach(
-        checkpoint,
-        aligner=aligner_class.__name__,
-        config=config_digest(resolved_config),
-        target=sequences_digest(target_assembly),
-        query=sequences_digest(query_assembly),
-        resume=resume,
-    )
 
 
 def align_assemblies(
@@ -464,15 +455,19 @@ def align_assemblies(
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     cache = _resolve_cache(index_cache, resilience)
-    resolved_config = config if config is not None else aligner_class().config
-    manifest = _attach_manifest(
-        checkpoint,
-        resume,
-        aligner_class,
-        resolved_config,
-        target_assembly,
-        query_assembly,
+    resolved_config = (
+        config if config is not None else aligner_class.config_class()
     )
+    manifest = None
+    if checkpoint is not None:
+        manifest = RunManifest.attach(
+            checkpoint,
+            aligner=aligner_class.__name__,
+            config=config_digest(resolved_config),
+            target=sequences_digest(target_assembly),
+            query=sequences_digest(query_assembly),
+            resume=resume,
+        )
     stats = resilience.stats if resilience is not None else None
     progress = telemetry.progress if telemetry is not None else NO_PROGRESS
     pool = engine

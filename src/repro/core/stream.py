@@ -1,9 +1,11 @@
 """Streaming seed->filter->extend dataflow with bounded queues.
 
-The pipelines historically ran as barrier phases: all seeding, then all
-filtering, then all extension — per strand, with a full worker drain
-between phases.  This module restructures that into a cooperative
-single-threaded stage graph:
+The parallel schedule of the pipeline.  A naive port would run barrier
+phases — all seeding, then all filtering, then all extension, per
+strand, with a full worker drain between phases — and pay an idle tail
+at every drain (measured slower than serial here: EXPERIMENTS.md,
+stage overlap).  This module is a cooperative single-threaded stage
+graph instead:
 
 * the **producer** stage runs one strand's seeding + gapped filtering
   and emits its priority-ordered anchors into a bounded strand queue
@@ -14,14 +16,13 @@ single-threaded stage graph:
   :class:`~repro.parallel.engine.ExecutionEngine` as soon as the
   in-flight watermark (``max_in_flight_anchors``) has room — no
   end-of-strand barrier: the next strand's producer step runs while the
-  previous strand's last batches are still in flight, which is exactly
-  the idle tail the barrier schedule paid;
+  previous strand's last batches are still in flight;
 * the **sink** collects results strictly in dispatch order and replays
   the serial commit loop (`grid.absorbs` re-check, dedup, coverage
   update), so the output is byte-identical to serial at any worker
-  count — the same speculative-dispatch/in-order-replay argument as
-  :mod:`repro.core.extension`, with the speculation window now bounded
-  by the watermark instead of ``batches x batch_size`` anchors.
+  count — the speculative-dispatch/in-order-replay argument spelled out
+  in :mod:`repro.core.extension`, with the speculation window bounded
+  by the watermark.
 
 Backpressure is explicit and observable: the producer only runs when
 the frontier is starved and the strand queue has room; every refusal is
@@ -58,7 +59,6 @@ __all__ = [
     "StrandStream",
     "StreamParams",
     "stream_extension",
-    "streamed_strand_align",
 ]
 
 #: Injectable sleep used by the ``stall`` fault kind (tests patch it).
@@ -125,8 +125,7 @@ class StreamParams:
     work discarded); larger windows keep more workers fed.  The default
     is one anchor per worker: eager replay refills a freed slot as soon
     as its result settles, so extra slack mostly buys wasted
-    speculation — far tighter than the barrier path's
-    ``(workers + 1) x batch_size`` anchors.
+    speculation.
 
     ``defer_diagonal_bp`` is a dependence heuristic, not a correctness
     knob: an in-flight anchor's alignment runs along its diagonal
@@ -229,7 +228,9 @@ def stream_extension(
     Returns the per-strand streams (in serial strand order, each with
     its committed alignments and workload) plus the schedule's
     :class:`StreamStats`.  Byte-identical to running
-    :func:`repro.core.extension.extend_anchors` per strand serially.
+    :func:`repro.core.extension.extend_anchors` per strand serially,
+    and — like it — recorded as one ``extend`` span carrying the
+    extension counters (plus this schedule's occupancy figures).
     """
     stream = stream or DEFAULT_STREAM
     limit = stream.in_flight_limit(engine.workers)
@@ -396,37 +397,58 @@ def stream_extension(
         progress.advance(cells=committed_cells)
         progress.set_in_flight(len(in_flight))
 
-    while True:
-        # Eager replay: commit every already-settled head batch before
-        # forming new speculation.  Costs nothing (poll never blocks),
-        # and keeps the coverage grid fresh so fewer dispatched anchors
-        # turn out absorbed at replay — the dominant waste term when
-        # cores are scarce.  Order is still strictly FIFO.
-        while in_flight and engine.poll(in_flight[0][2]):
+    # The producer's spans nest under this one: the overlap of later
+    # strands' seeding with in-flight extensions is real, so the trace
+    # reflects it.
+    with tracer.span("extend") as extend_span:
+        while True:
+            # Eager replay: commit every already-settled head batch before
+            # forming new speculation.  Costs nothing (poll never blocks),
+            # and keeps the coverage grid fresh so fewer dispatched anchors
+            # turn out absorbed at replay — the dominant waste term when
+            # cores are scarce.  Order is still strictly FIFO.
+            while in_flight and engine.poll(in_flight[0][2]):
+                _collect_one()
+            deferred = _try_dispatch()
+            saturated = in_flight_anchors >= limit
+            if produced < strand_count and (
+                _starved() or saturated or deferred
+            ):
+                # The frontier is either starved (needs the next strand's
+                # anchors) or saturated (the producer can prefetch while
+                # workers chew) — run the producer, unless the bounded
+                # strand queue refuses: then drain one collection first.
+                if not strand_queue.full:
+                    _produce_next()
+                    continue
+                strand_queue.stalls += 1
+                stats.stalled()
+            if not in_flight:
+                if produced < strand_count:
+                    continue  # a queue slot freed; produce on the next pass
+                break
+            if not _starved() and saturated:
+                # Watermark holds the frontier back while anchors are
+                # pending: producer throttling, counted as backpressure.
+                stats.stalled()
             _collect_one()
-        deferred = _try_dispatch()
-        saturated = in_flight_anchors >= limit
-        if produced < strand_count and (_starved() or saturated or deferred):
-            # The frontier is either starved (needs the next strand's
-            # anchors) or saturated (the producer can prefetch while
-            # workers chew) — run the producer, unless the bounded
-            # strand queue refuses: then drain one collection first.
-            if not strand_queue.full:
-                _produce_next()
-                continue
-            strand_queue.stalls += 1
-            stats.stalled()
-        if not in_flight:
-            if produced < strand_count:
-                continue  # a queue slot freed; produce on the next pass
-            break
-        if not _starved() and saturated:
-            # Watermark holds the frontier back while anchors are
-            # pending: producer throttling, counted as backpressure.
-            stats.stalled()
-        _collect_one()
 
-    stats.close()
+        stats.close()
+        for counter in (
+            "extension_tiles", "extension_cells", "absorbed_anchors"
+        ):
+            extend_span.inc(
+                counter, sum(getattr(s.workload, counter) for s in states)
+            )
+        extend_span.inc(
+            "alignments", sum(len(s.alignments) for s in states)
+        )
+        extend_span.set(
+            occupancy=round(stats.occupancy(), 6),
+            idle_tail_seconds=round(stats.idle_tail_seconds(), 6),
+            backpressure_stalls=stats.backpressure_stalls,
+            peak_in_flight=stats.peak_in_flight,
+        )
     if registry is not None:
         registry.counter("stream_backpressure_stalls").inc(
             stats.backpressure_stalls
@@ -437,65 +459,3 @@ def stream_extension(
         )
         registry.gauge("stream_peak_in_flight").set(stats.peak_in_flight)
     return states, stats
-
-
-def streamed_strand_align(
-    aligner,
-    target,
-    query,
-    index,
-    strands,
-    keep_tile_traces: bool = True,
-):
-    """Shared streamed ``align`` body for DarwinWGA and LastzAligner.
-
-    Runs every strand's seed+filter as a producer stage and the shared
-    extension frontier as the consumer, inside one ``extend`` span (the
-    later strands' producer spans nest under it — the overlap is real,
-    so the trace reflects it).  Returns ``(alignments, workload,
-    stats)`` with alignments in serial order (per-strand, pre-sort).
-    """
-    tracer = aligner.tracer
-    config = aligner.config
-
-    def produce(i: int) -> StrandStream:
-        strand = strands[i]
-        oriented = query if strand == 1 else query.reverse_complement()
-        with tracer.span("strand", strand="+" if strand == 1 else "-"):
-            ordered, workload, grid = aligner._seed_filter_strand(
-                target, oriented, index, strand
-            )
-        return StrandStream(oriented, ordered, grid, workload)
-
-    with tracer.span("extend") as extend_span:
-        states, stats = stream_extension(
-            target,
-            len(strands),
-            produce,
-            config.scoring,
-            config.extension,
-            aligner.engine,
-            tracer=tracer,
-            stream=getattr(aligner, "stream_params", None),
-            keep_tile_traces=keep_tile_traces,
-            resilience=aligner.resilience,
-        )
-        alignments: List[Alignment] = []
-        workload = None
-        for state in states:
-            alignments.extend(state.alignments)
-            if workload is None:
-                workload = state.workload
-            else:
-                workload.merge(state.workload)
-        extend_span.inc("extension_tiles", workload.extension_tiles)
-        extend_span.inc("extension_cells", workload.extension_cells)
-        extend_span.inc("absorbed_anchors", workload.absorbed_anchors)
-        extend_span.inc("alignments", len(alignments))
-        extend_span.set(
-            occupancy=round(stats.occupancy(), 6),
-            idle_tail_seconds=round(stats.idle_tail_seconds(), 6),
-            backpressure_stalls=stats.backpressure_stalls,
-            peak_in_flight=stats.peak_in_flight,
-        )
-    return alignments, workload, stats

@@ -1,6 +1,6 @@
 """LASTZ-like baseline: all-hits seeding + ungapped filter + extension."""
 
-from .pipeline import LastzAligner, LastzConfig, align_pair_lastz
+from .pipeline import LastzAligner, LastzConfig
 from .ungapped_filter import (
     DEFAULT_XDROP,
     UngappedFilterParams,
@@ -11,7 +11,6 @@ from .ungapped_filter import (
 __all__ = [
     "LastzAligner",
     "LastzConfig",
-    "align_pair_lastz",
     "DEFAULT_XDROP",
     "UngappedFilterParams",
     "UngappedFilterResult",

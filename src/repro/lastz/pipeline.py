@@ -16,34 +16,14 @@ spans would be equivalent anyway — GACT-X's tiling exists to bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
 
-from ..align.alignment import Alignment
-from ..core.anchors import CoverageGrid
-from ..core.config import ExtensionParams
-from ..core.extension import extend_anchors
-from ..core.pipeline import (
-    WGAResult,
-    Workload,
-    _bind_telemetry,
-    _make_engine,
-    _resolve_cache,
-)
-from ..core.stream import StreamParams, streamed_strand_align
-from ..obs.occupancy import StreamStats
 from ..align.matrices import lastz_default
 from ..align.scoring import ScoringScheme
-from ..genome.sequence import Sequence
-from ..obs.tracer import NULL_TRACER
-from ..seed.cache import SeedIndexCache
+from ..core.config import ExtensionParams
+from ..core.pipeline import SeedFilterExtendAligner
 from ..seed.dsoft import all_seed_hits
-from ..seed.index import SeedIndex
 from ..seed.patterns import SpacedSeed
 from .ungapped_filter import UngappedFilterParams, ungapped_filter
-
-if TYPE_CHECKING:  # repro.parallel sits above lastz in the layer DAG
-    from ..parallel.engine import ExecutionEngine
 
 
 @dataclass(frozen=True)
@@ -63,164 +43,27 @@ class LastzConfig:
     absorb_granularity: int = 64
 
 
-class LastzAligner:
+class LastzAligner(SeedFilterExtendAligner):
     """Seed / ungapped-filter / extend aligner in LASTZ's default mode.
 
-    ``workers``/``engine``/``index_cache`` behave exactly as on
-    :class:`repro.core.pipeline.DarwinWGA`: the extension stage fans out
-    deterministically over a process pool, and seed indexes persist in a
-    content-addressed on-disk cache.
+    Everything but the filter stage — constructor options, the
+    deterministic parallel schedule, the on-disk index cache — is
+    :class:`repro.core.pipeline.SeedFilterExtendAligner`'s, shared with
+    :class:`repro.core.pipeline.DarwinWGA`.
     """
 
-    def __init__(
-        self,
-        config: Optional[LastzConfig] = None,
-        tracer=None,
-        workers: int = 1,
-        engine: Optional[ExecutionEngine] = None,
-        index_cache: Union[SeedIndexCache, str, Path, None] = None,
-        resilience=None,
-        telemetry=None,
-        streaming: Optional[bool] = None,
-        stream_params: Optional[StreamParams] = None,
-    ) -> None:
-        self.config = config or LastzConfig()
-        self.streaming = streaming
-        self.stream_params = stream_params
-        self.last_stream = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.workers = engine.workers if engine is not None else workers
-        if resilience is None and engine is not None:
-            resilience = engine.resilience
-        self.resilience = resilience
-        self.index_cache = _resolve_cache(index_cache, resilience)
-        if engine is not None and telemetry is not None:
-            engine.adopt_telemetry(telemetry)
-        self.telemetry = telemetry
-        self._engine = engine
-        self._owns_engine = False
+    config_class = LastzConfig
+    label = "lastz"
+    #: LASTZ runs never feed the hardware model.
+    keep_tile_traces = False
 
-    @property
-    def engine(self) -> Optional[ExecutionEngine]:
-        """The execution engine, created lazily when ``workers > 1``."""
-        if self._engine is None and self.workers > 1:
-            _bind_telemetry(self.telemetry, self.tracer)
-            self._engine = _make_engine(
-                self.workers, self.resilience, self.telemetry
-            )
-            self._owns_engine = True
-        return self._engine
-
-    def close(self) -> None:
-        """Release the engine if this aligner created it."""
-        if self._owns_engine and self._engine is not None:
-            self._engine.close()
-            self._engine = None
-            self._owns_engine = False
-
-    def __enter__(self) -> "LastzAligner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def _build_index(self, target: Sequence) -> SeedIndex:
-        """Build (or load from the cache) the target's seed index."""
-        if self.index_cache is not None:
-            return self.index_cache.get_or_build(
-                target, self.config.seed, tracer=self.tracer
-            )
-        with self.tracer.span(
-            "build_index", target=target.name or "target"
-        ):
-            return SeedIndex.build(target, self.config.seed)
-
-    def align(
-        self,
-        target: Sequence,
-        query: Sequence,
-        index: Optional[SeedIndex] = None,
-    ) -> WGAResult:
-        """Align ``query`` against ``target`` on both strands.
-
-        ``index`` is an optional prebuilt :class:`SeedIndex` of
-        ``target``, reusable across queries exactly as in
-        :meth:`repro.core.pipeline.DarwinWGA.align`.
-        """
+    def _seed_filter(self, target, query, index, strand):
         config = self.config
-        tracer = self.tracer
-        with tracer.span(
-            "align",
-            aligner="lastz",
-            target=target.name or "target",
-            query=query.name or "query",
-            target_bp=len(target),
-            query_bp=len(query),
-        ) as span:
-            if index is None:
-                index = self._build_index(target)
-            strands = (1, -1) if config.both_strands else (1,)
-            engine = self.engine
-            parallel = engine is not None and engine.active
-            if parallel and self.streaming is not False:
-                # LASTZ runs never feed the hardware model, so tile
-                # traces are not accumulated (matching serial).
-                alignments, workload, stats = streamed_strand_align(
-                    self, target, query, index, strands,
-                    keep_tile_traces=False,
-                )
-                self.last_stream = stats.summary()
-            else:
-                observer = (
-                    StreamStats(slots=engine.workers) if parallel else None
-                )
-                alignments = []
-                workload = Workload()
-                for strand in strands:
-                    oriented = (
-                        query if strand == 1 else query.reverse_complement()
-                    )
-                    with tracer.span(
-                        "strand", strand="+" if strand == 1 else "-"
-                    ):
-                        result = self._align_strand(
-                            target, oriented, index, strand,
-                            observer=observer,
-                        )
-                    alignments.extend(result.alignments)
-                    workload.merge(result.workload)
-                if observer is not None:
-                    observer.close()
-                self.last_stream = (
-                    observer.summary() if observer is not None else None
-                )
-            alignments.sort(key=lambda a: -a.score)
-            span.inc("seed_hits", workload.seed_hits)
-            span.inc("filter_tiles", workload.filter_tiles)
-            span.inc("filter_cells", workload.filter_cells)
-            span.inc("extension_tiles", workload.extension_tiles)
-            span.inc("extension_cells", workload.extension_cells)
-            span.inc("anchors", workload.anchors)
-            span.inc("absorbed_anchors", workload.absorbed_anchors)
-            span.inc("alignments", len(alignments))
-            return WGAResult(alignments=alignments, workload=workload)
-
-    def _seed_filter_strand(
-        self,
-        target: Sequence,
-        query: Sequence,
-        index: SeedIndex,
-        strand: int,
-    ):
-        """One strand's producer stage: seed, filter, order anchors."""
-        config = self.config
-        tracer = self.tracer
         seeding = all_seed_hits(
-            index, query, seed_limit=config.seed_limit, tracer=tracer
+            index, query, seed_limit=config.seed_limit, tracer=self.tracer
         )
-        with tracer.span("ungapped_filter") as filter_span:
-            filter_result = ungapped_filter(
+        with self.tracer.span("ungapped_filter") as filter_span:
+            result = ungapped_filter(
                 target,
                 query,
                 seeding.target_positions,
@@ -229,60 +72,9 @@ class LastzAligner:
                 config.filtering,
                 strand=strand,
             )
-            filter_span.inc("filter_tiles", filter_result.hits)
-            filter_span.inc("filter_cells", filter_result.cells)
-            filter_span.inc("anchors", len(filter_result.anchors))
-        workload = Workload(
-            seed_hits=seeding.raw_hit_count,
-            filter_tiles=filter_result.hits,
-            filter_cells=filter_result.cells,
-            anchors=len(filter_result.anchors),
+            filter_span.inc("filter_tiles", result.hits)
+            filter_span.inc("filter_cells", result.cells)
+            filter_span.inc("anchors", len(result.anchors))
+        return (
+            seeding.raw_hit_count, result.hits, result.cells, result.anchors
         )
-        grid = CoverageGrid(config.absorb_granularity)
-        ordered = sorted(
-            filter_result.anchors, key=lambda a: -a.filter_score
-        )
-        return ordered, workload, grid
-
-    def _align_strand(
-        self,
-        target: Sequence,
-        query: Sequence,
-        index: SeedIndex,
-        strand: int,
-        observer: Optional[StreamStats] = None,
-    ) -> WGAResult:
-        ordered, workload, grid = self._seed_filter_strand(
-            target, query, index, strand
-        )
-        # LASTZ runs never feed the hardware model, so tile traces are
-        # not accumulated (matching the previous serial behaviour).
-        alignments = extend_anchors(
-            target,
-            query,
-            ordered,
-            self.config.scoring,
-            self.config.extension,
-            grid,
-            workload,
-            tracer=self.tracer,
-            engine=self.engine,
-            keep_tile_traces=False,
-            observer=observer,
-        )
-        return WGAResult(alignments=alignments, workload=workload)
-
-
-def align_pair_lastz(
-    target: Sequence,
-    query: Sequence,
-    config: Optional[LastzConfig] = None,
-    tracer=None,
-    workers: int = 1,
-    index_cache=None,
-) -> WGAResult:
-    """One-call convenience wrapper around :class:`LastzAligner`."""
-    with LastzAligner(
-        config, tracer=tracer, workers=workers, index_cache=index_cache
-    ) as aligner:
-        return aligner.align(target, query)

@@ -339,62 +339,45 @@ def compare_artifacts(
                 ),
             )
     scaling = current.get("parallel_scaling")
-    base_scaling = baseline.get("parallel_scaling")
     if isinstance(scaling, dict):
         if scaling.get("identical_output") is False:
             result.add(
                 "parallel_scaling.identical_output", "fail",
                 current=False,
-                detail="streamed/barrier output diverged from serial",
+                detail="streamed output diverged from serial",
             )
         targets = scaling.get("targets", {})
         at = str(targets.get("at_workers", "2"))
-        improvement = scaling.get("streaming_improvement", {}).get(at)
-        reduction = scaling.get("idle_tail_reduction", {}).get(at)
-        if comparable_timings and improvement is not None:
-            target = targets.get("streaming_improvement")
+        speedup = scaling.get("streamed_speedup", {}).get(at)
+        if comparable_timings and speedup is not None:
+            target = targets.get("streamed_speedup")
             if target is not None:
                 result.add(
-                    f"parallel_scaling.streaming_improvement.{at}",
-                    "fail" if improvement < target else "pass",
-                    current=improvement, limit=target,
+                    f"parallel_scaling.streamed_speedup.{at}",
+                    "fail" if speedup < target else "pass",
+                    current=speedup, limit=target,
                     detail=(
-                        "streamed schedule no longer beats the barrier "
-                        f"schedule by the {target}x target"
-                        if improvement < target
+                        "streamed schedule fell below "
+                        f"{target}x the serial run"
+                        if speedup < target
                         else ""
                     ),
                 )
-            if isinstance(base_scaling, dict):
-                base_improvement = base_scaling.get(
-                    "streaming_improvement", {}
-                ).get(at)
-                if base_improvement:
-                    floor = base_improvement * (1.0 - rate_tolerance)
-                    result.add(
-                        f"parallel_scaling.streaming_improvement.{at}"
-                        ".regression",
-                        "fail" if improvement < floor else "pass",
-                        current=improvement, baseline=base_improvement,
-                        limit=floor,
-                        detail=(
-                            "streaming improvement regressed beyond "
-                            f"-{rate_tolerance:.0%}"
-                            if improvement < floor
-                            else ""
-                        ),
-                    )
-        if comparable_timings and reduction is not None:
-            target = targets.get("idle_tail_reduction")
-            if target is not None:
+            base_speedup = (
+                baseline.get("parallel_scaling", {})
+                .get("streamed_speedup", {})
+                .get(at)
+            )
+            if base_speedup:
+                floor = base_speedup * (1.0 - rate_tolerance)
                 result.add(
-                    f"parallel_scaling.idle_tail_reduction.{at}",
-                    "fail" if reduction < target else "pass",
-                    current=reduction, limit=target,
+                    f"parallel_scaling.streamed_speedup.{at}.regression",
+                    "fail" if speedup < floor else "pass",
+                    current=speedup, baseline=base_speedup, limit=floor,
                     detail=(
-                        "streamed schedule no longer removes "
-                        f"{target:.0%} of the barrier idle tail"
-                        if reduction < target
+                        "streamed speedup over serial regressed beyond "
+                        f"-{rate_tolerance:.0%}"
+                        if speedup < floor
                         else ""
                     ),
                 )

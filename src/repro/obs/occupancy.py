@@ -12,12 +12,12 @@ first dispatch to the last collection, yielding:
 * ``occupancy``          — busy slot-seconds / (slots x window): the
   fraction of worker capacity the schedule actually used;
 * ``idle_tail_seconds``  — idle slot-seconds *after the last dispatch*,
-  up to the schedule's :meth:`close`.  A barrier schedule pays the tail
-  every phase: the end-of-phase drain (depth ramps to zero while the
-  slowest unit finishes) plus any trailing serial stage that runs with
-  nothing in flight (e.g. the last strand's seed+filter).  A streamed
-  schedule keeps dispatching until the work is nearly over, so its
-  tail collapses.  Mid-stream dependence stalls deliberately taken by
+  up to the schedule's :meth:`close`: the final drain (depth ramps to
+  zero while the slowest unit finishes) plus any trailing serial stage
+  that runs with nothing in flight (e.g. the last strand's seed+filter
+  finding no anchors).  A schedule that drained between phases would
+  pay this once per phase; the streamed schedule keeps dispatching
+  until the work is nearly over, so its tail collapses.  Mid-stream dependence stalls deliberately taken by
   the coordinator are *not* part of the tail — they show up in
   ``occupancy`` instead;
 * ``peak_in_flight`` / ``backpressure_stalls`` — proof the bounded
@@ -110,12 +110,11 @@ class StreamStats:
 
         Called when the schedule being observed is *over* (the align
         section ends), which may be well after the last collection: a
-        barrier schedule that runs a serial stage after its last drain
-        — e.g. the second strand's seed+filter finding zero anchors —
-        leaves the workers idle for all of it, and that idle time is
-        exactly the tail the streamed schedule overlaps away.  Without
-        the mark the window would end at the last collect and the tail
-        would be invisible.
+        serial stage that runs after the last drain — e.g. the second
+        strand's seed+filter finding zero anchors — leaves the workers
+        idle for all of it, and that idle time belongs to the tail.
+        Without the mark the window would end at the last collect and
+        the tail would be invisible.
         """
         self._closed = self._advance()
 

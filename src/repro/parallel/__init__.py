@@ -5,19 +5,16 @@ seed-filter-extend work items; this package is the software analogue —
 an :class:`~repro.parallel.engine.ExecutionEngine` (process pool plus
 shared-memory sequence transport).  The deterministic orchestrators
 that fan anchors and chromosome-pair units out across it are domain
-logic and live below this layer, in :mod:`repro.core.extension` and
-:mod:`repro.core.worker`; their names are re-exported here for
-convenience (``parallel`` may import ``core`` — the reverse direction
-is what the layer DAG forbids; the pipelines reach up only through
-deferred construction at call time).
+logic and live below this layer, in :mod:`repro.core.stream` and
+:mod:`repro.core.worker` (the pipelines reach up only through deferred
+construction at call time — the layer DAG forbids ``core`` importing
+``parallel``).
 
 Task callables submitted to the engine are pickled **by reference**:
 they must be module-level functions, never lambdas or closures
 (enforced by ``repro lint`` rules PAR001/PAR002).
 """
 
-from ..core.extension import extend_anchors
-from ..core.worker import align_unit_task, extend_batch_task, resolve_sequence
 from .engine import ExecutionEngine, SequenceHandle, install_signal_cleanup
 from .supervise import ResilientDispatcher, Ticket
 
@@ -26,9 +23,5 @@ __all__ = [
     "ResilientDispatcher",
     "SequenceHandle",
     "Ticket",
-    "align_unit_task",
-    "extend_anchors",
-    "extend_batch_task",
     "install_signal_cleanup",
-    "resolve_sequence",
 ]

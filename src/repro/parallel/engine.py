@@ -10,9 +10,6 @@ pipelines need on top of it:
   into :mod:`multiprocessing.shared_memory` and referenced by a small
   picklable :class:`SequenceHandle`, so dispatching a batch of anchors
   never re-pickles megabase arrays;
-* **batch sizing** — anchors are dispatched in chunks large enough to
-  amortise the per-task round trip but small enough to keep every
-  worker busy;
 * **supervised dispatch** — :meth:`dispatch`/:meth:`result` route work
   through a :class:`~repro.parallel.supervise.ResilientDispatcher`
   (retry/timeout/pool-rebuild/serial-fallback per the engine's
@@ -21,7 +18,7 @@ pipelines need on top of it:
 
 Determinism is the callers' contract, not the engine's: result futures
 are always consumed in submission order (see
-:mod:`repro.core.extension`), so the engine itself only needs to be
+:mod:`repro.core.stream`), so the engine itself only needs to be
 an ordinary pool.
 
 Crash hygiene: shared-memory blocks are OS-level files (``/dev/shm``)
@@ -400,22 +397,3 @@ class ExecutionEngine:
                 self, self.resilience
             )
         return self._dispatcher_obj
-
-    def batch_size_for(self, items: int, chunk_size: int = 0) -> int:
-        """Anchors per dispatched batch.
-
-        An explicit ``chunk_size`` wins; otherwise aim for ~8 batches
-        per worker (so stragglers rebalance) capped at 32 anchors per
-        round trip.  Small inputs are floored to one balanced batch per
-        worker: ``min(items, workers)`` batches instead of ``items``
-        single-anchor round trips.
-        """
-        if chunk_size > 0:
-            return chunk_size
-        if items <= 0:
-            return 1
-        size = items // (self.workers * 8)
-        if size < 1:
-            # Ceiling division: every available worker gets one batch.
-            size = -(-items // min(items, self.workers))
-        return max(1, min(32, size))

@@ -11,7 +11,9 @@ that without changing a single output byte:
 * :class:`FaultPlan` — a seeded schedule of injected faults (worker
   crashes, timeouts, task errors, cache corruption) so every recovery
   path is provable in tests and CI;
-* :class:`RunManifest` — an append-only journal of completed
+* :class:`AppendJournal` — the one append-only, checksummed, fsync'd
+  JSONL primitive (torn-tail repair included) every journal sits on;
+* :class:`RunManifest` — an :class:`AppendJournal` of completed
   chromosome-pair units with config/genome digests, powering
   ``--resume``;
 * :class:`RecoveryStats` — counters proving which recovery paths
@@ -41,6 +43,7 @@ from .faults import (
     injected_worker_crash,
     injected_worker_hang,
 )
+from .journal import AppendJournal, JournalError
 from .policy import (
     RecoveryStats,
     ResilienceOptions,
@@ -50,11 +53,13 @@ from .policy import (
 )
 
 __all__ = [
+    "AppendJournal",
     "DEFAULT_RATES",
     "FAULT_KINDS",
     "MANIFEST_VERSION",
     "FaultPlan",
     "InjectedFault",
+    "JournalError",
     "ManifestError",
     "ManifestMismatch",
     "RecoveryStats",

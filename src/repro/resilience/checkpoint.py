@@ -22,13 +22,12 @@ Safety properties:
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
-import os
 import pickle
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
+
+from .journal import AppendJournal
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -81,23 +80,27 @@ def sequences_digest(sequences) -> str:
     return digest.hexdigest()
 
 
-def _payload_checksum(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
-class RunManifest:
+class RunManifest(AppendJournal):
     """Journal of completed work units for one configured run.
 
     Construction goes through :meth:`create` (start a fresh journal) or
     :meth:`load` (parse an existing one); :meth:`attach` picks between
-    them for the resume workflow.
+    them for the resume workflow.  The file discipline (header,
+    checksums, fsync'd appends, torn-tail repair) is
+    :class:`~repro.resilience.journal.AppendJournal`'s.
     """
 
+    noun = "manifest"
+    record_kind = "unit"
+    version = MANIFEST_VERSION
+    error = ManifestError
+
     def __init__(self, path: Union[str, Path], header: Dict) -> None:
-        self.path = Path(path)
-        self.header = header
+        super().__init__(path, header)
         self._units: Dict[str, bytes] = {}
-        self.skipped_records = 0
+
+    def _accept(self, record: Dict, payload: bytes) -> None:
+        self._units[record["unit"]] = payload
 
     # -- construction ------------------------------------------------
     @classmethod
@@ -111,73 +114,9 @@ class RunManifest:
         query: str,
     ) -> "RunManifest":
         """Start a fresh journal at ``path`` (truncating any old one)."""
-        header = {
-            "kind": "header",
-            "version": MANIFEST_VERSION,
-            "aligner": aligner,
-            "config": config,
-            "target": target,
-            "query": query,
-        }
-        manifest = cls(path, header)
-        manifest.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(manifest.path, "w") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return manifest
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "RunManifest":
-        """Parse an existing journal, skipping torn/corrupt records."""
-        path = Path(path)
-        raw = path.read_bytes()
-        torn_tail = 0
-        if raw and not raw.endswith(b"\n"):
-            # The crash interrupted the final write mid-line.  Chop the
-            # torn bytes now: they can never parse, and leaving them in
-            # place would make the next `record()` append continue the
-            # partial line — merging a good record into garbage that a
-            # second crash-and-resume would then skip.
-            keep = raw.rfind(b"\n") + 1
-            with open(path, "r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-            raw = raw[:keep]
-            torn_tail = 1
-        lines = raw.decode("utf-8").splitlines()
-        if not lines:
-            raise ManifestError(f"{path}: empty manifest")
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            raise ManifestError(f"{path}: unreadable manifest header")
-        if header.get("kind") != "header":
-            raise ManifestError(f"{path}: first record is not a header")
-        if header.get("version") != MANIFEST_VERSION:
-            raise ManifestError(
-                f"{path}: unsupported manifest version "
-                f"{header.get('version')!r}"
-            )
-        manifest = cls(path, header)
-        manifest.skipped_records = torn_tail
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-                if record.get("kind") != "unit":
-                    raise ValueError("not a unit record")
-                payload = base64.b64decode(record["payload"])
-                if _payload_checksum(payload) != record["sha256"]:
-                    raise ValueError("checksum mismatch")
-                unit = record["unit"]
-            except (ValueError, KeyError, TypeError):
-                # A torn tail (the crash interrupted the final write) or
-                # a corrupted record: the unit is simply recomputed.
-                manifest.skipped_records += 1
-                continue
-            manifest._units[unit] = payload
-        return manifest
+        return super().create(
+            path, aligner=aligner, config=config, target=target, query=query
+        )
 
     @classmethod
     def attach(
@@ -192,19 +131,17 @@ class RunManifest:
     ) -> "RunManifest":
         """Open for a run: load-and-verify when resuming, else create.
 
-        Resuming against a missing manifest starts a fresh journal (the
-        first attempt of a run that plans to be resumable later).
+        Resuming against a missing manifest — or one a crash inside
+        :meth:`create` left without a durable header — starts a fresh
+        journal (the first attempt of a run that plans to be resumable
+        later).
         """
-        path = Path(path)
-        if resume and path.exists():
-            manifest = cls.load(path)
-            manifest.verify(
-                aligner=aligner, config=config, target=target, query=query
-            )
-            return manifest
-        return cls.create(
-            path, aligner=aligner, config=config, target=target, query=query
-        )
+        run = dict(aligner=aligner, config=config, target=target, query=query)
+        manifest = cls.reopen(path) if resume else None
+        if manifest is None:
+            return cls.create(path, **run)
+        manifest.verify(**run)
+        return manifest
 
     # -- integrity ---------------------------------------------------
     def verify(
@@ -244,18 +181,4 @@ class RunManifest:
 
     def record(self, unit: str, result) -> None:
         """Append one completed unit (flushed + fsynced)."""
-        payload = pickle.dumps(result, protocol=4)
-        line = json.dumps(
-            {
-                "kind": "unit",
-                "unit": unit,
-                "sha256": _payload_checksum(payload),
-                "payload": base64.b64encode(payload).decode("ascii"),
-            },
-            sort_keys=True,
-        )
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._units[unit] = payload
+        self._append(pickle.dumps(result, protocol=4), unit=unit)

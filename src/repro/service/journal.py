@@ -3,8 +3,9 @@
 The serving daemon must survive ``kill -9`` without losing or
 double-running work, which is the same durability problem
 :class:`~repro.resilience.checkpoint.RunManifest` already solves for
-chromosome-pair units — so the journal reuses its record discipline
-verbatim:
+chromosome-pair units — so both sit on one primitive,
+:class:`repro.resilience.journal.AppendJournal`, whose record
+discipline this journal inherits:
 
 * one JSON object per line, header first, appended with
   ``flush`` + ``fsync`` so a crash loses at most the line in flight;
@@ -26,13 +27,11 @@ lock.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
-import os
-import threading
 from pathlib import Path
 from typing import Dict, List, Union
+
+from ..resilience.journal import AppendJournal, JournalError
 
 __all__ = ["JOURNAL_VERSION", "JobJournal", "JournalError"]
 
@@ -40,124 +39,32 @@ __all__ = ["JOURNAL_VERSION", "JobJournal", "JournalError"]
 JOURNAL_VERSION = 1
 
 
-class JournalError(RuntimeError):
-    """The journal file is unusable (bad header, wrong version)."""
-
-
-def _payload_checksum(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
-class JobJournal:
+class JobJournal(AppendJournal):
     """Append-only event log for one serving state directory."""
 
+    record_kind = "event"
+    version = JOURNAL_VERSION
+
     def __init__(self, path: Union[str, Path], header: Dict) -> None:
-        self.path = Path(path)
-        self.header = header
+        super().__init__(path, header)
         self.events: List[Dict] = []
-        self.skipped_records = 0
-        self._lock = threading.Lock()
 
-    # -- construction ------------------------------------------------
-    @classmethod
-    def create(cls, path: Union[str, Path]) -> "JobJournal":
-        """Start a fresh journal at ``path`` (truncating any old one)."""
-        header = {"kind": "header", "version": JOURNAL_VERSION}
-        journal = cls(path, header)
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(journal.path, "w") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return journal
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "JobJournal":
-        """Parse an existing journal, skipping torn/corrupt records."""
-        path = Path(path)
-        raw = path.read_bytes()
-        torn_tail = 0
-        if raw and not raw.endswith(b"\n"):
-            # kill -9 interrupted the final write.  Chop the torn bytes
-            # now: they can never parse, and leaving them would make
-            # the *next* append continue the partial line — merging a
-            # good record into garbage that a later replay would skip.
-            keep = raw.rfind(b"\n") + 1
-            with open(path, "r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-            raw = raw[:keep]
-            torn_tail = 1
-        lines = raw.decode("utf-8").splitlines()
-        if not lines:
-            raise JournalError(f"{path}: empty journal")
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            raise JournalError(f"{path}: unreadable journal header")
-        if header.get("kind") != "header":
-            raise JournalError(f"{path}: first record is not a header")
-        if header.get("version") != JOURNAL_VERSION:
-            raise JournalError(
-                f"{path}: unsupported journal version "
-                f"{header.get('version')!r}"
-            )
-        journal = cls(path, header)
-        journal.skipped_records = torn_tail
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-                if record.get("kind") != "event":
-                    raise ValueError("not an event record")
-                payload = base64.b64decode(record["payload"])
-                if _payload_checksum(payload) != record["sha256"]:
-                    raise ValueError("checksum mismatch")
-                event = json.loads(payload.decode("utf-8"))
-            except (ValueError, KeyError, TypeError):
-                # Torn tail or corruption: the event never durably
-                # happened.  For `submitted` the client saw no ack (the
-                # journal is written before the HTTP response); for
-                # `done` the job simply re-runs from its checkpoint.
-                journal.skipped_records += 1
-                continue
-            journal.events.append(event)
-        return journal
+    def _accept(self, record: Dict, payload: bytes) -> None:
+        # A skipped (torn or corrupt) event never durably happened: for
+        # `submitted` the client saw no ack (the journal is written
+        # before the HTTP response); for `done` the job simply re-runs
+        # from its checkpoint.
+        self.events.append(json.loads(payload.decode("utf-8")))
 
     @classmethod
     def attach(cls, path: Union[str, Path]) -> "JobJournal":
         """Open for serving: load when present, else start fresh."""
-        path = Path(path)
-        if path.exists():
-            try:
-                return cls.load(path)
-            except JournalError:
-                # A crash during create() can leave a torn header only
-                # (load chops it to zero bytes): nothing durable was
-                # ever acknowledged, so starting fresh is sound.
-                if path.stat().st_size == 0:
-                    return cls.create(path)
-                raise
-        return cls.create(path)
+        journal = cls.reopen(path)
+        return journal if journal is not None else cls.create(path)
 
-    # -- appending ---------------------------------------------------
     def append(self, event: Dict) -> Dict:
         """Durably append one event (flushed + fsynced) and return it."""
-        payload = json.dumps(event, sort_keys=True).encode("utf-8")
-        line = json.dumps(
-            {
-                "kind": "event",
-                "sha256": _payload_checksum(payload),
-                "payload": base64.b64encode(payload).decode("ascii"),
-            },
-            sort_keys=True,
-        )
-        with self._lock:
-            with open(self.path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            self.events.append(event)
+        self._append(json.dumps(event, sort_keys=True).encode("utf-8"))
         return event
 
     def __len__(self) -> int:

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..chain import GapCosts, build_chains, total_matches
-from ..core import align_assemblies
+from ..core import align_assemblies, aligner_named
 from ..genome import read_fasta
 from ..io import read_maf, write_assembly_maf, write_chains
 from .jobs import Job
@@ -118,16 +118,10 @@ class JobRunner:
         spec = job.spec
         targets = self.records(spec["target"])
         queries = self.records(spec["query"])
-        if spec.get("aligner", "darwin") == "lastz":
-            from ..lastz import LastzAligner, LastzConfig
-
-            config = LastzConfig(both_strands=not spec.get("plus_only"))
-            aligner_class = LastzAligner
-        else:
-            from ..core import DarwinWGA, DarwinWGAConfig
-
-            config = DarwinWGAConfig(both_strands=not spec.get("plus_only"))
-            aligner_class = DarwinWGA
+        aligner_class = aligner_named(spec.get("aligner", "darwin"))
+        config = aligner_class.config_class(
+            both_strands=not spec.get("plus_only")
+        )
         checkpoint = self.job_dir(job) / "checkpoint.jsonl"
         result = align_assemblies(
             targets,

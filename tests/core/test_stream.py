@@ -119,13 +119,6 @@ class TestStreamedIdentity:
             result = aligner.align(*pair)
         assert_same_result(serial_lastz, result)
 
-    def test_barrier_opt_out_matches_serial(self, pair, serial_darwin):
-        with DarwinWGA(workers=2, streaming=False) as aligner:
-            result = aligner.align(*pair)
-        assert_same_result(serial_darwin, result)
-        # The barrier path still reports occupancy via the observer.
-        assert aligner.last_stream["collected_tasks"] > 0
-
     def test_tight_watermark_matches_serial(self, pair, serial_darwin):
         params = StreamParams(max_in_flight_anchors=1)
         with DarwinWGA(workers=2, stream_params=params) as aligner:

@@ -71,3 +71,28 @@ class TestConfig:
     def test_extension_threshold_is_lastz_default(self):
         assert LastzConfig().extension.threshold == 3000
         assert LastzConfig().filtering.threshold == 3000
+
+
+class TestNoTileTraces:
+    """LASTZ runs never feed the hardware model, so no route through the
+    shared pipeline may accumulate per-tile traces for them."""
+
+    def test_serial_streamed_and_assembly_routes(self, small_pair):
+        from repro.core import align_assemblies
+
+        target = small_pair.target.genome
+        query = small_pair.query.genome
+        serial = LastzAligner().align(target, query)
+        with LastzAligner(workers=2) as aligner:
+            streamed = aligner.align(target, query)
+        units = align_assemblies(
+            [target], [query, query], aligner_class=LastzAligner, workers=2
+        )
+        for result in (serial, streamed, units):
+            assert result.workload.extension_tiles > 0
+            assert result.workload.extension_tile_traces == []
+        # The same routes do keep them for Darwin-WGA.
+        darwin = DarwinWGA().align(target, query)
+        assert len(darwin.workload.extension_tile_traces) == (
+            darwin.workload.extension_tiles
+        )

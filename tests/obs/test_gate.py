@@ -42,13 +42,8 @@ def baseline_artifact():
         },
         "parallel_scaling": {
             "identical_output": True,
-            "streaming_improvement": {"2": 1.6, "4": 1.5},
-            "idle_tail_reduction": {"2": 0.8, "4": 0.7},
-            "targets": {
-                "streaming_improvement": 1.3,
-                "idle_tail_reduction": 0.5,
-                "at_workers": "2",
-            },
+            "streamed_speedup": {"2": 1.05, "4": 1.0},
+            "targets": {"streamed_speedup": 0.7, "at_workers": "2"},
         },
     }
 
@@ -140,38 +135,27 @@ class TestCompareArtifacts:
             for f in result.failures()
         )
 
-    def test_streaming_improvement_below_target_fails(self):
+    def test_streamed_speedup_below_target_fails(self):
         current = baseline_artifact()
-        current["parallel_scaling"]["streaming_improvement"]["2"] = 1.1
+        current["parallel_scaling"]["streamed_speedup"]["2"] = 0.65
         result = compare_artifacts(current, baseline_artifact())
         assert result.verdict == "fail"
         assert any(
-            f["id"] == "parallel_scaling.streaming_improvement.2"
+            f["id"] == "parallel_scaling.streamed_speedup.2"
             for f in result.failures()
         )
 
-    def test_streaming_improvement_regression_vs_baseline_fails(self):
+    def test_streamed_speedup_regression_vs_baseline_fails(self):
         # Above the absolute target but far below the baseline: the
         # relative regression floor must still catch it.
         current = baseline_artifact()
         base = baseline_artifact()
-        base["parallel_scaling"]["streaming_improvement"]["2"] = 3.0
-        current["parallel_scaling"]["streaming_improvement"]["2"] = 1.4
+        base["parallel_scaling"]["streamed_speedup"]["2"] = 1.8
+        current["parallel_scaling"]["streamed_speedup"]["2"] = 0.9
         result = compare_artifacts(current, base)
         assert result.verdict == "fail"
         assert any(
-            f["id"]
-            == "parallel_scaling.streaming_improvement.2.regression"
-            for f in result.failures()
-        )
-
-    def test_idle_tail_reduction_below_target_fails(self):
-        current = baseline_artifact()
-        current["parallel_scaling"]["idle_tail_reduction"]["2"] = 0.2
-        result = compare_artifacts(current, baseline_artifact())
-        assert result.verdict == "fail"
-        assert any(
-            f["id"] == "parallel_scaling.idle_tail_reduction.2"
+            f["id"] == "parallel_scaling.streamed_speedup.2.regression"
             for f in result.failures()
         )
 
@@ -179,8 +163,7 @@ class TestCompareArtifacts:
         # Only the at_workers column is gated; w=4 numbers are
         # informational.
         current = baseline_artifact()
-        current["parallel_scaling"]["streaming_improvement"]["4"] = 0.9
-        current["parallel_scaling"]["idle_tail_reduction"]["4"] = 0.0
+        current["parallel_scaling"]["streamed_speedup"]["4"] = 0.3
         assert compare_artifacts(current, baseline_artifact()).verdict == (
             "pass"
         )
@@ -188,7 +171,7 @@ class TestCompareArtifacts:
     def test_scale_mismatch_skips_streaming_timing_checks(self):
         current = baseline_artifact()
         current["scale"] = 4
-        current["parallel_scaling"]["streaming_improvement"]["2"] = 0.5
+        current["parallel_scaling"]["streamed_speedup"]["2"] = 0.3
         result = compare_artifacts(current, baseline_artifact())
         assert result.counts()["fail"] == 0
 

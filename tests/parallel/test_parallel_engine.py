@@ -7,10 +7,11 @@ import pytest
 
 from repro.core import DarwinWGA
 from repro.core.pipeline import align_assemblies
+from repro.core.worker import resolve_sequence
 from repro.genome import Assembly, Sequence, make_species_pair, markov_genome
 from repro.lastz import LastzAligner
 from repro.obs import Tracer, run_report
-from repro.parallel import ExecutionEngine, resolve_sequence
+from repro.parallel import ExecutionEngine
 
 WORKLOAD_FIELDS = (
     "seed_hits",
@@ -48,24 +49,6 @@ class TestEngine:
             restored = resolve_sequence(handle)
             np.testing.assert_array_equal(restored.codes, seq.codes)
             assert restored.name == seq.name
-
-    def test_batch_sizing(self):
-        with ExecutionEngine(4) as engine:
-            assert engine.batch_size_for(320) == 10
-            assert engine.batch_size_for(100_000) == 32
-            assert engine.batch_size_for(100_000, chunk_size=7) == 7
-
-    def test_batch_sizing_floors_small_inputs(self):
-        # Small inputs must not degenerate into per-anchor round trips:
-        # aim for min(items, workers) balanced batches instead.
-        with ExecutionEngine(4) as engine:
-            assert engine.batch_size_for(10) == 3  # 4 batches of <=3
-            assert engine.batch_size_for(4) == 1  # one anchor per worker
-            assert engine.batch_size_for(3) == 1
-            assert engine.batch_size_for(1) == 1
-            assert engine.batch_size_for(0) == 1
-        with ExecutionEngine(8) as engine:
-            assert engine.batch_size_for(20) == 3  # ceil(20/8), 7 batches
 
     def test_share_holds_strong_reference(self, rng):
         # Dedup is by id(); the engine must pin the sequence so a

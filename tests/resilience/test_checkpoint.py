@@ -54,25 +54,18 @@ class TestRunManifest:
         assert loaded.result_for("0:t|0:q") == {"alignments": [1, 2]}
         assert loaded.skipped_records == 0
 
-    def test_torn_tail_is_skipped(self, tmp_path):
-        path = tmp_path / "run.manifest"
-        manifest = make_manifest(path)
-        manifest.record("u1", "first")
-        manifest.record("u2", "second")
-        text = path.read_text()
-        # Simulate a crash mid-write of the final record.
-        path.write_text(text[: len(text) - 40])
-        loaded = RunManifest.load(path)
-        assert loaded.units == ["u1"]
-        assert loaded.skipped_records == 1
+    def test_record_without_a_unit_key_is_skipped(self, tmp_path):
+        # Torn-tail / checksum / truncation rules are tested on the
+        # primitive (test_journal.py); this is the manifest's own fold.
+        import json
 
-    def test_corrupted_payload_is_skipped(self, tmp_path):
         path = tmp_path / "run.manifest"
         manifest = make_manifest(path)
         manifest.record("u1", "value")
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"payload": "', '"payload": "AAAA')
-        path.write_text("\n".join(lines) + "\n")
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        del record["unit"]
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
         loaded = RunManifest.load(path)
         assert loaded.units == []
         assert loaded.skipped_records == 1
@@ -151,6 +144,37 @@ class TestRunManifest:
         )
         assert path.exists()
         assert len(manifest) == 0
+
+    @pytest.mark.parametrize("debris", [b"", b'{"aligner": "Darw'])
+    def test_attach_resume_after_crash_inside_create_starts_fresh(
+        self, tmp_path, debris
+    ):
+        # kill -9 inside create(), before the header fsync, leaves an
+        # empty or torn-header file.  Resuming used to raise
+        # "empty manifest" forever — and `repro serve` always resumes.
+        path = tmp_path / "run.manifest"
+        path.write_bytes(debris)
+        fields = dict(
+            aligner="DarwinWGA", config="c0", target="t0", query="q0"
+        )
+        manifest = RunManifest.attach(path, resume=True, **fields)
+        assert len(manifest) == 0
+        manifest.record("u1", "value")
+        resumed = RunManifest.attach(path, resume=True, **fields)
+        assert resumed.units == ["u1"]
+
+    def test_attach_resume_refuses_durable_garbage(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        path.write_text("not json\n")
+        with pytest.raises(ManifestError, match="header"):
+            RunManifest.attach(
+                path,
+                aligner="DarwinWGA",
+                config="c0",
+                target="t0",
+                query="q0",
+                resume=True,
+            )
 
     def test_attach_without_resume_truncates(self, tmp_path):
         path = tmp_path / "run.manifest"

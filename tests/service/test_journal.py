@@ -48,79 +48,58 @@ class TestRoundTrip:
         assert len(journal) == len(EVENTS)
 
 
-class TestTornTail:
-    def test_truncated_mid_record_skips_only_the_tail(self, tmp_path):
+class TestDurabilityWiring:
+    """The torn-tail / checksum / truncation rules themselves are tested
+    on the primitive (tests/resilience/test_journal.py); here only what
+    the job journal adds."""
+
+    def test_event_payload_that_is_not_json_is_skipped(self, tmp_path):
+        import base64
+        import hashlib
+
         path = tmp_path / "journal.jsonl"
-        write_journal(path, EVENTS)
-        raw = path.read_bytes()
-        # Cut the file mid-way through the final record, as kill -9
-        # during the final write would.
-        path.write_bytes(raw[: len(raw) - 17])
+        write_journal(path, EVENTS[:1])
+        payload = b"\xff not json"
+        with open(path, "a") as handle:
+            handle.write(
+                json.dumps(
+                    {
+                        "kind": "event",
+                        "sha256": hashlib.sha256(payload).hexdigest(),
+                        "payload": base64.b64encode(payload).decode(),
+                    }
+                )
+                + "\n"
+            )
         loaded = JobJournal.load(path)
-        assert loaded.events == EVENTS[:-1]
+        assert loaded.events == EVENTS[:1]
         assert loaded.skipped_records == 1
 
-    @pytest.mark.parametrize("cut", [1, 2, 3, 4, 5])
-    def test_every_truncation_point_keeps_the_prefix(self, tmp_path, cut):
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "empty journal"),
+            ("not json\n", "unreadable journal header"),
+            ('{"kind": "header", "version": 99}\n', "version"),
+        ],
+    )
+    def test_unusable_file_raises_journal_error(self, tmp_path, text, match):
         path = tmp_path / "journal.jsonl"
-        write_journal(path, EVENTS)
-        lines = path.read_bytes().splitlines(keepends=True)
-        # Truncate exactly at a record boundary: a clean prefix, no
-        # torn line at all.
-        path.write_bytes(b"".join(lines[:cut]))
-        loaded = JobJournal.load(path)
-        assert loaded.events == EVENTS[: cut - 1]
-        assert loaded.skipped_records == 0
-
-    def test_corrupted_payload_is_skipped_not_trusted(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        write_journal(path, EVENTS)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[2])
-        # Flip one character of the base64 payload; the checksum no
-        # longer matches, so the record must be dropped.
-        payload = record["payload"]
-        record["payload"] = payload[:-2] + ("A" if payload[-2] != "A" else "B") + payload[-1]
-        lines[2] = json.dumps(record, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
-        loaded = JobJournal.load(path)
-        assert loaded.skipped_records == 1
-        assert EVENTS[1] not in loaded.events
-        assert loaded.events[0] == EVENTS[0]
-
-    def test_appends_continue_after_torn_load(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        write_journal(path, EVENTS[:2])
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-9])
-        journal = JobJournal.load(path)
-        assert journal.events == EVENTS[:1]
-        journal.append(EVENTS[2])
-        reloaded = JobJournal.load(path)
-        # Loading chopped the torn bytes, so the append started a fresh
-        # line instead of merging into the partial record.
-        assert reloaded.events == [EVENTS[0], EVENTS[2]]
-        assert reloaded.skipped_records == 0
-
-
-class TestHeaderValidation:
-    def test_empty_file_is_refused(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text("")
-        with pytest.raises(JournalError, match="empty"):
+        path.write_text(text)
+        with pytest.raises(JournalError, match=match):
             JobJournal.load(path)
 
-    def test_garbage_header_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("debris", [b"", b'{"kind": "hea'])
+    def test_attach_after_crash_inside_create_starts_fresh(
+        self, tmp_path, debris
+    ):
+        # kill -9 before the header fsync: nothing was acknowledged.
         path = tmp_path / "journal.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(JournalError, match="header"):
-            JobJournal.load(path)
-
-    def test_wrong_version_is_refused(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text('{"kind": "header", "version": 99}\n')
-        with pytest.raises(JournalError, match="version"):
-            JobJournal.load(path)
+        path.write_bytes(debris)
+        journal = JobJournal.attach(path)
+        assert journal.events == []
+        journal.append(EVENTS[0])
+        assert JobJournal.load(path).events == [EVENTS[0]]
 
 
 class TestReplay:

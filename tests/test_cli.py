@@ -346,6 +346,28 @@ class TestRobustness:
         assert resumed.read_bytes() == full.read_bytes()
         assert "2 resumed" in capsys.readouterr().out
 
+    def test_resume_against_foreign_or_unusable_manifest_exits_cleanly(
+        self, assemblies
+    ):
+        # A typed ManifestError must end in a one-line exit, not a
+        # traceback: a manifest from another configuration, then one
+        # whose header is garbage.
+        manifest = assemblies / "foreign.manifest"
+        args = [
+            "align",
+            str(assemblies / "target.fa"),
+            str(assemblies / "query.fa"),
+            "--checkpoint",
+            str(manifest),
+        ]
+        assert main(args) == 0
+        with pytest.raises(SystemExit, match="refusing to resume") as exit:
+            main(args + ["--resume", "--aligner", "lastz"])
+        assert "\n" not in str(exit.value)
+        manifest.write_text("not json\n")
+        with pytest.raises(SystemExit, match="unreadable manifest header"):
+            main(args + ["--resume"])
+
     def test_resume_requires_checkpoint(self, assemblies):
         with pytest.raises(SystemExit, match="checkpoint"):
             main(
@@ -367,3 +389,10 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_barrier_flag_is_gone(self):
+        # The barrier schedule was removed with the flag that chose it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["align", "t.fa", "q.fa", "--no-streaming"]
+            )
