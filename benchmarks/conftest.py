@@ -197,7 +197,6 @@ def write_bench_pipeline(runs, path=BENCH_PIPELINE_PATH):
         "parallel_scaling",
         "fault_overhead",
         "obs_overhead",
-        "lint",
         "serve",
     )
     for carried in carried_sections:

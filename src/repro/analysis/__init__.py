@@ -15,16 +15,18 @@ about:
 * **kernel hygiene** (``KER0xx``) — no narrow signed dtypes for DP
   accumulators, no Python-level loops over both sequence axes in
   ``repro.align`` kernels, plus mutable defaults / bare except / stray
-  prints tree-wide;
-* **parallel safety** (``PAR0xx``) — task callables submitted to the
-  worker pool must pickle by reference (module-level functions only);
-* **interprocedural flow** (``FLOW0xx``/``KER006``, behind
-  ``repro lint --flow``) — a whole-project call graph with fixed-point
-  effect inference and a numpy dtype lattice, catching what no single
-  file shows: nondeterminism reachable from worker tasks, post-submit
-  argument mutation, unpicklable values flowing into the pool through
-  call chains, and narrowing stores that can overflow the packed DP
-  dtype.  See :mod:`repro.analysis.flow`.
+  terminal output tree-wide;
+* **the process boundary** (``FLOW0xx``, ``PAR003``) — task callables
+  and arguments handed to the worker pool must pickle (module-level
+  functions, plain data), directly or through forwarding helpers;
+  nothing submitted is mutated afterwards; stage buffers are bounded.
+  See :mod:`repro.analysis.flow`.
+
+There is one pass and one mode: every rule registers through the same
+two decorators (:mod:`repro.analysis.registry`) and runs on every
+invocation.  A rule earns its place by catching a bug class nothing
+cheaper catches (``tests/analysis/test_mutations.py`` is the evidence);
+ids of rules that were retired are never reused.
 
 Findings are suppressed inline with
 ``# repro: allow[RULE] <reason>`` — the reason is mandatory and itself
@@ -32,7 +34,6 @@ linted.  This package is deliberately stdlib-only and imports nothing
 from the rest of ``repro`` so it sits at the bottom of the layer DAG.
 """
 
-from .baseline import apply_baseline, fingerprint, load_fingerprints
 from .engine import (
     AnalysisResult,
     ModuleInfo,
@@ -41,21 +42,13 @@ from .engine import (
     analyze_sources,
 )
 from .findings import Finding, Severity
-from .flow import (
-    FLOW_RULE_IDS,
-    FlowContext,
-    build_flow_context,
-    infer_effects,
-)
 from .registry import MODULE_RULES, PROJECT_RULES, all_rules
 from .report import render_json, render_text
 from .rules.layering import RANKS, SELF_CONTAINED, TOP_ONLY
 
 __all__ = [
     "AnalysisResult",
-    "FLOW_RULE_IDS",
     "Finding",
-    "FlowContext",
     "ModuleInfo",
     "MODULE_RULES",
     "PROJECT_RULES",
@@ -67,11 +60,6 @@ __all__ = [
     "analyze_modules",
     "analyze_paths",
     "analyze_sources",
-    "apply_baseline",
-    "build_flow_context",
-    "fingerprint",
-    "infer_effects",
-    "load_fingerprints",
     "render_json",
     "render_text",
 ]

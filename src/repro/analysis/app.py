@@ -8,20 +8,23 @@ Reachable three ways, all equivalent::
     python -m repro.cli lint [paths...]
 
 Exit status is 1 when any unsuppressed finding exists (severity is a
-triage label, not a gate level), 0 otherwise.
+triage label, not a gate level), 2 when a path or a ``--select`` rule
+id does not exist, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import apply_baseline
 from .engine import analyze_paths
-from .flow.engine import graph_to_dict, graph_to_dot
-from .registry import ENGINE_RULES, FLOW_RULES, all_rules
+from .registry import (
+    ENGINE_RULES,
+    RETIRED_RULES,
+    all_rules,
+    known_rule_ids,
+)
 from .report import render_json, render_text
 
 #: Default lint target when no path is given (repo-root invocation).
@@ -55,35 +58,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table"
     )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "also run the interprocedural pass (call graph, effect "
-            "inference, FLOW001-FLOW003/KER006)"
-        ),
-    )
-    parser.add_argument(
-        "--graph",
-        type=Path,
-        default=None,
-        metavar="OUT",
-        help=(
-            "write the call graph + effect report to OUT "
-            "(.dot for Graphviz, anything else for JSON); implies "
-            "the flow pass"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FINDINGS_JSON",
-        help=(
-            "previously saved --format json report; only findings NOT "
-            "present in it are reported (and gate the exit status)"
-        ),
-    )
 
 
 def list_rules() -> str:
@@ -96,10 +70,6 @@ def list_rules() -> str:
     for rule_id, description in sorted(ENGINE_RULES.items()):
         lines.append(
             f"{rule_id:<7} {'engine':<8} {'error':<9} {description}"
-        )
-    for rule_id, description in sorted(FLOW_RULES.items()):
-        lines.append(
-            f"{rule_id:<7} {'flow':<8} {'error':<9} {description}"
         )
     return "\n".join(lines)
 
@@ -118,31 +88,15 @@ def run_lint(args: argparse.Namespace) -> int:
     select: Optional[List[str]] = None
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
-    graph_out: Optional[Path] = getattr(args, "graph", None)
-    flow = bool(getattr(args, "flow", False)) or graph_out is not None
-    result = analyze_paths(paths, select=select, flow=flow)
-    baseline_path: Optional[Path] = getattr(args, "baseline", None)
-    if baseline_path is not None:
-        if not baseline_path.exists():
-            print(f"repro lint: no such baseline: {baseline_path}")
+        known = set(known_rule_ids())
+        unknown = [rule_id for rule_id in select if rule_id not in known]
+        for rule_id in unknown:
+            retired = RETIRED_RULES.get(rule_id)
+            note = f" (retired: {retired})" if retired else ""
+            print(f"repro lint: no such rule: {rule_id}{note}")
+        if unknown:
             return 2
-        apply_baseline(result, baseline_path)
-    if graph_out is not None and result.flow_context is not None:
-        if graph_out.suffix == ".dot":
-            graph_out.write_text(
-                graph_to_dot(result.flow_context), encoding="utf-8"
-            )
-        else:
-            graph_out.write_text(
-                json.dumps(
-                    graph_to_dict(result.flow_context),
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-        print(f"call graph written to {graph_out}")
+    result = analyze_paths(paths, select=select)
     if args.fmt == "json":
         print(render_json(result))
     else:

@@ -96,6 +96,11 @@ def call_args(node: ast.Call) -> Tuple[int, List[str]]:
     return len(node.args), keywords
 
 
+def call_values(node: ast.Call) -> List[ast.AST]:
+    """Every value a call passes: positionals, then keyword values."""
+    return list(node.args) + [kw.value for kw in node.keywords]
+
+
 def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
     """Every function/lambda definition node in the tree."""
     for node in ast.walk(tree):

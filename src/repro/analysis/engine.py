@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .astutil import import_aliases
 from .findings import Finding, Severity
 from .registry import MODULE_RULES, PROJECT_RULES, known_rule_ids
 from .suppress import Suppressions, lint_suppressions, parse_suppressions
 
 # Rule modules register themselves on import.
-from . import rules  # noqa: F401  (import has the side effect of registration)
+from . import flow, rules  # noqa: F401  (imported for the registration)
 
 
 @dataclass
@@ -47,6 +49,12 @@ class ModuleInfo:
             return parts[1]
         return parts[-1] if parts else self.modname
 
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """The module's import table (local name -> dotted origin),
+        computed once and shared by every rule that resolves origins."""
+        return import_aliases(self.tree, self.modname)
+
 
 @dataclass
 class AnalysisResult:
@@ -55,11 +63,6 @@ class AnalysisResult:
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     files: List[str] = field(default_factory=list)
-    #: Findings present in a ``--baseline`` file (reported separately).
-    baselined: List[Finding] = field(default_factory=list)
-    #: The interprocedural context when the flow pass ran (``--flow`` /
-    #: ``--graph``); ``None`` for plain syntactic runs.
-    flow_context: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -142,15 +145,8 @@ def _selected(rules, select: Optional[Sequence[str]]):
 def analyze_modules(
     modules: List[ModuleInfo],
     select: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> AnalysisResult:
-    """Run every (selected) rule over already-parsed modules.
-
-    With ``flow=True`` the interprocedural pass (call graph + effect
-    fixed point + FLOW001–FLOW003/KER006) runs as well; its findings
-    go through the same suppression filter, and the built
-    :class:`FlowContext` is kept on the result for graph export.
-    """
+    """Run every (selected) rule over already-parsed modules."""
     result = AnalysisResult(files=[m.path for m in modules])
     raw: List[Finding] = []
     hard: List[Finding] = []  # never suppressible
@@ -177,15 +173,6 @@ def analyze_modules(
     for rule in _selected(PROJECT_RULES, select):
         raw.extend(rule.check(parsed))
 
-    if flow:
-        # Imported lazily: the flow layer is heavier than the syntactic
-        # rules and most invocations never need it.
-        from .flow import build_flow_context, run_flow_rules
-
-        context = build_flow_context(parsed)
-        result.flow_context = context
-        raw.extend(run_flow_rules(context, select=select))
-
     by_path: Dict[str, Suppressions] = {
         m.path: m.suppressions for m in modules
     }
@@ -206,18 +193,16 @@ def analyze_modules(
 def analyze_paths(
     paths: Iterable[Path],
     select: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> AnalysisResult:
     """Lint files and/or directory trees from disk."""
     files = collect_files(Path(p) for p in paths)
     modules = [load_module(path) for path in files]
-    return analyze_modules(modules, select=select, flow=flow)
+    return analyze_modules(modules, select=select)
 
 
 def analyze_sources(
     sources: Dict[str, str],
     select: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> AnalysisResult:
     """Lint in-memory sources keyed by module name (test fixtures).
 
@@ -228,4 +213,4 @@ def analyze_sources(
         make_module(source, modname, modname.replace(".", "/") + ".py")
         for modname, source in sources.items()
     ]
-    return analyze_modules(modules, select=select, flow=flow)
+    return analyze_modules(modules, select=select)

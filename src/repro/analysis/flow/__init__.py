@@ -1,50 +1,25 @@
-"""Interprocedural effect and dataflow analysis (``repro lint --flow``).
+"""Cross-function analysis of what reaches the worker pool.
 
-The per-module rules in :mod:`repro.analysis.rules` are syntactic: an
-unseeded RNG two calls deep inside worker-dispatched code is invisible
-to DET001, and a wide score row silently cast into a narrow slab via an
-``out=`` argument is invisible to KER001.  This package closes those
-gaps with a whole-program pass:
+The per-module rules in :mod:`repro.analysis.rules` see one file at a
+time; a lambda handed to a forwarding helper in one module and
+submitted to the pool in another is invisible to them.  This package
+holds the one piece of whole-program machinery that case needs:
 
 * :mod:`.callgraph` — a module-qualified call graph over the project
   tree (imports and aliases resolved through each module's own import
   table, ``__init__`` re-exports followed, attribute calls handled
   conservatively by method-name union);
-* :mod:`.effects` — a fixed-point *effect inference* classifying every
-  function by the transitive effects it can reach (unseeded/global RNG,
-  wall clock, stdout/stderr, filesystem writes, global or class
-  attribute mutation, ``os.environ``);
-* :mod:`.dtypeflow` — a numpy dtype lattice propagated through the DP
-  kernels of ``repro.align``, catching narrowing stores whose value
-  range (derived from :class:`ScoringScheme` bounds) can overflow the
-  packed DP dtype;
-* :mod:`.rules` — the FLOW001–FLOW003 / KER006 rules built on top,
-  plus the ``--graph`` call-graph/effect report.
+* :mod:`.rules` — FLOW002 (argument mutated after submission) and
+  FLOW003 (unpicklable callable or argument reaches ``submit`` /
+  ``dispatch``, directly or through a call chain).  Importing it
+  registers both with :mod:`repro.analysis.registry`; FLOW003 builds
+  the call graph when it runs.
 
 Everything here stays stdlib-only, like the rest of
 :mod:`repro.analysis`.
 """
 
+from . import rules  # noqa: F401  (import has the side effect of registration)
 from .callgraph import CallGraph, FunctionNode, build_call_graph
-from .effects import (
-    EFFECT_KINDS,
-    EffectAnalysis,
-    EffectSite,
-    infer_effects,
-)
-from .engine import FlowContext, build_flow_context
-from .rules import FLOW_RULE_IDS, run_flow_rules
 
-__all__ = [
-    "CallGraph",
-    "EFFECT_KINDS",
-    "EffectAnalysis",
-    "EffectSite",
-    "FLOW_RULE_IDS",
-    "FlowContext",
-    "FunctionNode",
-    "build_call_graph",
-    "build_flow_context",
-    "infer_effects",
-    "run_flow_rules",
-]
+__all__ = ["CallGraph", "FunctionNode", "build_call_graph"]

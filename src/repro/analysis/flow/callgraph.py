@@ -1,4 +1,4 @@
-"""Whole-project call graph for the interprocedural rules.
+"""Whole-project call graph for the cross-function rule (FLOW003).
 
 The graph is purely lexical (no imports are executed) and deliberately
 over-approximates where it cannot resolve a call precisely:
@@ -11,11 +11,9 @@ over-approximates where it cannot resolve a call precisely:
   class (then by name union across its lexical bases);
 * other attribute calls — the dynamic-dispatch case — resolve to
   *every* known method of that name across the analyzed tree.  The
-  union is conservative: an effect reachable through any candidate is
-  reported;
-* calls whose target stays outside the tree are recorded as *external*
-  edges under their resolved dotted origin (``time.time``,
-  ``numpy.random.default_rng``, …) — the effect pass seeds from these.
+  union is conservative: a flow through any candidate is reported;
+* calls whose target stays outside the tree (``time.time``,
+  ``numpy.zeros``, …) have no edge.
 
 Functions are identified by qualified name: ``repro.mod.func``,
 ``repro.mod.Class.method``, ``repro.mod.outer.<locals>.inner``.
@@ -27,20 +25,14 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..astutil import import_aliases
-
 
 @dataclass
 class CallSite:
     """One call expression inside a function body."""
 
     node: ast.Call
-    line: int
-    col: int
     #: Qualified names of project functions this call may land on.
     targets: Tuple[str, ...] = ()
-    #: Dotted origin when the call leaves the analyzed tree ("time.time").
-    external: Optional[str] = None
 
 
 @dataclass
@@ -52,8 +44,6 @@ class FunctionNode:
     path: str
     name: str
     node: ast.AST  # FunctionDef | AsyncFunctionDef | Lambda
-    line: int
-    col: int
     class_name: Optional[str] = None
     #: Positional parameter names (for argument-flow tracking).
     params: Tuple[str, ...] = ()
@@ -73,6 +63,12 @@ class CallGraph:
     methods_by_name: Dict[str, List[str]] = field(default_factory=dict)
     #: class qualname -> lexical base-class names (unresolved strings).
     class_bases: Dict[str, List[str]] = field(default_factory=dict)
+    #: Definition tables filled once while collecting, so resolution is
+    #: a dict lookup rather than a scan of every function per call:
+    #: modname -> {name: qualname} of its module-level functions, and
+    #: class qualname -> {name: qualname} of its methods.
+    module_defs: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    class_methods: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
     def callees(self, qualname: str) -> Iterator[Tuple[str, CallSite]]:
         """(callee qualname, call site) pairs for one function."""
@@ -82,15 +78,6 @@ class CallGraph:
         for site in function.calls:
             for target in site.targets:
                 yield target, site
-
-    def callers(self) -> Dict[str, List[Tuple[str, CallSite]]]:
-        """Reverse edge map: callee -> [(caller, call site), ...]."""
-        reverse: Dict[str, List[Tuple[str, CallSite]]] = {}
-        for qualname, function in self.functions.items():
-            for site in function.calls:
-                for target in site.targets:
-                    reverse.setdefault(target, []).append((qualname, site))
-        return reverse
 
 
 def _positional_params(args: ast.arguments) -> Tuple[str, ...]:
@@ -116,16 +103,18 @@ class _Collector(ast.NodeVisitor):
             path=self.module.path,
             name=name,
             node=node,
-            line=node.lineno,
-            col=node.col_offset,
             class_name=self._class[-1],
             params=_positional_params(node.args)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             else (),
         )
         self.graph.functions[qualname] = function
+        owner = ".".join(parts[:-1])
         if function.class_name is not None:
             self.graph.methods_by_name.setdefault(name, []).append(qualname)
+            self.graph.class_methods.setdefault(owner, {})[name] = qualname
+        elif not self._stack:
+            self.graph.module_defs.setdefault(owner, {})[name] = qualname
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         class_qual = ".".join(
@@ -158,30 +147,6 @@ class _Collector(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function
 
 
-def _module_defs(graph: CallGraph, modname: str) -> Dict[str, str]:
-    """name -> qualname of the module-level defs of one module."""
-    prefix = modname + "."
-    defs: Dict[str, str] = {}
-    for qualname, function in graph.functions.items():
-        if not qualname.startswith(prefix):
-            continue
-        rest = qualname[len(prefix):]
-        if "." not in rest:
-            defs[rest] = qualname
-    return defs
-
-
-def _class_methods(graph: CallGraph, class_qual: str) -> Dict[str, str]:
-    prefix = class_qual + "."
-    methods: Dict[str, str] = {}
-    for qualname in graph.functions:
-        if qualname.startswith(prefix):
-            rest = qualname[len(prefix):]
-            if "." not in rest:
-                methods[rest] = qualname
-    return methods
-
-
 class _Resolver:
     """Second pass: resolve every call of every registered function."""
 
@@ -191,23 +156,9 @@ class _Resolver:
     def __init__(self, graph: CallGraph, modules) -> None:
         self.graph = graph
         self.modules = {m.modname: m for m in modules}
-        self._alias_cache: Dict[str, Dict[str, str]] = {}
-        self._analyzed_mods: Set[str] = set(self.modules)
 
-    def aliases(self, modname: str) -> Dict[str, str]:
-        cached = self._alias_cache.get(modname)
-        if cached is None:
-            module = self.modules[modname]
-            cached = (
-                import_aliases(module.tree, _import_anchor(modname))
-                if module.tree is not None
-                else {}
-            )
-            self._alias_cache[modname] = cached
-        return cached
-
-    def resolve_dotted(self, dotted: str) -> Tuple[Tuple[str, ...], str]:
-        """Resolve a dotted origin to project functions, else external.
+    def resolve_dotted(self, dotted: str) -> Tuple[str, ...]:
+        """Resolve a dotted origin to project functions (else ``()``).
 
         Follows ``__init__`` re-exports: when ``repro.seed.seed_hits``
         is not a definition but ``repro.seed.__init__`` imports
@@ -220,15 +171,15 @@ class _Resolver:
                 break
             seen.add(current)
             if current in self.graph.functions:
-                return (current,), ""
+                return (current,)
             head, _, tail = current.rpartition(".")
             if not head:
                 break
             # Class attribute: repro.mod.Class.method.
             if head in self.graph.class_bases:
-                methods = _class_methods(self.graph, head)
+                methods = self.graph.class_methods.get(head, {})
                 if tail in methods:
-                    return (methods[tail],), ""
+                    return (methods[tail],)
                 break
             # Module attribute: look at the module (or its __init__).
             owner = None
@@ -238,41 +189,36 @@ class _Resolver:
                 owner = f"{head}.__init__"
             if owner is None:
                 break
-            aliases = self.aliases(owner)
-            origin = aliases.get(tail)
+            origin = self.modules[owner].aliases.get(tail)
             if origin is None:
                 break
             current = origin
-        return (), dotted
+        return ()
 
     def _lookup_name(
         self, function: FunctionNode, name: str
-    ) -> Tuple[Tuple[str, ...], Optional[str]]:
+    ) -> Tuple[str, ...]:
         """Resolve a bare called name from inside ``function``."""
         # Sibling nested defs / own nested defs, innermost scope first.
         scope = function.qualname
         while True:
             candidate = f"{scope}.<locals>.{name}"
             if candidate in self.graph.functions:
-                return (candidate,), None
+                return (candidate,)
             if ".<locals>." not in scope:
                 break
             scope = scope.rsplit(".<locals>.", 1)[0]
-        # Method of the enclosing class (unqualified helper calls are
-        # rare but harmless to miss; self.x() is the common form).
-        defs = _module_defs(self.graph, function.modname)
+        defs = self.graph.module_defs.get(function.modname, {})
         if name in defs:
-            return (defs[name],), None
-        aliases = self.aliases(function.modname)
-        origin = aliases.get(name)
+            return (defs[name],)
+        origin = self.modules[function.modname].aliases.get(name)
         if origin is not None:
-            targets, external = self.resolve_dotted(origin)
-            return targets, external or None
-        return (), None
+            return self.resolve_dotted(origin)
+        return ()
 
     def _lookup_attribute(
         self, function: FunctionNode, call: ast.Call
-    ) -> Tuple[Tuple[str, ...], Optional[str]]:
+    ) -> Tuple[str, ...]:
         func = call.func
         assert isinstance(func, ast.Attribute)
         parts: List[str] = [func.attr]
@@ -286,45 +232,36 @@ class _Resolver:
             head, rest = parts[0], parts[1:]
             if head in ("self", "cls") and function.class_name is not None:
                 class_qual = f"{function.modname}.{function.class_name}"
-                methods = _class_methods(self.graph, class_qual)
+                methods = self.graph.class_methods.get(class_qual, {})
                 if rest[0] in methods and len(rest) == 1:
-                    return (methods[rest[0]],), None
+                    return (methods[rest[0]],)
                 # Inherited (or dynamically attached): fall through to
                 # the name-union below.
             else:
-                aliases = self.aliases(function.modname)
-                origin = aliases.get(head, None)
+                origin = self.modules[function.modname].aliases.get(head)
                 if origin is not None:
-                    dotted = ".".join([origin] + rest)
-                    targets, external = self.resolve_dotted(dotted)
-                    if targets or _is_external_root(origin, self._analyzed_mods):
-                        return targets, external or None
+                    targets = self.resolve_dotted(".".join([origin] + rest))
+                    if targets or _is_external_root(origin, self.modules):
+                        return targets
         # Dynamic dispatch: union over every known method of that name.
-        union = self.graph.methods_by_name.get(func.attr, ())
-        return tuple(union), None
+        return tuple(self.graph.methods_by_name.get(func.attr, ()))
 
     def resolve_function(self, function: FunctionNode) -> None:
         if function.node is None or isinstance(function.node, ast.Lambda):
             body = [function.node.body] if function.node else []
         else:
             body = function.node.body
-        for node in _own_calls(body):
-            site = CallSite(
-                node=node, line=node.lineno, col=node.col_offset
-            )
+        for node in own_calls(body):
+            site = CallSite(node=node)
             func = node.func
             if isinstance(func, ast.Name):
-                targets, external = self._lookup_name(function, func.id)
+                site.targets = self._lookup_name(function, func.id)
             elif isinstance(func, ast.Attribute):
-                targets, external = self._lookup_attribute(function, node)
-            else:
-                targets, external = (), None
-            site.targets = targets
-            site.external = external
+                site.targets = self._lookup_attribute(function, node)
             function.calls.append(site)
 
 
-def _is_external_root(origin: str, analyzed: Set[str]) -> bool:
+def _is_external_root(origin: str, analyzed) -> bool:
     """Whether a dotted origin's root module lies outside the tree."""
     root = origin.split(".")[0]
     return not any(
@@ -332,12 +269,7 @@ def _is_external_root(origin: str, analyzed: Set[str]) -> bool:
     )
 
 
-def _import_anchor(modname: str) -> str:
-    """The name relative imports resolve against (see module_name_for)."""
-    return modname
-
-
-def _own_calls(body) -> Iterator[ast.Call]:
+def own_calls(body) -> Iterator[ast.Call]:
     """Call nodes in ``body``, excluding nested function/class bodies."""
     stack = list(body)
     while stack:

@@ -1,161 +1,54 @@
-"""The interprocedural rules: FLOW001–FLOW003 and KER006.
+"""What may cross the process boundary: FLOW002 and FLOW003.
 
-These run only under ``repro lint --flow`` (they need the whole-project
-call graph, so they are project-scope and meaningfully slower than the
-syntactic rules).  Findings feed through the same suppression machinery
-as every other rule.
+Both rules look at the two pool entry points,
+``ExecutionEngine.submit`` and ``ExecutionEngine.dispatch`` (matched by
+method name, so any ``.submit(``/``.dispatch(`` with arguments counts),
+and register through the ordinary decorators like every other rule.
 
-FLOW001  a nondeterministic effect (unseeded RNG, wall clock, direct
-         stdout/stderr) is *reachable* from worker task code — the
-         interprocedural upgrade of DET001–DET003/OBS002.  Worker task
-         code means: any function submitted to
-         ``ExecutionEngine.submit``/``dispatch``, any module-level
-         ``*_task`` function, and everything in ``repro.core.worker``.
 FLOW002  an argument object is mutated *after* being submitted to the
          pool — under fork the mutation may or may not be visible to
          the worker depending on dispatch timing; under spawn it never
-         is.  Either way the result depends on a race.
-FLOW003  an unpicklable value (lambda, generator expression, nested
-         function, open file handle) reaches a submit call through a
-         call chain — the interprocedural upgrade of PAR001/PAR002.
-KER006   dtype-lattice propagation through the DP kernels: a wide
-         score value is stored into packed-DP storage whose capacity is
-         below the ScoringScheme-derived value bound (see
-         :mod:`.dtypeflow`).
+         is.  Either way the result depends on a race.  Per-function,
+         so a module rule.
+FLOW003  an unpicklable value — a lambda, generator expression, nested
+         function or open file handle — is handed to the pool, as the
+         task **callable** or as one of its **arguments**, directly or
+         through a chain of forwarding helpers.  Tasks are pickled by
+         reference (module + qualified name), so a lambda or closure
+         either crashes under spawn or works under fork on one platform
+         and dies on another.  The chain case needs cross-function
+         resolution, so this is the one project rule that builds the
+         call graph (:mod:`.callgraph`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
+from ..astutil import call_values, walk_functions
 from ..findings import Finding, Severity
-from .callgraph import CallGraph, CallSite, FunctionNode
-from .dtypeflow import DP_VALUE_BOUND, SCORING_PEAK, module_narrowings
-from .effects import EffectAnalysis
-
-#: Rule ids contributed by the flow layer (joined into known_rule_ids).
-FLOW_RULE_IDS = ("FLOW001", "FLOW002", "FLOW003", "KER006")
-
-#: Effects that make worker output nondeterministic or interleaved.
-_GATED_KINDS = ("rng", "clock", "stdout")
-
-_KIND_LABEL = {
-    "rng": "unseeded/global RNG",
-    "clock": "wall-clock read",
-    "stdout": "direct stdout/stderr write",
-}
+from ..registry import module_rule, project_rule
+from .callgraph import CallGraph, FunctionNode, build_call_graph, own_calls
 
 #: Pool dispatch entry points (ExecutionEngine.submit / .dispatch).
 _DISPATCH_METHODS = ("submit", "dispatch")
 
 
-def _dispatch_calls(function: FunctionNode) -> Iterator[CallSite]:
-    for site in function.calls:
-        func = site.node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _DISPATCH_METHODS
-            and site.node.args
-        ):
-            yield site
-
-
-def _submitted_roots(graph: CallGraph) -> Dict[str, str]:
-    """qualname -> why it is worker-root (for the finding message)."""
-    roots: Dict[str, str] = {}
-    for function in graph.functions.values():
-        for site in _dispatch_calls(function):
-            task = site.node.args[0]
-            if not isinstance(task, ast.Name):
-                continue
-            targets, _ = _resolve_task_name(graph, function, task.id)
-            for target in targets:
-                roots.setdefault(
-                    target,
-                    f"submitted to the pool at "
-                    f"{function.path}:{site.line}",
-                )
-    for qualname, function in graph.functions.items():
-        if (
-            function.class_name is None
-            and function.name.endswith("_task")
-            # The analyzer itself never runs in workers; its rule
-            # checkers (check_lambda_task, ...) are not task code.
-            and not function.modname.startswith("repro.analysis")
-        ):
-            if "<locals>" not in qualname:
-                roots.setdefault(qualname, "module-level *_task function")
-        if _is_worker_module(function.modname):
-            roots.setdefault(
-                qualname, f"defined in worker module {function.modname}"
-            )
-    return roots
-
-
-def _is_worker_module(modname: str) -> bool:
-    parts = modname.split(".")
-    return "worker" in parts or "workers" in parts
-
-
-def _resolve_task_name(
-    graph: CallGraph, function: FunctionNode, name: str
-) -> Tuple[Tuple[str, ...], Optional[str]]:
-    """Resolve a bare task name the same way the call graph would."""
-    # Local defs shadow module-level ones.
-    scope = function.qualname
-    while True:
-        candidate = f"{scope}.<locals>.{name}"
-        if candidate in graph.functions:
-            return (candidate,), None
-        if ".<locals>." not in scope:
-            break
-        scope = scope.rsplit(".<locals>.", 1)[0]
-    candidate = f"{function.modname}.{name}"
-    if candidate in graph.functions:
-        return (candidate,), None
-    # Imported task: find any project def with that terminal name.
-    matches = tuple(
-        qualname
-        for qualname, node in graph.functions.items()
-        if node.name == name and node.class_name is None
-        and "<locals>" not in qualname
+def _is_dispatch(call: ast.Call) -> bool:
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in _DISPATCH_METHODS
+        and bool(call.args)
     )
-    return matches, None
-
-
-def check_flow001(
-    graph: CallGraph, effects: EffectAnalysis
-) -> Iterator[Finding]:
-    roots = _submitted_roots(graph)
-    for qualname in sorted(roots):
-        function = graph.functions.get(qualname)
-        if function is None:
-            continue
-        for kind in _GATED_KINDS:
-            if kind not in effects.effects.get(qualname, {}):
-                continue
-            chain = effects.describe_chain(qualname, kind)
-            yield Finding(
-                rule="FLOW001",
-                severity=Severity.ERROR,
-                path=function.path,
-                line=function.line,
-                col=function.col,
-                message=(
-                    f"{_KIND_LABEL[kind]} reachable from worker task "
-                    f"{function.name} ({roots[qualname]}): {chain} — "
-                    "route the effect through repro.obs or thread an "
-                    "explicit seed/clock through the task arguments"
-                ),
-            )
 
 
 # ---------------------------------------------------------------------------
 # FLOW002: mutation of an argument object after it was submitted.
 # ---------------------------------------------------------------------------
 
-#: In-place mutation method names (same set the effect pass uses).
+#: In-place mutation method names.
 _MUTATING_METHODS = {
     "append",
     "extend",
@@ -240,29 +133,33 @@ def _rebound_names(node: ast.AST) -> Set[str]:
     return rebound
 
 
-def check_flow002(graph: CallGraph) -> Iterator[Finding]:
-    for qualname in sorted(graph.functions):
-        function = graph.functions[qualname]
+@module_rule(
+    "FLOW002",
+    "mutated-after-submit",
+    Severity.ERROR,
+    "argument object mutated after pool submission",
+)
+def check_mutation_after_submit(module) -> Iterator[Finding]:
+    for function in walk_functions(module.tree):
+        if isinstance(function, ast.Lambda):
+            continue
         submits = [
-            (site, _argument_names(site.node))
-            for site in _dispatch_calls(function)
+            (call, _argument_names(call))
+            for call in own_calls(function.body)
+            if _is_dispatch(call)
         ]
-        submits = [(site, names) for site, names in submits if names]
+        submits = [(call, names) for call, names in submits if names]
         if not submits:
             continue
         # Walk the body in source order; statements after each submit
         # that mutate a submitted name (without rebinding it first) are
         # racy under fork and lost under spawn.
-        body = (
-            function.node.body
-            if not isinstance(function.node, ast.Lambda)
-            else []
-        )
-        for node in ast.walk(ast.Module(body=list(body), type_ignores=[])):
+        body = ast.Module(body=list(function.body), type_ignores=[])
+        for node in ast.walk(body):
             if not hasattr(node, "lineno"):
                 continue
-            for site, live in submits:
-                if node.lineno <= site.line:
+            for call, live in submits:
+                if node.lineno <= call.lineno:
                     continue
                 live -= _rebound_names(node)
                 hit = _mutation_of(node, live)
@@ -273,12 +170,12 @@ def check_flow002(graph: CallGraph) -> Iterator[Finding]:
                 yield Finding(
                     rule="FLOW002",
                     severity=Severity.ERROR,
-                    path=function.path,
+                    path=module.path,
                     line=node.lineno,
                     col=getattr(node, "col_offset", 0),
                     message=(
                         f"{name} is mutated ({how}) after being "
-                        f"submitted to the pool at line {site.line} — "
+                        f"submitted to the pool at line {call.lineno} — "
                         "the worker may see either state depending on "
                         "dispatch timing; copy the object or mutate "
                         "before submitting"
@@ -287,16 +184,13 @@ def check_flow002(graph: CallGraph) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# FLOW003: unpicklable values reaching submit through a call chain.
+# FLOW003: unpicklable callables/values reaching the pool.
 # ---------------------------------------------------------------------------
 
 
-def _nested_def_names(function: FunctionNode) -> Set[str]:
-    """Names of defs/lambda-bindings nested inside this function."""
+def _nested_def_names(node: ast.AST) -> Set[str]:
+    """Names of defs/lambda-bindings nested anywhere inside ``node``."""
     nested: Set[str] = set()
-    node = function.node
-    if isinstance(node, ast.Lambda):
-        return nested
     for inner in ast.walk(node):
         if inner is node:
             continue
@@ -311,28 +205,25 @@ def _nested_def_names(function: FunctionNode) -> Set[str]:
     return nested
 
 
-def _open_handles(function: FunctionNode) -> Set[str]:
+def _is_open(value: ast.AST) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "open"
+    )
+
+
+def _open_handles(node: ast.AST) -> Set[str]:
     """Names bound to ``open(...)`` results (incl. with-statement)."""
     handles: Set[str] = set()
-    node = function.node
-    if isinstance(node, ast.Lambda):
-        return handles
-
-    def is_open(value: ast.AST) -> bool:
-        return (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "open"
-        )
-
     for inner in ast.walk(node):
-        if isinstance(inner, ast.Assign) and is_open(inner.value):
+        if isinstance(inner, ast.Assign) and _is_open(inner.value):
             for target in inner.targets:
                 if isinstance(target, ast.Name):
                     handles.add(target.id)
         elif isinstance(inner, (ast.With, ast.AsyncWith)):
             for item in inner.items:
-                if is_open(item.context_expr) and isinstance(
+                if _is_open(item.context_expr) and isinstance(
                     item.optional_vars, ast.Name
                 ):
                     handles.add(item.optional_vars.id)
@@ -340,7 +231,7 @@ def _open_handles(function: FunctionNode) -> Set[str]:
 
 
 def _unpicklable_reason(
-    expr: ast.AST, function: FunctionNode
+    expr: ast.AST, graph: CallGraph, function: FunctionNode
 ) -> Optional[str]:
     """Why ``expr`` cannot cross the process boundary, or None."""
     if isinstance(expr, ast.Lambda):
@@ -348,35 +239,37 @@ def _unpicklable_reason(
     if isinstance(expr, ast.GeneratorExp):
         return "a generator expression"
     if isinstance(expr, ast.Name):
-        if expr.id in _nested_def_names(function):
+        # A closure may hand on a sibling defined in its enclosing
+        # function, so local defs are collected from the outermost one.
+        outermost = graph.functions[
+            function.qualname.split(".<locals>.")[0]
+        ]
+        if expr.id in _nested_def_names(outermost.node):
             return f"the nested function {expr.id}"
-        if expr.id in _open_handles(function):
+        if expr.id in _open_handles(function.node):
             return f"the open file handle {expr.id}"
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id == "open"
-    ):
+    if _is_open(expr):
         return "an open file handle"
     return None
 
 
-def _param_positions_reaching_submit(
+def _param_positions_reaching_dispatch(
     graph: CallGraph,
 ) -> Dict[str, Set[int]]:
     """Fixed point: which positional params of which functions flow
-    into a pool-dispatch argument, directly or through further calls."""
+    into a pool dispatch (as callable or argument), directly or through
+    further calls."""
     reaching: Dict[str, Set[int]] = {}
-    # Seed: parameters passed directly as submit arguments.
+    # Seed: parameters handed directly to a dispatch call.
     for qualname, function in graph.functions.items():
         params = {name: i for i, name in enumerate(function.params)}
-        for site in _dispatch_calls(function):
-            for arg in list(site.node.args[1:]) + [
-                kw.value for kw in site.node.keywords
-            ]:
-                if isinstance(arg, ast.Name) and arg.id in params:
+        for site in function.calls:
+            if not _is_dispatch(site.node):
+                continue
+            for value in call_values(site.node):
+                if isinstance(value, ast.Name) and value.id in params:
                     reaching.setdefault(qualname, set()).add(
-                        params[arg.id]
+                        params[value.id]
                     )
     # Propagate: caller param -> callee param position already reaching.
     changed = True
@@ -386,140 +279,98 @@ def _param_positions_reaching_submit(
             params = {name: i for i, name in enumerate(function.params)}
             if not params:
                 continue
-            for site in function.calls:
-                for target in site.targets:
-                    target_reaching = reaching.get(target)
-                    if not target_reaching:
-                        continue
-                    callee = graph.functions.get(target)
-                    offset = 1 if callee is not None and callee.is_method else 0
-                    for pos, arg in enumerate(site.node.args):
-                        if pos + offset not in target_reaching:
-                            continue
-                        if (
-                            isinstance(arg, ast.Name)
-                            and arg.id in params
-                        ):
-                            bucket = reaching.setdefault(qualname, set())
-                            if params[arg.id] not in bucket:
-                                bucket.add(params[arg.id])
-                                changed = True
+            forwarded = _forwarded(graph, function, reaching)
+            for _call, _callee, _index, arg in forwarded:
+                if isinstance(arg, ast.Name) and arg.id in params:
+                    bucket = reaching.setdefault(qualname, set())
+                    if params[arg.id] not in bucket:
+                        bucket.add(params[arg.id])
+                        changed = True
     return reaching
 
 
-def check_flow003(graph: CallGraph) -> Iterator[Finding]:
-    reaching = _param_positions_reaching_submit(graph)
-    # Direct: unpicklable expressions in submit argument position.
+def _forwarded(
+    graph: CallGraph,
+    function: FunctionNode,
+    reaching: Dict[str, Set[int]],
+) -> Iterator[Tuple[ast.Call, FunctionNode, int, ast.AST]]:
+    """(call, callee, callee-param index, argument) for every positional
+    argument ``function`` passes into a parameter that reaches a
+    dispatch."""
+    for site in function.calls:
+        for target in site.targets:
+            positions = reaching.get(target)
+            if not positions:
+                continue
+            callee = graph.functions[target]
+            offset = 1 if callee.is_method else 0
+            for pos, arg in enumerate(site.node.args):
+                if pos + offset in positions:
+                    yield site.node, callee, pos + offset, arg
+
+
+def _flow003(
+    function: FunctionNode, value: ast.AST, message: str
+) -> Finding:
+    return Finding(
+        rule="FLOW003",
+        severity=Severity.ERROR,
+        path=function.path,
+        line=value.lineno,
+        col=value.col_offset,
+        message=message,
+    )
+
+
+@project_rule(
+    "FLOW003",
+    "unpicklable-dispatch",
+    Severity.ERROR,
+    "unpicklable task callable or argument reaches a pool submit/dispatch",
+)
+def check_unpicklable_dispatch(modules) -> Iterator[Finding]:
+    graph = build_call_graph(modules)
+    reaching = _param_positions_reaching_dispatch(graph)
     for qualname in sorted(graph.functions):
         function = graph.functions[qualname]
-        for site in _dispatch_calls(function):
-            for arg in list(site.node.args[1:]) + [
-                kw.value for kw in site.node.keywords
-            ]:
-                reason = _unpicklable_reason(arg, function)
-                if reason is not None:
-                    yield Finding(
-                        rule="FLOW003",
-                        severity=Severity.ERROR,
-                        path=function.path,
-                        line=getattr(arg, "lineno", site.line),
-                        col=getattr(arg, "col_offset", 0),
-                        message=(
-                            f"{reason} is passed as a task argument — "
-                            "it cannot be pickled across the process "
-                            "boundary; pass plain data and rebuild the "
-                            "object inside the worker"
-                        ),
-                    )
-    # Transitive: unpicklable values handed to a parameter that flows
-    # into a submit argument somewhere down the call chain.
-    for qualname in sorted(graph.functions):
-        function = graph.functions[qualname]
+        # Direct: an unpicklable expression in the dispatch call itself.
         for site in function.calls:
-            for target in site.targets:
-                positions = reaching.get(target)
-                if not positions:
+            if not _is_dispatch(site.node):
+                continue
+            # The callable comes first, then its arguments.
+            for index, value in enumerate(call_values(site.node)):
+                reason = _unpicklable_reason(value, graph, function)
+                if reason is None:
                     continue
-                callee = graph.functions.get(target)
-                if callee is None:
-                    continue
-                offset = 1 if callee.is_method else 0
-                for pos, arg in enumerate(site.node.args):
-                    if pos + offset not in positions:
-                        continue
-                    reason = _unpicklable_reason(arg, function)
-                    if reason is None:
-                        continue
-                    param = (
-                        callee.params[pos + offset]
-                        if pos + offset < len(callee.params)
-                        else f"argument {pos}"
+                if index == 0:
+                    detail = (
+                        "is submitted as the task callable — tasks "
+                        "pickle by reference (module + qualified "
+                        "name); define a module-level task function"
                     )
-                    yield Finding(
-                        rule="FLOW003",
-                        severity=Severity.ERROR,
-                        path=function.path,
-                        line=getattr(arg, "lineno", site.line),
-                        col=getattr(arg, "col_offset", 0),
-                        message=(
-                            f"{reason} flows into parameter "
-                            f"{param} of {target}, which reaches a "
-                            "pool submit — it cannot be pickled "
-                            "across the process boundary"
-                        ),
+                else:
+                    detail = (
+                        "is passed as a task argument — it cannot be "
+                        "pickled across the process boundary; pass "
+                        "plain data and rebuild the object inside the "
+                        "worker"
                     )
-
-
-# ---------------------------------------------------------------------------
-# KER006: dtype-lattice narrowing through the DP kernels.
-# ---------------------------------------------------------------------------
-
-
-def _in_align_kernels(module) -> bool:
-    if module.modname == "repro.align._reference":
-        return False
-    return module.modname.startswith("repro.align")
-
-
-def check_ker006(modules) -> Iterator[Finding]:
-    for module in modules:
-        if not _in_align_kernels(module):
-            continue
-        for _function, narrowing in module_narrowings(module):
-            yield Finding(
-                rule="KER006",
-                severity=Severity.ERROR,
-                path=module.path,
-                line=narrowing.line,
-                col=narrowing.col,
-                message=(
-                    f"{narrowing.source_dtype} value stored into "
-                    f"{narrowing.dest_dtype} storage ({narrowing.dest}) "
-                    f"— DP values under the ScoringScheme bound (peak "
-                    f"step {SCORING_PEAK}) can reach "
-                    f"{DP_VALUE_BOUND:,}, past {narrowing.dest_dtype} "
-                    "capacity; allocate via kernel_dtype() or widen "
-                    "the slab"
-                ),
+                yield _flow003(function, value, f"{reason} {detail}")
+        # Transitive: handed to a parameter that flows into a dispatch
+        # somewhere down the call chain.  Dispatch calls themselves were
+        # just checked; resolving them into ExecutionEngine.submit /
+        # .dispatch would only report the same value twice.
+        forwarded = _forwarded(graph, function, reaching)
+        for call, callee, index, arg in forwarded:
+            if _is_dispatch(call):
+                continue
+            reason = _unpicklable_reason(arg, graph, function)
+            if reason is None:
+                continue
+            yield _flow003(
+                function,
+                arg,
+                f"{reason} flows into parameter {callee.params[index]} "
+                f"of {callee.qualname}, which reaches a pool submit — "
+                "it cannot be pickled across the process boundary",
             )
-
-
-def run_flow_rules(
-    context, select: Optional[Sequence[str]] = None
-) -> List[Finding]:
-    """Run every (selected) flow rule over a built :class:`FlowContext`."""
-    wanted = set(select) if select else None
-
-    def on(rule: str) -> bool:
-        return wanted is None or rule in wanted
-
-    findings: List[Finding] = []
-    if on("FLOW001"):
-        findings.extend(check_flow001(context.graph, context.effects))
-    if on("FLOW002"):
-        findings.extend(check_flow002(context.graph))
-    if on("FLOW003"):
-        findings.extend(check_flow003(context.graph))
-    if on("KER006"):
-        findings.extend(check_ker006(context.modules))
-    return findings

@@ -6,7 +6,7 @@ Rules come in two scopes:
   (``check(module) -> findings``);
 * **project** rules see every module at once
   (``check(modules) -> findings``) — the layering/import-graph checks
-  live here.
+  and the cross-function pickling check (``FLOW003``) live here.
 
 Registration is declarative::
 
@@ -36,20 +36,15 @@ ENGINE_RULES: Dict[str, str] = {
     "SUP002": "suppression comment with unknown/missing rule ids",
 }
 
-#: Ids contributed by the interprocedural layer (``repro lint --flow``).
-#: They are always *known* (suppression comments naming them are valid
-#: even in a plain run) but only fire when the flow pass is enabled.
-FLOW_RULES: Dict[str, str] = {
-    "FLOW001": (
-        "nondeterministic effect reachable from worker task code"
-    ),
-    "FLOW002": "argument object mutated after pool submission",
-    "FLOW003": (
-        "unpicklable value reaches a pool submit through a call chain"
-    ),
-    "KER006": (
-        "dtype-lattice narrowing can overflow the packed DP dtype"
-    ),
+#: Ids that once named a rule.  They are never reused (a suppression or
+#: ``--select`` written against the old meaning must not silently take
+#: on a new one); the value says where the invariant is guarded now.
+RETIRED_RULES: Dict[str, str] = {
+    "FLOW001": "deleted; DET001-DET003 and KER005 report the same sites",
+    "KER006": "deleted; KER001 flags the narrow dtype token itself",
+    "OBS002": "folded into KER005",
+    "PAR001": "folded into FLOW003",
+    "PAR002": "folded into FLOW003",
 }
 
 
@@ -74,8 +69,10 @@ def _register(bucket: List[Rule], scope: str):
         rule_id: str, name: str, severity: Severity, description: str
     ):
         def decorator(fn: Callable) -> Callable:
-            if any(r.id == rule_id for r in all_rules()):
-                raise ValueError(f"duplicate rule id {rule_id!r}")
+            if rule_id in RETIRED_RULES or any(
+                r.id == rule_id for r in all_rules()
+            ):
+                raise ValueError(f"duplicate or retired rule id {rule_id!r}")
             bucket.append(
                 Rule(
                     id=rule_id,
@@ -102,8 +99,4 @@ def all_rules() -> List[Rule]:
 
 
 def known_rule_ids() -> List[str]:
-    return (
-        [rule.id for rule in all_rules()]
-        + sorted(ENGINE_RULES)
-        + sorted(FLOW_RULES)
-    )
+    return [rule.id for rule in all_rules()] + sorted(ENGINE_RULES)

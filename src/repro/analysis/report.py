@@ -21,8 +21,6 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
         f"{len(result.findings)} finding(s) in {len(result.files)} "
         f"file(s), {len(result.suppressed)} suppressed"
     )
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
     if counts:
         summary += " — " + ", ".join(
             f"{rule}: {count}" for rule, count in sorted(counts.items())
@@ -38,7 +36,6 @@ def render_json(result: AnalysisResult) -> str:
         "files": len(result.files),
         "findings": [f.to_dict() for f in result.findings],
         "suppressed": [f.to_dict() for f in result.suppressed],
-        "baselined": [f.to_dict() for f in result.baselined],
         "counts": dict(
             sorted(Counter(f.rule for f in result.findings).items())
         ),

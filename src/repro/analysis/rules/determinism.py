@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import call_args, import_aliases, resolve_origin
+from ..astutil import call_args, resolve_origin
 from ..findings import Finding, Severity
 from ..registry import module_rule
 
@@ -91,7 +91,7 @@ def _calls(module) -> Iterator[ast.Call]:
     "RNG constructed (or global RNG seeded) without an explicit seed",
 )
 def check_unseeded_rng(module) -> Iterator[Finding]:
-    aliases = import_aliases(module.tree, module.modname)
+    aliases = module.aliases
     constructors = {"random.Random", "numpy.random.seed", "random.seed"} | {
         f"numpy.random.{name}"
         for name in ("default_rng", "RandomState")
@@ -122,7 +122,7 @@ def check_unseeded_rng(module) -> Iterator[Finding]:
     "call into the hidden module-level RNG state",
 )
 def check_global_rng(module) -> Iterator[Finding]:
-    aliases = import_aliases(module.tree, module.modname)
+    aliases = module.aliases
     for call in _calls(module):
         origin = resolve_origin(call.func, aliases)
         if origin is None:
@@ -165,7 +165,7 @@ def check_global_rng(module) -> Iterator[Finding]:
 def check_wall_clock(module) -> Iterator[Finding]:
     if module.modname.startswith("repro.obs"):
         return
-    aliases = import_aliases(module.tree, module.modname)
+    aliases = module.aliases
     for call in _calls(module):
         origin = resolve_origin(call.func, aliases)
         if origin in _WALL_CLOCKS:

@@ -4,8 +4,8 @@ The kernel rules encode what Scrooge-style aligner work keeps
 re-learning: score accumulators in narrow dtypes overflow silently on
 long tiles, and a Python-level loop over *both* sequence axes turns an
 O(n*m) kernel into an interpreter benchmark.  The general rules
-(mutable defaults, bare except, stray print) apply across the whole
-tree.
+(mutable defaults, bare except, stray terminal output) apply across the
+whole tree.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import import_aliases, resolve_origin
+from ..astutil import call_values, resolve_origin
 from ..findings import Finding, Severity
 from ..registry import module_rule
 
@@ -21,22 +21,6 @@ from ..registry import module_rule
 #: accumulators.  Unsigned 8/16-bit stay legal: they carry base codes
 #: and traceback pointers, which never accumulate.
 _NARROW_DTYPES = {"int8", "int16", "float16"}
-
-_ALLOCATORS = {
-    f"numpy.{name}"
-    for name in (
-        "array",
-        "asarray",
-        "empty",
-        "empty_like",
-        "full",
-        "full_like",
-        "ones",
-        "ones_like",
-        "zeros",
-        "zeros_like",
-    )
-}
 
 _MUTABLE_CALLS = {
     "list",
@@ -78,39 +62,30 @@ def _dtype_token(node: ast.AST, aliases) -> str:
 def check_narrow_dtype(module) -> Iterator[Finding]:
     if not _in_align_kernels(module):
         return
-    aliases = import_aliases(module.tree, module.modname)
+    aliases = module.aliases
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
-        origin = resolve_origin(node.func, aliases)
-        dtype_expr = None
-        if origin in _ALLOCATORS:
-            for keyword in node.keywords:
-                if keyword.arg == "dtype":
-                    dtype_expr = keyword.value
-        elif (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "astype"
-            and node.args
-        ):
-            dtype_expr = node.args[0]
-        if dtype_expr is None:
-            continue
-        token = _dtype_token(dtype_expr, aliases)
-        if token in _NARROW_DTYPES:
-            yield Finding(
-                rule="KER001",
-                severity=Severity.ERROR,
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"dtype {token} in an alignment kernel — DP scores "
-                    "accumulate past 16-bit range on long tiles; use "
-                    "int32/int64 (uint8/16 remain fine for codes and "
-                    "traceback pointers)"
-                ),
-            )
+        # Any argument position counts: ``np.zeros(n, dtype=np.int16)``
+        # and ``h.astype(np.int8)``, but also a workspace slab such as
+        # ``ws.array("h", shape, np.int16)`` that no allocator list
+        # would know about.
+        for value in call_values(node):
+            token = _dtype_token(value, aliases)
+            if token in _NARROW_DTYPES:
+                yield Finding(
+                    rule="KER001",
+                    severity=Severity.ERROR,
+                    path=module.path,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    message=(
+                        f"dtype {token} in an alignment kernel — DP "
+                        "scores accumulate past 16-bit range on long "
+                        "tiles; use int32/int64 (uint8/16 remain fine "
+                        "for codes and traceback pointers)"
+                    ),
+                )
 
 
 def _is_range_loop(node: ast.AST) -> bool:
@@ -158,7 +133,7 @@ def check_nested_loop(module) -> Iterator[Finding]:
     "mutable default argument",
 )
 def check_mutable_default(module) -> Iterator[Finding]:
-    aliases = import_aliases(module.tree, module.modname)
+    aliases = module.aliases
     for node in ast.walk(module.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -213,31 +188,47 @@ def check_bare_except(module) -> Iterator[Finding]:
             )
 
 
+#: Direct writes to the process's terminal streams.
+_TERMINAL_WRITES = {
+    f"sys.{stream}.{method}"
+    for stream in ("stdout", "stderr")
+    for method in ("write", "writelines")
+}
+
+
 @module_rule(
     "KER005",
     "stray-print",
     Severity.ERROR,
-    "print() in library code (outside repro.cli)",
+    "print() or sys.stdout/sys.stderr write in library code "
+    "(outside repro.cli)",
 )
 def check_stray_print(module) -> Iterator[Finding]:
     if not module.modname.startswith("repro"):
         return
     if module.modname == "repro.cli":
         return
+    aliases = module.aliases
     for node in ast.walk(module.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-        ):
-            yield Finding(
-                rule="KER005",
-                severity=Severity.ERROR,
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    "print() in library code — return/log data instead; "
-                    "user-facing output belongs to the CLI layer"
-                ),
-            )
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "print":
+            what = "print()"
+        else:
+            what = resolve_origin(node.func, aliases)
+            if what not in _TERMINAL_WRITES:
+                continue
+            what += "()"
+        yield Finding(
+            rule="KER005",
+            severity=Severity.ERROR,
+            path=module.path,
+            line=node.lineno,
+            col=node.col_offset,
+            message=(
+                f"{what} in library code — return/log data instead; "
+                "user-facing output belongs to the CLI layer, and "
+                "worker processes talk to the terminal only through "
+                "the telemetry bus (the parent owns it)"
+            ),
+        )

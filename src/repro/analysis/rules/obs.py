@@ -1,10 +1,10 @@
 """Observability rules.
 
 The repro.obs v2 telemetry bus gives every process exactly one sampling
-substrate and one output channel: resource/CPU sampling lives in
-:mod:`repro.obs.resource`, and workers talk to the terminal only through
-the bus (the parent owns stdout).  These rules keep ad-hoc probes and
-rogue worker prints from growing back.
+substrate: resource/CPU sampling lives in :mod:`repro.obs.resource`.
+This rule keeps ad-hoc probes from growing back.  (Its one-output-
+channel twin — workers never write to the terminal — is ``KER005``,
+which bans terminal writes from all library code.)
 
 * ``OBS001`` — CPU-time / rusage sampling outside ``repro.obs``.
   Complements DET003 (wall clocks): ``time.process_time`` and
@@ -12,11 +12,6 @@ rogue worker prints from growing back.
   through pipeline code produces unmergeable one-off measurements; all
   sampling should flow through :func:`repro.obs.resource.sample_resources`
   so it lands in the shared registry with canonical bucket edges.
-* ``OBS002`` — stdout writes from worker-process code (module-level
-  ``*_task`` functions, or anywhere in a ``worker`` module).  Worker
-  prints interleave corruptly across processes and tear the parent's
-  live progress line; anything a worker wants seen must ride the
-  telemetry bus.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import import_aliases, resolve_origin
+from ..astutil import resolve_origin
 from ..findings import Finding, Severity
 from ..registry import module_rule
 
@@ -49,7 +44,7 @@ _SAMPLING_CALLS = {
 def check_adhoc_sampling(module) -> Iterator[Finding]:
     if module.modname.startswith("repro.obs"):
         return
-    aliases = import_aliases(module.tree, module.modname)
+    aliases = module.aliases
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -67,61 +62,3 @@ def check_adhoc_sampling(module) -> Iterator[Finding]:
                     "shared metric registry instead of one-off probes"
                 ),
             )
-
-
-def _is_stdout_write(node: ast.Call, aliases) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name) and func.id == "print":
-        # print(..., file=...) targeting something other than stdout is
-        # not a stdout write.
-        for keyword in node.keywords:
-            if keyword.arg == "file":
-                return (
-                    resolve_origin(keyword.value, aliases) == "sys.stdout"
-                )
-        return True
-    origin = resolve_origin(func, aliases)
-    return origin in ("sys.stdout.write", "sys.stdout.writelines")
-
-
-def _worker_function_spans(module):
-    """(lineno range) of every module-level ``*_task`` function."""
-    spans = []
-    for node in module.tree.body:
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ) and node.name.endswith("_task"):
-            spans.append(node)
-    return spans
-
-
-@module_rule(
-    "OBS002",
-    "worker-stdout",
-    Severity.ERROR,
-    "stdout write from worker-process code",
-)
-def check_worker_stdout(module) -> Iterator[Finding]:
-    aliases = import_aliases(module.tree, module.modname)
-    whole_module = module.modname.rsplit(".", 1)[-1] == "worker"
-    if whole_module:
-        roots = [module.tree]
-    else:
-        roots = _worker_function_spans(module)
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Call) and _is_stdout_write(
-                node, aliases
-            ):
-                yield Finding(
-                    rule="OBS002",
-                    severity=Severity.ERROR,
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        "stdout write in worker-process code — the "
-                        "parent owns the terminal; emit through the "
-                        "telemetry bus instead"
-                    ),
-                )

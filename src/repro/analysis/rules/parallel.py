@@ -1,13 +1,5 @@
 """Parallel-dispatch safety rules.
 
-``repro.parallel`` fans work out over a process pool; tasks are
-pickled **by reference** (module + qualified name).  A lambda or a
-function defined inside another function has no importable reference,
-so submitting one either crashes under spawn or — worse — works under
-fork on one platform and dies on another.  These rules pin the
-contract: every submitted task callable must be a module-level
-function.
-
 PAR003 pins the streaming dataflow's memory contract: every stage
 buffer must have a hard capacity.  An unbounded ``deque()`` or
 ``queue.Queue()`` between stages silently absorbs any producer/consumer
@@ -16,68 +8,18 @@ backpressure accounting (stall counters, occupancy) reads healthy while
 the buffer balloons.  Use :class:`repro.core.stream.BoundedQueue`, a
 ``maxlen``/``maxsize``, or suppress with a reason stating what else
 bounds the buffer.
+
+What may cross the process boundary (task callables and arguments that
+pickle) is ``FLOW003``'s job — see :mod:`repro.analysis.flow.rules`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator
 
 from ..findings import Finding, Severity
 from ..registry import module_rule
-
-
-def _submit_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "submit"
-            and node.args
-        ):
-            yield node
-
-
-def _module_level_names(tree: ast.Module) -> Set[str]:
-    names: Set[str] = set()
-    for stmt in tree.body:
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            names.add(stmt.name)
-        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for alias in stmt.names:
-                names.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            names.add(stmt.target.id)
-    return names
-
-
-def _nested_callable_names(tree: ast.Module) -> Set[str]:
-    """Names bound to defs/lambdas *inside* function bodies."""
-    nested: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for inner in ast.walk(node):
-            if inner is node:
-                continue
-            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested.add(inner.name)
-            elif isinstance(inner, ast.Assign) and isinstance(
-                inner.value, ast.Lambda
-            ):
-                for target in inner.targets:
-                    if isinstance(target, ast.Name):
-                        nested.add(target.id)
-    return nested
-
 
 #: FIFO constructors that take a ``maxsize`` first argument / kwarg.
 _SIZED_QUEUES = {"Queue", "LifoQueue", "JoinableQueue", "PriorityQueue"}
@@ -159,54 +101,3 @@ def check_unbounded_stage_buffer(module) -> Iterator[Finding]:
                 "backpressure is explicit, not absorbed by memory"
             ),
         )
-
-
-@module_rule(
-    "PAR001",
-    "lambda-task",
-    Severity.ERROR,
-    "lambda passed as a parallel-dispatch task",
-)
-def check_lambda_task(module) -> Iterator[Finding]:
-    for call in _submit_calls(module.tree):
-        if isinstance(call.args[0], ast.Lambda):
-            yield Finding(
-                rule="PAR001",
-                severity=Severity.ERROR,
-                path=module.path,
-                line=call.args[0].lineno,
-                col=call.args[0].col_offset,
-                message=(
-                    "lambda submitted to a worker pool — lambdas do not "
-                    "pickle by reference; define a module-level task "
-                    "function"
-                ),
-            )
-
-
-@module_rule(
-    "PAR002",
-    "nested-task",
-    Severity.ERROR,
-    "locally-defined function passed as a parallel-dispatch task",
-)
-def check_nested_task(module) -> Iterator[Finding]:
-    module_level = _module_level_names(module.tree)
-    nested = _nested_callable_names(module.tree)
-    for call in _submit_calls(module.tree):
-        first = call.args[0]
-        if not isinstance(first, ast.Name):
-            continue
-        if first.id in nested and first.id not in module_level:
-            yield Finding(
-                rule="PAR002",
-                severity=Severity.ERROR,
-                path=module.path,
-                line=first.lineno,
-                col=first.col_offset,
-                message=(
-                    f"{first.id} is defined inside a function — closures "
-                    "do not pickle by reference; hoist the task to "
-                    "module level"
-                ),
-            )

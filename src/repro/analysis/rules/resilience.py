@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import import_aliases, resolve_origin
+from ..astutil import resolve_origin
 from ..findings import Finding, Severity
 from ..registry import module_rule
 
@@ -52,7 +52,7 @@ def _only_discards(body) -> bool:
 def check_swallowed_exception(module) -> Iterator[Finding]:
     if not module.modname.startswith("repro"):
         return
-    aliases = import_aliases(module.tree, module.modname)
+    aliases = module.aliases
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.ExceptHandler) or node.type is None:
             continue

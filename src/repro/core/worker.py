@@ -17,7 +17,7 @@ the result exactly as before.  Either way every task returns the same
 
 Worker output discipline: tasks never write to stdout (the parent owns
 the terminal); anything a worker wants seen goes through the bus.  Rule
-OBS002 in :mod:`repro.analysis` enforces this.
+KER005 in :mod:`repro.analysis` enforces this.
 """
 
 from __future__ import annotations

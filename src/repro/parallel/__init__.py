@@ -12,7 +12,7 @@ construction at call time — the layer DAG forbids ``core`` importing
 
 Task callables submitted to the engine are pickled **by reference**:
 they must be module-level functions, never lambdas or closures
-(enforced by ``repro lint`` rules PAR001/PAR002).
+(enforced by ``repro lint`` rule FLOW003).
 """
 
 from .engine import ExecutionEngine, SequenceHandle, install_signal_cleanup

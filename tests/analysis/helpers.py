@@ -23,28 +23,27 @@ def lint_snippet(
 def lint_tree(
     sources: Dict[str, str],
     select: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> List[Finding]:
     """Lint a virtual multi-module tree (for the project rules)."""
     return analyze_sources(
         {name: textwrap.dedent(src) for name, src in sources.items()},
         select=select,
-        flow=flow,
     ).findings
 
 
-def flow_context(sources: Dict[str, str]):
-    """Build a FlowContext over a dedented virtual tree."""
-    from repro.analysis import build_flow_context
+def call_graph(sources: Dict[str, str]):
+    """Build the call graph of a dedented virtual tree."""
     from repro.analysis.engine import make_module
+    from repro.analysis.flow import build_call_graph
 
-    modules = [
-        make_module(
-            textwrap.dedent(src), name, name.replace(".", "/") + ".py"
-        )
-        for name, src in sources.items()
-    ]
-    return build_flow_context(modules)
+    return build_call_graph(
+        [
+            make_module(
+                textwrap.dedent(src), name, name.replace(".", "/") + ".py"
+            )
+            for name, src in sources.items()
+        ]
+    )
 
 
 def rules_of(findings: List[Finding]) -> List[str]:

@@ -1,11 +1,11 @@
 """Call-graph construction: resolution through aliases, methods,
 nested defs, package re-exports, and the conservative dispatch union."""
 
-from .helpers import flow_context
+from .helpers import call_graph
 
 
 def test_plain_module_level_call_resolves():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.seed.mod": """
             def helper():
@@ -16,12 +16,12 @@ def test_plain_module_level_call_resolves():
             """,
         }
     )
-    targets = [t for t, _ in ctx.graph.callees("repro.seed.mod.top")]
+    targets = [t for t, _ in graph.callees("repro.seed.mod.top")]
     assert targets == ["repro.seed.mod.helper"]
 
 
 def test_aliased_import_resolves_across_modules():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.seed.producer": """
             def make():
@@ -36,13 +36,13 @@ def test_aliased_import_resolves_across_modules():
         }
     )
     targets = [
-        t for t, _ in ctx.graph.callees("repro.seed.consumer.run")
+        t for t, _ in graph.callees("repro.seed.consumer.run")
     ]
     assert targets == ["repro.seed.producer.make"]
 
 
 def test_module_alias_attribute_call_resolves():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.seed.producer": """
             def make():
@@ -57,13 +57,13 @@ def test_module_alias_attribute_call_resolves():
         }
     )
     targets = [
-        t for t, _ in ctx.graph.callees("repro.seed.consumer.run")
+        t for t, _ in graph.callees("repro.seed.consumer.run")
     ]
     assert targets == ["repro.seed.producer.make"]
 
 
 def test_init_reexport_is_followed():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.seed.__init__": """
             from .dsoft import seed_hits
@@ -80,12 +80,12 @@ def test_init_reexport_is_followed():
             """,
         }
     )
-    targets = [t for t, _ in ctx.graph.callees("repro.align.caller.run")]
+    targets = [t for t, _ in graph.callees("repro.align.caller.run")]
     assert targets == ["repro.seed.dsoft.seed_hits"]
 
 
 def test_self_method_call_resolves_within_class():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.core.cls": """
             class Engine:
@@ -98,13 +98,13 @@ def test_self_method_call_resolves_within_class():
         }
     )
     targets = [
-        t for t, _ in ctx.graph.callees("repro.core.cls.Engine.step")
+        t for t, _ in graph.callees("repro.core.cls.Engine.step")
     ]
     assert targets == ["repro.core.cls.Engine.helper"]
 
 
 def test_unknown_receiver_unions_all_methods_of_that_name():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.core.a": """
             class A:
@@ -123,13 +123,13 @@ def test_unknown_receiver_unions_all_methods_of_that_name():
         }
     )
     targets = sorted(
-        t for t, _ in ctx.graph.callees("repro.core.use.call")
+        t for t, _ in graph.callees("repro.core.use.call")
     )
     assert targets == ["repro.core.a.A.run", "repro.core.b.B.run"]
 
 
 def test_nested_def_gets_locals_qualname_and_resolves():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.core.nest": """
             def outer():
@@ -140,14 +140,14 @@ def test_nested_def_gets_locals_qualname_and_resolves():
         }
     )
     assert (
-        "repro.core.nest.outer.<locals>.inner" in ctx.graph.functions
+        "repro.core.nest.outer.<locals>.inner" in graph.functions
     )
-    targets = [t for t, _ in ctx.graph.callees("repro.core.nest.outer")]
+    targets = [t for t, _ in graph.callees("repro.core.nest.outer")]
     assert targets == ["repro.core.nest.outer.<locals>.inner"]
 
 
-def test_external_call_is_recorded_as_external_edge():
-    ctx = flow_context(
+def test_external_call_has_no_edge():
+    graph = call_graph(
         {
             "repro.core.ext": """
             import time
@@ -157,13 +157,12 @@ def test_external_call_is_recorded_as_external_edge():
             """,
         }
     )
-    node = ctx.graph.functions["repro.core.ext.now"]
-    externals = [s.external for s in node.calls if s.external]
-    assert externals == ["time.time"]
+    node = graph.functions["repro.core.ext.now"]
+    assert [site.targets for site in node.calls] == [()]
 
 
 def test_nested_scope_shadows_module_level_def():
-    ctx = flow_context(
+    graph = call_graph(
         {
             "repro.core.shadow": """
             def helper():
@@ -177,6 +176,6 @@ def test_nested_scope_shadows_module_level_def():
         }
     )
     targets = [
-        t for t, _ in ctx.graph.callees("repro.core.shadow.outer")
+        t for t, _ in graph.callees("repro.core.shadow.outer")
     ]
     assert targets == ["repro.core.shadow.outer.<locals>.helper"]

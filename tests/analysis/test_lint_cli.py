@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.app import main as analysis_main
+from repro.analysis.registry import RETIRED_RULES
 from repro.cli import main as cli_main
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -36,9 +39,11 @@ def test_list_rules(capsys):
     assert code == 0
     for rule_id in (
         "DET001", "DET004", "LAY001", "LAY002", "KER001", "KER005",
-        "PAR001", "PAR002", "SUP001",
+        "PAR003", "SUP001",
     ):
         assert rule_id in out
+    # One header line plus one line per id.
+    assert len(out.strip().splitlines()) == 1 + 22
 
 
 def test_dirty_file_fails_with_exit_one(tmp_path, capsys):
@@ -80,68 +85,49 @@ def test_syntax_error_reports_parse_finding(tmp_path, capsys):
     assert "PARSE" in out
 
 
-def test_flow_flag_clean_tree(capsys):
-    code = analysis_main([str(SRC), "--flow"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "0 finding(s)" in out
-
-
-def test_graph_export_json_and_dot(tmp_path, capsys):
-    json_out = tmp_path / "graph.json"
-    code = analysis_main([str(SRC), "--graph", str(json_out)])
-    capsys.readouterr()
-    assert code == 0
-    payload = json.loads(json_out.read_text())
-    assert payload["version"] == 1
-    assert payload["counts"]["functions"] > 100
-    assert payload["counts"]["edges"] > payload["counts"]["functions"]
-
-    dot_out = tmp_path / "graph.dot"
-    code = analysis_main([str(SRC), "--graph", str(dot_out)])
-    capsys.readouterr()
-    assert code == 0
-    dot = dot_out.read_text()
-    assert dot.startswith("digraph callgraph {")
-    assert dot.rstrip().endswith("}")
-
-
-def test_baseline_flag_gates_only_new_findings(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import numpy as np\nx = np.random.rand(3)\n")
-    baseline = tmp_path / "findings.json"
-
-    code = analysis_main([str(bad), "--format", "json"])
-    baseline.write_text(capsys.readouterr().out)
-    assert code == 1
-
-    code = analysis_main([str(bad), "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "1 baselined" in out
-
-    bad.write_text(
-        "import numpy as np\nimport time\n"
-        "x = np.random.rand(3)\ny = time.time()\n"
-    )
-    code = analysis_main([str(bad), "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "DET003" in out
-    assert "DET002" not in out
-
-
-def test_missing_baseline_fails_with_exit_two(tmp_path, capsys):
-    code = analysis_main(
-        [str(SRC), "--baseline", str(tmp_path / "nope.json")]
-    )
-    capsys.readouterr()
-    assert code == 2
-
-
 def test_list_rules_includes_flow_rules(capsys):
+    # The flow rules are ordinary registered rules, listed under their
+    # real scope; the retired ids are gone from the table.
     code = analysis_main(["--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule_id in ("FLOW001", "FLOW002", "FLOW003", "KER006"):
-        assert rule_id in out
+    assert "FLOW002 module" in out
+    assert "FLOW003 project" in out
+    for retired in RETIRED_RULES:
+        assert retired not in out
+
+
+def test_unknown_select_id_fails_with_exit_two(capsys):
+    # A typo must not lint nothing and report "0 finding(s)".
+    code = analysis_main([str(SRC), "--select", "DET001,NOPE99"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "no such rule: NOPE99" in out
+    assert "finding(s)" not in out
+
+
+@pytest.mark.parametrize("retired", sorted(RETIRED_RULES))
+def test_retired_select_id_fails_with_exit_two(retired, capsys):
+    # A script still selecting a folded rule must not silently pass.
+    code = cli_main(["lint", str(SRC), "--select", retired])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert f"no such rule: {retired} (retired: " in out
+
+
+def test_engine_ids_are_selectable(tmp_path, capsys):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def oops(:\n")
+    code = analysis_main([str(broken), "--select", "PARSE"])
+    assert code == 1
+    assert "PARSE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag", [["--flow"], ["--graph", "out.json"], ["--baseline", "b.json"]]
+)
+def test_removed_mode_flags_are_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        analysis_main([str(SRC)] + flag)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

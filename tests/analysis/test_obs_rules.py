@@ -1,4 +1,9 @@
-"""OBS rules: ad-hoc sampling locality and worker stdout hygiene."""
+"""OBS rules: ad-hoc sampling locality and worker stdout hygiene.
+
+The worker-stdout snippets were written for OBS002 (retired); they now
+run against KER005, which bans terminal output from all library code
+and therefore from worker code too.
+"""
 
 from .helpers import lint_snippet, rules_of
 
@@ -87,9 +92,9 @@ class TestObs002WorkerStdout:
                 print("starting", unit)
                 return unit
             """,
-            select=["OBS002"],
+            select=["KER005"],
         )
-        assert rules_of(findings) == ["OBS002"]
+        assert rules_of(findings) == ["KER005"]
 
     def test_stdout_write_in_worker_module_flagged(self):
         findings = lint_snippet(
@@ -100,9 +105,9 @@ class TestObs002WorkerStdout:
                 sys.stdout.write("hello")
             """,
             modname="repro.parallel.worker",
-            select=["OBS002"],
+            select=["KER005"],
         )
-        assert rules_of(findings) == ["OBS002"]
+        assert rules_of(findings) == ["KER005"]
 
     def test_print_with_explicit_stdout_file_flagged(self):
         findings = lint_snippet(
@@ -112,11 +117,13 @@ class TestObs002WorkerStdout:
             def extend_batch_task(batch):
                 print("batch", file=sys.stdout)
             """,
-            select=["OBS002"],
+            select=["KER005"],
         )
-        assert rules_of(findings) == ["OBS002"]
+        assert rules_of(findings) == ["KER005"]
 
-    def test_print_to_stderr_allowed(self):
+    def test_print_to_stderr_flagged_too(self):
+        # OBS002 let stderr through; a worker's stderr interleaves with
+        # the parent's progress line just the same.
         findings = lint_snippet(
             """
             import sys
@@ -124,26 +131,40 @@ class TestObs002WorkerStdout:
             def align_unit_task(unit):
                 print("debug", file=sys.stderr)
             """,
-            select=["OBS002"],
+            select=["KER005"],
         )
-        assert findings == []
+        assert rules_of(findings) == ["KER005"]
 
-    def test_print_outside_worker_code_allowed(self):
+    def test_stderr_write_in_worker_module_flagged(self):
         findings = lint_snippet(
             """
+            import sys
+
+            def helper():
+                sys.stderr.write("hello")
+            """,
+            modname="repro.core.worker",
+            select=["KER005"],
+        )
+        assert rules_of(findings) == ["KER005"]
+        assert "sys.stderr.write()" in findings[0].message
+
+    def test_print_outside_worker_code_flagged_outside_cli_only(self):
+        source = """
             def render_summary(report):
                 print(report)
-            """,
-            select=["OBS002"],
-        )
-        assert findings == []
+            """
+        assert rules_of(
+            lint_snippet(source, select=["KER005"])
+        ) == ["KER005"]
+        assert lint_snippet(source, modname="repro.cli", select=["KER005"]) == []
 
     def test_suppression_comment_honoured(self):
         findings = lint_snippet(
             """
             def debug_task(unit):
-                print(unit)  # repro: allow[OBS002] one-off debug helper
+                print(unit)  # repro: allow[KER005] one-off debug helper
             """,
-            select=["OBS002"],
+            select=["KER005"],
         )
         assert findings == []

@@ -1,8 +1,12 @@
-"""Good/bad fixtures for the PAR parallel-safety rules."""
+"""Good/bad fixtures for the parallel-safety rules.
+
+The task-callable snippets were written for PAR001/PAR002 (retired);
+they now run against FLOW003, which absorbed both.
+"""
 
 from .helpers import lint_snippet, rules_of
 
-PAR = ["PAR001", "PAR002"]
+PAR = ["FLOW003"]
 
 
 class TestLambdaTask:
@@ -15,7 +19,10 @@ class TestLambdaTask:
             """,
             select=PAR,
         )
-        assert rules_of(findings) == ["PAR001"]
+        assert rules_of(findings) == ["FLOW003"]
+        assert "a lambda is submitted as the task callable" in (
+            findings[0].message
+        )
 
 
 class TestNestedTask:
@@ -29,7 +36,8 @@ class TestNestedTask:
             """,
             select=PAR,
         )
-        assert rules_of(findings) == ["PAR002"]
+        assert rules_of(findings) == ["FLOW003"]
+        assert "nested function task" in findings[0].message
 
     def test_flags_lambda_assigned_then_submitted(self):
         findings = lint_snippet(
@@ -40,7 +48,8 @@ class TestNestedTask:
             """,
             select=PAR,
         )
-        assert rules_of(findings) == ["PAR002"]
+        assert rules_of(findings) == ["FLOW003"]
+        assert "nested function task" in findings[0].message
 
     def test_module_level_task_passes(self):
         findings = lint_snippet(

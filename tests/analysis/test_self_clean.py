@@ -53,24 +53,6 @@ def test_layer_map_covers_every_package():
     )
 
 
-def test_src_tree_is_flow_clean():
-    result = analyze_paths([SRC], flow=True)
-    rendered = "\n".join(f.render() for f in result.findings)
-    assert result.ok, f"repro lint --flow found violations:\n{rendered}"
-    assert result.flow_context is not None
-
-
-def test_flow_pass_covers_the_whole_tree():
-    result = analyze_paths([SRC], flow=True)
-    graph = result.flow_context.graph
-    # The graph must actually see the tree: every worker task and the
-    # DP kernels are registered, and effect inference ran over them.
-    assert "repro.core.worker.align_unit_task" in graph.functions
-    assert "repro.align._dp.kernel_dtype" in graph.functions
-    effects = result.flow_context.effects
-    assert effects.effects, "effect inference found nothing at all"
-
-
 def test_json_report_round_trips():
     result = analyze_paths([SRC])
     payload = json.loads(render_json(result))
