@@ -2,35 +2,19 @@
 
 These measure the Python implementation's own throughput — the analogue
 of the paper's Parasail software baseline measurements — and anchor the
-cells/second constants used to sanity-check the cost model.
-
-``test_kernel_oracle_speedups`` additionally times every vectorised
-kernel against its frozen row-at-a-time oracle in
-:mod:`repro.align._reference` on identical inputs, and records the
-old-vs-new cells/s (plus the speedup ratio) in the ``kernels`` section
-of ``BENCH_PIPELINE.json`` so the perf trajectory across PRs keeps both
-curves.
+cells/second constants used to sanity-check the cost model.  Kernel
+throughput against the frozen oracles of :mod:`repro.align._reference`
+is a ``perf/`` layer metric (``align.bsw_batch_vs_ref``,
+``align.xdrop_vs_ref``), measured on each workload's own tiles.
 """
-
-import json
-import time
 
 import numpy as np
 import pytest
 
-from repro.align import (
-    align_global,
-    align_local,
-    bsw_batch,
-    ungapped_extend_batch,
-    xdrop_extend,
-)
-from repro.align import _reference as ref
+from repro.align import bsw_batch, ungapped_extend_batch, xdrop_extend
 from repro.align.matrices import lastz_default
 from repro.genome import Sequence
 from repro.seed import DsoftParams, SeedIndex, SpacedSeed, dsoft_seed
-
-from .conftest import BENCH_PIPELINE_PATH, print_table
 
 
 @pytest.fixture(scope="module")
@@ -90,115 +74,6 @@ def test_ungapped_batch_throughput(benchmark, scoring, genome_pair):
 
     scores, _, _ = benchmark(run)
     assert scores.shape == (k,)
-
-
-def _best_seconds(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _merge_kernel_rates(entries, path=BENCH_PIPELINE_PATH):
-    """Fold the kernel comparison into the aggregate perf artifact."""
-    try:
-        artifact = json.loads(path.read_text())
-    except (OSError, ValueError):
-        artifact = {"version": 1}
-    artifact["kernels"] = entries
-    path.write_text(json.dumps(artifact, indent=2, sort_keys=True))
-
-
-@pytest.mark.benchmark(group="kernels")
-def test_kernel_oracle_speedups(benchmark, scoring):
-    """Old-vs-new cells/s for every kernel with a frozen oracle."""
-    rng = np.random.default_rng(11)
-
-    # X-drop: one full extension tile at ~20% divergence.
-    core = rng.integers(0, 4, 1920).astype(np.uint8)
-    mutated = core.copy()
-    sites = rng.random(1920) < 0.2
-    mutated[sites] = (mutated[sites] + 1) % 4
-    xd_target = Sequence(core, "t")
-    xd_query = Sequence(mutated, "q")
-    xd_cells = xdrop_extend(xd_target, xd_query, scoring, 9430).cells
-
-    # Banded SW: a stack of filter-sized tiles.
-    k, m, n, band = 64, 320, 320, 32
-    bsw_targets = rng.integers(0, 4, (k, m)).astype(np.uint8)
-    bsw_queries = rng.integers(0, 4, (k, n)).astype(np.uint8)
-    bsw_cells = k * sum(
-        min(m, i + band) - max(1, i - band) + 1 for i in range(1, n + 1)
-    )
-
-    # Full-matrix local/global alignment on mid-sized sequences.
-    sw_target = Sequence(rng.integers(0, 4, 400).astype(np.uint8), "t")
-    sw_query = Sequence(rng.integers(0, 4, 400).astype(np.uint8), "q")
-    sw_cells = len(sw_target) * len(sw_query)
-
-    workloads = {
-        "xdrop": (
-            xd_cells,
-            lambda: xdrop_extend(xd_target, xd_query, scoring, 9430),
-            lambda: ref.xdrop_extend_reference(
-                xd_target, xd_query, scoring, 9430
-            ),
-        ),
-        "bsw_batch": (
-            bsw_cells,
-            lambda: bsw_batch(bsw_targets, bsw_queries, scoring, band),
-            lambda: ref.bsw_batch_reference(
-                bsw_targets, bsw_queries, scoring, band
-            ),
-        ),
-        "smith_waterman": (
-            sw_cells,
-            lambda: align_local(sw_target, sw_query, scoring),
-            lambda: ref.align_local_reference(sw_target, sw_query, scoring),
-        ),
-        "needleman_wunsch": (
-            sw_cells,
-            lambda: align_global(sw_target, sw_query, scoring),
-            lambda: ref.align_global_reference(
-                sw_target, sw_query, scoring
-            ),
-        ),
-    }
-
-    def evaluate():
-        entries = {}
-        for name, (cells, new_fn, ref_fn) in workloads.items():
-            new_rate = cells / _best_seconds(new_fn)
-            ref_rate = cells / _best_seconds(ref_fn)
-            entries[name] = {
-                "cells": cells,
-                "new_cells_per_sec": new_rate,
-                "reference_cells_per_sec": ref_rate,
-                "speedup": new_rate / ref_rate,
-            }
-        return entries
-
-    entries = benchmark.pedantic(evaluate, rounds=1, iterations=1)
-    _merge_kernel_rates(entries)
-    print_table(
-        "Kernel throughput vs frozen oracle",
-        ("kernel", "cells", "oracle cells/s", "new cells/s", "speedup"),
-        [
-            (
-                name,
-                entry["cells"],
-                f"{entry['reference_cells_per_sec'] / 1e6:.1f}M",
-                f"{entry['new_cells_per_sec'] / 1e6:.1f}M",
-                f"{entry['speedup']:.2f}x",
-            )
-            for name, entry in entries.items()
-        ],
-    )
-    for name, entry in entries.items():
-        assert entry["new_cells_per_sec"] > 0, name
-        assert entry["reference_cells_per_sec"] > 0, name
 
 
 @pytest.mark.benchmark(group="kernels")

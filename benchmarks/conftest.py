@@ -12,17 +12,13 @@ with genome size.  ``REPRO_BENCH_WORKERS`` (default 1) runs the pair
 alignments through the parallel execution engine — the alignments are
 byte-identical by construction, only the wall-clock columns move.
 
-Every pair run is traced with :mod:`repro.obs`; after all pairs have
-run, an aggregate perf artifact with per-stage wall-clock and cells/s
-for both aligners is written to ``BENCH_PIPELINE.json`` at the repo
-root, giving later PRs a performance trajectory to compare against.
+These benchmarks reproduce the paper's tables and figures; they write
+no file.  How fast the code runs is measured by ``perf/run.py`` (see
+``perf/README.md``), the repository's one performance reference.
 """
 
-import json
 import os
-import platform
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -31,12 +27,6 @@ from repro.chain import build_chains
 from repro.core import DarwinWGA
 from repro.genome import make_species_pair
 from repro.lastz import LastzAligner
-from repro.obs import Tracer, run_report
-
-#: Aggregate perf artifact written after the pair runs complete.
-BENCH_PIPELINE_PATH = Path(__file__).resolve().parent.parent / (
-    "BENCH_PIPELINE.json"
-)
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
@@ -65,9 +55,6 @@ class PairRun:
     lastz: object
     darwin_chains: list
     lastz_chains: list
-    #: Structured run reports (repro.obs format), one per aligner.
-    darwin_trace: dict = field(default_factory=dict)
-    lastz_trace: dict = field(default_factory=dict)
 
 
 #: Mosaic-model parameters (see DESIGN.md): ~35% of the genome alignable
@@ -110,112 +97,29 @@ def _run_pair(name, distance, seed):
         **PAIR_MODEL,
     )
     target, query = pair.target.genome, pair.query.genome
-    darwin_tracer = Tracer()
-    with DarwinWGA(tracer=darwin_tracer, workers=WORKERS) as aligner:
+    with DarwinWGA(workers=WORKERS) as aligner:
         darwin = aligner.align(target, query)
-    lastz_tracer = Tracer()
-    with LastzAligner(tracer=lastz_tracer, workers=WORKERS) as aligner:
+    with LastzAligner(workers=WORKERS) as aligner:
         lastz = aligner.align(target, query)
-    darwin_chains = build_chains(
-        _chain_order(darwin.alignments),
-        tracer=darwin_tracer,
-        presorted=True,
-    )
-    lastz_chains = build_chains(
-        _chain_order(lastz.alignments),
-        tracer=lastz_tracer,
-        presorted=True,
-    )
-    meta = {"pair": name, "distance": distance}
     return PairRun(
         name=name,
         distance=distance,
         pair=pair,
         darwin=darwin,
         lastz=lastz,
-        darwin_chains=darwin_chains,
-        lastz_chains=lastz_chains,
-        darwin_trace=run_report(
-            darwin_tracer, result=darwin, meta=dict(meta, aligner="darwin")
+        darwin_chains=build_chains(
+            _chain_order(darwin.alignments), presorted=True
         ),
-        lastz_trace=run_report(
-            lastz_tracer, result=lastz, meta=dict(meta, aligner="lastz")
+        lastz_chains=build_chains(
+            _chain_order(lastz.alignments), presorted=True
         ),
     )
-
-
-def _stage_perf(trace):
-    """Wall-clock + work rates per stage from one run report."""
-    stages = {}
-    for stage_name, stage in trace["stages"].items():
-        stages[stage_name] = {
-            "calls": stage["count"],
-            "wall_seconds": stage["seconds"],
-            "counters": stage["counters"],
-            "rates": stage["rates"],
-        }
-    return stages
-
-
-def write_bench_pipeline(runs, path=BENCH_PIPELINE_PATH):
-    """Persist the aggregate perf artifact for all pair runs.
-
-    Sections written by other benchmark modules (``kernels``,
-    ``parallel_scaling``, ``fault_overhead``, ``obs_overhead``) are
-    carried over from an existing artifact rather than clobbered, so a
-    partial benchmark run never silently drops a sibling's section.
-    """
-    try:
-        previous = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        previous = {}
-    artifact = {
-        "version": 1,
-        "scale": SCALE,
-        "workers": WORKERS,
-        "genome_length": GENOME_LENGTH,
-        "python": platform.python_version(),
-        "pairs": {
-            run.name: {
-                "distance": run.distance,
-                "darwin": {
-                    "workload": run.darwin_trace.get("workload", {}),
-                    "funnel": run.darwin_trace.get("funnel", {}),
-                    "stages": _stage_perf(run.darwin_trace),
-                },
-                "lastz": {
-                    "workload": run.lastz_trace.get("workload", {}),
-                    "funnel": run.lastz_trace.get("funnel", {}),
-                    "stages": _stage_perf(run.lastz_trace),
-                },
-            }
-            for run in runs
-        },
-    }
-    carried_sections = (
-        "kernels",
-        "parallel_scaling",
-        "fault_overhead",
-        "obs_overhead",
-        "serve",
-    )
-    for carried in carried_sections:
-        if carried in previous:
-            artifact[carried] = previous[carried]
-    Path(path).write_text(json.dumps(artifact, indent=2, sort_keys=True))
-    return artifact
 
 
 @pytest.fixture(scope="session")
 def pair_runs():
-    """Both aligners on all four species pairs (cached per session).
-
-    As a side effect, writes the aggregate ``BENCH_PIPELINE.json`` perf
-    artifact (per-stage wall-clock and cells/s for every pair).
-    """
-    runs = [_run_pair(*spec) for spec in PAIR_SPECS]
-    write_bench_pipeline(runs)
-    return runs
+    """Both aligners on all four species pairs (cached per session)."""
+    return [_run_pair(*spec) for spec in PAIR_SPECS]
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ which bans terminal writes from all library code.)
   ``resource.getrusage`` don't break determinism, but scattering them
   through pipeline code produces unmergeable one-off measurements; all
   sampling should flow through :func:`repro.obs.resource.sample_resources`
-  so it lands in the shared registry with canonical bucket edges.
+  so it lands in the shared registry.
 """
 
 from __future__ import annotations

@@ -17,15 +17,12 @@ trace PATH`` renders a saved report (``--chrome OUT`` converts it to a
 Chrome ``trace_event`` file for chrome://tracing or Perfetto).  Both
 commands render a live status line on a TTY (``--progress`` /
 ``--no-progress`` override the auto-detection); ``align --profile DIR``
-captures cProfile data for the parent and every worker; ``repro bench
-check`` gates a fresh ``BENCH_PIPELINE.json`` against the committed
-baseline.
+captures cProfile data for the parent and every worker.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -44,15 +41,12 @@ from .obs import (
     ProgressRenderer,
     TelemetryOptions,
     Tracer,
-    compare_artifacts,
-    load_artifact,
     load_run_report,
     profile_capture,
     render_run,
     write_chrome_trace,
     write_run_report,
 )
-from .obs.gate import render_gate
 from .resilience import (
     FaultPlan,
     ManifestError,
@@ -248,23 +242,25 @@ def _print_telemetry(summary) -> None:
     )
 
 
-def _load_single(path: Path):
-    records = read_fasta(path)
+def _load_records(path: Path):
+    try:
+        records = read_fasta(path)
+    except ValueError as error:
+        # Malformed FASTA (e.g. sequence data before the first header).
+        raise SystemExit(f"{path}: {error}")
     if not records:
         raise SystemExit(f"{path}: no FASTA records")
+    return records
+
+
+def _load_single(path: Path):
+    records = _load_records(path)
     if len(records) > 1:
         print(
             f"warning: {path} has {len(records)} records; using the first",
             file=sys.stderr,
         )
     return records[0]
-
-
-def _load_records(path: Path):
-    records = read_fasta(path)
-    if not records:
-        raise SystemExit(f"{path}: no FASTA records")
-    return records
 
 
 def _resilience_from_args(args) -> ResilienceOptions:
@@ -552,11 +548,10 @@ def _cmd_mask(args) -> int:
         entropy_mask,
         frequency_mask,
         mask_stats,
-        read_fasta,
     )
 
     masked = []
-    for record in read_fasta(args.fasta):
+    for record in _load_records(args.fasta):
         if args.method == "entropy":
             mask = entropy_mask(record)
         else:
@@ -645,87 +640,6 @@ def _cmd_tblastx(args) -> int:
     return 0
 
 
-def _add_bench(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "bench",
-        help="benchmark-artifact utilities (perf-regression gating)",
-    )
-    bench_sub = parser.add_subparsers(dest="bench_command", required=True)
-    check = bench_sub.add_parser(
-        "check",
-        help="compare a fresh benchmark artifact against the committed "
-        "baseline with per-metric tolerance bands",
-    )
-    check.add_argument(
-        "--current",
-        type=Path,
-        default=Path("BENCH_PIPELINE.json"),
-        help="freshly generated benchmark artifact",
-    )
-    check.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("benchmarks/baseline.json"),
-        help="committed baseline artifact",
-    )
-    check.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.5,
-        help="allowed fractional wall-time slowdown per stage",
-    )
-    check.add_argument(
-        "--rate-tolerance",
-        type=float,
-        default=0.4,
-        help="allowed fractional throughput drop per stage rate",
-    )
-    check.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report failures but exit 0 (for noisy shared runners)",
-    )
-    check.add_argument(
-        "--json",
-        dest="json_out",
-        type=Path,
-        default=None,
-        help="also write the machine-readable verdict to this path",
-    )
-    check.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print passing checks too, not just failures",
-    )
-    check.set_defaults(func=_cmd_bench_check)
-
-
-def _cmd_bench_check(args) -> int:
-    try:
-        current = load_artifact(args.current)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"{args.current}: {error}")
-    try:
-        baseline = load_artifact(args.baseline)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"{args.baseline}: {error}")
-    result = compare_artifacts(
-        current,
-        baseline,
-        wall_tolerance=args.wall_tolerance,
-        rate_tolerance=args.rate_tolerance,
-    )
-    print(render_gate(result, verbose=args.verbose))
-    if args.json_out is not None:
-        args.json_out.write_text(
-            json.dumps(result.as_dict(), indent=2) + "\n"
-        )
-        print(f"wrote {args.json_out}")
-    if result.verdict == "fail" and not args.warn_only:
-        return 1
-    return 0
-
-
 def _add_lint(subparsers) -> None:
     parser = subparsers.add_parser(
         "lint",
@@ -759,7 +673,12 @@ def _add_trace(subparsers) -> None:
 
 
 def _cmd_trace(args) -> int:
-    report = load_run_report(args.report)
+    try:
+        report = load_run_report(args.report)
+    except OSError as error:
+        raise SystemExit(f"{args.report}: {error.strerror}")
+    except ValueError as error:
+        raise SystemExit(str(error))
     meta = report.get("meta", {})
     if meta:
         print(
@@ -901,7 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_net(subparsers)
     _add_tblastx(subparsers)
     _add_trace(subparsers)
-    _add_bench(subparsers)
     _add_lint(subparsers)
     _add_serve(subparsers)
     return parser

@@ -9,7 +9,7 @@ graph instead:
 
 * the **producer** stage runs one strand's seeding + gapped filtering
   and emits its priority-ordered anchors into a bounded strand queue
-  (:class:`BoundedQueue`) — at most ``strand_queue_capacity`` strands'
+  (:class:`BoundedQueue`) — at most ``STRAND_QUEUE_CAPACITY`` strands'
   anchors are ever materialized, so memory stays flat;
 * the **extension frontier** forms small anchor batches in strict
   serial order and dispatches them to the
@@ -63,6 +63,15 @@ __all__ = [
 
 #: Injectable sleep used by the ``stall`` fault kind (tests patch it).
 _sleep = time.sleep
+
+#: Anchors per dispatched extension task.
+ANCHOR_BATCH = 1
+
+#: Strands whose filtered anchors may be materialized at once.
+STRAND_QUEUE_CAPACITY = 2
+
+#: How long an injected ``stall`` fault holds a collection back.
+STALL_SECONDS = 0.02
 
 
 class BoundedQueue:
@@ -138,19 +147,13 @@ class StreamParams:
     """
 
     max_in_flight_anchors: int = 0  # 0 -> one per worker
-    anchor_batch: int = 0  # 0 -> 1 anchor per dispatch
-    strand_queue_capacity: int = 2
     unit_window: int = 0  # 0 -> max(2 * workers, workers + 2)
-    stall_seconds: float = 0.02
     defer_diagonal_bp: int = 256
 
     def in_flight_limit(self, workers: int) -> int:
         if self.max_in_flight_anchors > 0:
             return self.max_in_flight_anchors
         return max(1, workers)
-
-    def batch_limit(self) -> int:
-        return self.anchor_batch if self.anchor_batch > 0 else 1
 
     def unit_window_for(self, workers: int) -> int:
         if self.unit_window > 0:
@@ -202,7 +205,7 @@ def _stall_if_planned(resilience, key: str) -> None:
     plan = resilience.fault_plan
     if plan.decide("stall", key):
         resilience.stats.inject("stall")
-        _sleep(DEFAULT_STREAM.stall_seconds)
+        _sleep(STALL_SECONDS)
 
 
 def stream_extension(
@@ -234,7 +237,6 @@ def stream_extension(
     """
     stream = stream or DEFAULT_STREAM
     limit = stream.in_flight_limit(engine.workers)
-    batch_cap = stream.batch_limit()
     traced = tracer.enabled
     telemetry = engine.telemetry
     registry = telemetry.registry if telemetry is not None else None
@@ -243,9 +245,7 @@ def stream_extension(
     stats = StreamStats(slots=engine.workers)
 
     target_handle = engine.share(target)
-    strand_queue = BoundedQueue(
-        "strand_anchors", stream.strand_queue_capacity
-    )
+    strand_queue = BoundedQueue("strand_anchors", STRAND_QUEUE_CAPACITY)
     states: List[StrandStream] = []
     # Oldest-first dispatch ledger; bounded by `limit` anchors via the
     # watermark checks in _try_dispatch.
@@ -259,7 +259,6 @@ def stream_extension(
         nonlocal produced
         state = produce(produced)
         produced += 1
-        stats.produced()
         # Capacity was checked by the caller; a refusal here would be a
         # coordinator bug, so let it surface.
         if not strand_queue.offer(state):
@@ -306,7 +305,7 @@ def stream_extension(
             batch = []
             while (
                 not state.exhausted
-                and len(batch) < batch_cap
+                and len(batch) < ANCHOR_BATCH
                 and in_flight_anchors + len(batch) < limit
             ):
                 anchor = state.anchors[state.position]

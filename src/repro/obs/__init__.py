@@ -19,93 +19,47 @@ v2 adds the cross-process pieces:
 * :mod:`repro.obs.bus` — the worker→parent telemetry bus
   (sequence-numbered, loss-counting event delivery over an mp.Queue,
   with a parent-side aggregator that grafts spans live and merges
-  per-worker funnels/histograms);
+  per-worker funnels and resource samples) and the heartbeat sentinel;
+* :mod:`repro.obs.occupancy` — worker-slot occupancy and idle-tail
+  accounting for the streamed schedule (the CLI's ``stream:`` line);
 * :mod:`repro.obs.progress` — TTY-aware live status line (units
   done/in-flight/retried, cells/s, ETA) fed by the pipelines and by
   the resilient dispatcher's recovery actions;
-* :mod:`repro.obs.resource` — RSS / CPU / GC-pause sampling attachable
-  to spans, per process;
+* :mod:`repro.obs.resource` — per-worker RSS sampling;
 * :mod:`repro.obs.profiling` — opt-in cProfile capture for the parent
   and every worker;
 * :mod:`repro.obs.session` — :class:`TelemetryOptions`, the single
-  bundle the CLI threads through the pipelines;
-* :mod:`repro.obs.gate` — perf-regression gating of benchmark
-  artifacts against a committed baseline (``repro bench check``).
+  bundle the CLI threads through the pipelines.
+
+The names re-exported here are the ones code outside the package
+imports from ``repro.obs``; everything else is reached through its
+submodule (``repro.obs.bus``, ``repro.obs.metrics``, ...).
 """
 
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    canonical_bucket_edges,
-    funnel_metrics,
-    stage_summary,
-)
+from .tracer import NULL_TRACER, Tracer
 from .export import (
-    graft_span_dicts,
     load_run_report,
     render_run,
-    render_tree,
     run_report,
-    serialize_spans,
-    spans_from_report,
-    to_chrome_trace,
     write_chrome_trace,
     write_run_report,
 )
-from .bus import (
-    BusPublisher,
-    HeartbeatMonitor,
-    TelemetryBus,
-    current_publisher,
-    install_publisher,
-)
-from .occupancy import StreamStats
-from .progress import NO_PROGRESS, NullProgress, ProgressRenderer
-from .resource import GcPauseTracker, ResourceSampler, sample_resources
+from .bus import HeartbeatMonitor
+from .progress import NO_PROGRESS, ProgressRenderer
 from .profiling import profile_capture
 from .session import TelemetryOptions
-from .gate import GateResult, compare_artifacts, load_artifact
 
 __all__ = [
     "NULL_TRACER",
-    "NullTracer",
-    "Span",
     "Tracer",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "canonical_bucket_edges",
-    "funnel_metrics",
-    "stage_summary",
-    "graft_span_dicts",
-    "serialize_spans",
     "load_run_report",
     "render_run",
-    "render_tree",
     "run_report",
-    "spans_from_report",
-    "to_chrome_trace",
     "write_chrome_trace",
     "write_run_report",
-    "BusPublisher",
     "HeartbeatMonitor",
-    "TelemetryBus",
-    "current_publisher",
-    "install_publisher",
-    "StreamStats",
     "NO_PROGRESS",
-    "NullProgress",
     "ProgressRenderer",
-    "GcPauseTracker",
-    "ResourceSampler",
-    "sample_resources",
     "profile_capture",
     "TelemetryOptions",
-    "GateResult",
-    "compare_artifacts",
-    "load_artifact",
 ]

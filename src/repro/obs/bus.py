@@ -3,13 +3,13 @@
 Before this module, worker observability was end-of-run only: a worker
 task serialized its span tree and returned it *with the result*, so the
 parent learned nothing until the future resolved.  The bus inverts
-that: workers publish small events (spans, funnels, counters, histogram
-samples, resource readings) onto a bounded ``multiprocessing.Queue``
-as they happen, and the parent-side :class:`TelemetryBus` routes them
-into the live run — spans grafted onto the parent tracer, funnels and
-histograms merged into a :class:`~repro.obs.metrics.MetricRegistry`,
-and per-worker busy time accumulated for dispatch-latency / idle-tail
-accounting.
+that: workers publish small events (spans, funnels, resource
+readings) onto a bounded ``multiprocessing.Queue`` as they happen, and
+the parent-side :class:`TelemetryBus` routes them into the live run —
+spans grafted onto the parent tracer, funnels summed globally and per
+worker, resource readings observed into a
+:class:`~repro.obs.metrics.MetricRegistry`, and per-worker busy time
+accumulated for dispatch-latency / idle-tail accounting.
 
 Delivery is **sequence-numbered and loss-counting**, never blocking:
 
@@ -57,7 +57,6 @@ from time import monotonic
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import MetricRegistry
-from .progress import NO_PROGRESS
 
 __all__ = [
     "BusEndpoint",
@@ -72,6 +71,10 @@ __all__ = [
     "suspend_heartbeat",
     "worker_init",
 ]
+
+
+#: Bound of the event queue; a full queue drops (and counts) events.
+_QUEUE_SIZE = 8192
 
 
 def _bus_context() -> multiprocessing.context.BaseContext:
@@ -125,15 +128,8 @@ class BusPublisher:
     def emit_funnel(self, unit: str, counters: Dict[str, float]) -> bool:
         return self.emit("funnel", {"unit": unit, "counters": counters})
 
-    def emit_counter(self, name: str, value: float = 1) -> bool:
-        return self.emit("counter", {"name": name, "value": value})
-
-    def emit_histogram(self, name: str, values: List[float]) -> bool:
-        return self.emit("hist", {"name": name, "values": values})
-
-    def emit_resource(self, sample) -> bool:
-        payload = sample.as_dict() if hasattr(sample, "as_dict") else sample
-        return self.emit("resource", dict(payload))
+    def emit_resource(self, sample: Dict[str, int]) -> bool:
+        return self.emit("resource", sample)
 
     def emit_beat(self) -> bool:
         """Publish an out-of-band liveness beat.
@@ -253,15 +249,13 @@ def worker_init(
 class TelemetryBus:
     """Parent-side aggregator for worker telemetry events.
 
-    Wire-up: :meth:`attach` a tracer/registry/progress sink, hand
+    Wire-up: :meth:`attach` a tracer and registry, hand
     :meth:`endpoint` to the pool initializer, and :meth:`register_unit`
     each dispatched unit's parent-timeline base offset.  During the run
-    :meth:`poll` (cheap, non-blocking) routes queued events; counters,
-    funnels, histograms and resource samples merge immediately, while
-    span payloads buffer until the poll's graft step so the tracer is
-    only ever touched from the thread that owns it.  An optional
-    :meth:`start_pump` thread keeps metrics and progress moving between
-    poll points during long tasks.
+    :meth:`poll` (cheap, non-blocking) routes queued events; funnels
+    and resource samples merge immediately, while span payloads buffer
+    until the poll's graft step so the tracer is only ever touched from
+    the thread that owns it.
 
     Accounting: per-pid received counts are checked against the acked
     ``sent`` totals by :meth:`drain`, yielding an exact
@@ -269,17 +263,11 @@ class TelemetryBus:
     ``lost_events`` (publisher-side overflow) in :meth:`summary`.
     """
 
-    def __init__(
-        self,
-        context: Optional[multiprocessing.context.BaseContext] = None,
-        maxsize: int = 8192,
-    ) -> None:
-        ctx = context or _bus_context()
-        self._queue = ctx.Queue(maxsize)
+    def __init__(self) -> None:
+        self._queue = _bus_context().Queue(_QUEUE_SIZE)
         self._lock = threading.Lock()
         self._tracer = None
         self._registry: Optional[MetricRegistry] = None
-        self._progress = NO_PROGRESS
         self.events_received = 0
         self.gap_events = 0
         self._received: Dict[int, int] = {}
@@ -296,8 +284,6 @@ class TelemetryBus:
         self._clock: Callable[[], float] = monotonic
         self._pending_spans: List[Tuple[int, int, Dict]] = []
         self._unit_base: Dict[str, float] = {}
-        self._pump: Optional[threading.Thread] = None
-        self._pump_stop = threading.Event()
         self._closed = False
 
     # -- wiring ------------------------------------------------------
@@ -308,15 +294,12 @@ class TelemetryBus:
         self,
         tracer=None,
         registry: Optional[MetricRegistry] = None,
-        progress=None,
     ) -> "TelemetryBus":
         with self._lock:
             if tracer is not None:
                 self._tracer = tracer
             if registry is not None:
                 self._registry = registry
-            if progress is not None:
-                self._progress = progress
         return self
 
     def register_unit(self, unit: str, base: float) -> None:
@@ -349,18 +332,9 @@ class TelemetryBus:
                 for name, value in payload.get("counters", {}).items():
                     self._funnel[name] = self._funnel.get(name, 0) + value
                     worker[name] = worker.get(name, 0) + value
-            elif kind == "counter" and registry is not None:
-                registry.counter(payload["name"]).inc(payload["value"])
-            elif kind == "hist" and registry is not None:
-                histogram = registry.histogram(payload["name"])
-                for value in payload.get("values", ()):
-                    histogram.observe(value)
             elif kind == "resource" and registry is not None:
                 registry.histogram("worker_rss_bytes").observe(
                     payload.get("rss_bytes", 0)
-                )
-                registry.histogram("worker_gc_pause_seconds").observe(
-                    payload.get("gc_pause_seconds", 0.0)
                 )
 
     def _drain_nowait(self) -> int:
@@ -430,10 +404,6 @@ class TelemetryBus:
                     self._last_done.get(pid, 0.0), done_at
                 )
 
-    def busy_seconds(self) -> Dict[int, float]:
-        with self._lock:
-            return dict(self._busy_seconds)
-
     def idle_tail_seconds(self, end: float) -> float:
         """Sum over workers of (phase end − last completed task).
 
@@ -448,12 +418,6 @@ class TelemetryBus:
             )
 
     # -- liveness ----------------------------------------------------
-    def worker_beats(self) -> Dict[int, float]:
-        """pid -> parent-clock receipt time of the latest beat."""
-        self._drain_nowait()
-        with self._lock:
-            return dict(self._beat_at)
-
     def beat_counts(self) -> Dict[int, int]:
         with self._lock:
             return dict(self._beat_counts)
@@ -480,33 +444,6 @@ class TelemetryBus:
         with self._lock:
             self._beat_at.clear()
 
-    # -- pump (optional background routing) --------------------------
-    def start_pump(self, interval: float = 0.05) -> None:
-        """Route metric/progress events between polls on a thread.
-
-        Span payloads still wait for the next owner-thread
-        :meth:`poll`/:meth:`drain`; the pump only touches lock-guarded
-        state.
-        """
-        if self._pump is not None:
-            return
-        self._pump_stop.clear()
-
-        def run() -> None:
-            while not self._pump_stop.wait(interval):
-                self._drain_nowait()
-
-        self._pump = threading.Thread(
-            target=run, name="repro-telemetry-pump", daemon=True
-        )
-        self._pump.start()
-
-    def stop_pump(self) -> None:
-        if self._pump is not None:
-            self._pump_stop.set()
-            self._pump.join(timeout=2.0)
-            self._pump = None
-
     # -- completion --------------------------------------------------
     def _missing(self) -> int:
         with self._lock:
@@ -527,7 +464,6 @@ class TelemetryBus:
         because the queue's feeder thread may still be flushing when
         the last future resolves.
         """
-        self.stop_pump()
         deadline = clock() + timeout
         while self._missing() > 0 and clock() < deadline:
             if self._drain_nowait() == 0:
@@ -575,7 +511,6 @@ class TelemetryBus:
         if self._closed:
             return
         self._closed = True
-        self.stop_pump()
         try:
             self._queue.close()
             self._queue.join_thread()

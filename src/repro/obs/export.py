@@ -29,7 +29,6 @@ __all__ = [
     "render_tree",
     "run_report",
     "serialize_spans",
-    "spans_from_report",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_run_report",
@@ -169,23 +168,26 @@ def write_run_report(
 
 
 def load_run_report(path: Union[str, Path]) -> Dict:
-    """Load a run report written by :func:`write_run_report`."""
-    report = json.loads(Path(path).read_text())
+    """Load a run report written by :func:`write_run_report`.
+
+    A file that is not a report this version reads raises
+    :class:`ValueError` worded ``PATH: reason`` (``repro trace`` prints
+    it as is); a file that cannot be read raises :class:`OSError`.
+    """
+    try:
+        report = json.loads(Path(path).read_text())
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not JSON ({error})") from None
+    if not isinstance(report, dict):
+        raise ValueError(
+            f"{path}: not a run report (expected a JSON object)"
+        )
     version = report.get("version")
     if version != REPORT_VERSION:
         raise ValueError(
             f"{path}: unsupported run-report version {version!r}"
         )
     return report
-
-
-def spans_from_report(report: Dict) -> List[Span]:
-    """Reconstruct the span forest of a run report (round-trip)."""
-    tracer = Tracer(clock=lambda: 0.0)
-    tracer.roots = [
-        _span_from_dict(s, tracer) for s in report.get("spans", [])
-    ]
-    return tracer.roots
 
 
 #: pid used for worker-unit lanes in the Chrome trace (0 is the parent).
@@ -197,7 +199,6 @@ def _chrome_events(
     events: List[Dict],
     pid: int,
     tid: int,
-    flavor: str,
     tid_of_unit: Dict[str, int],
 ) -> None:
     # A unit-tagged span (grafted from a worker, at any nesting depth)
@@ -207,26 +208,20 @@ def _chrome_events(
         pid, tid = _WORKER_PID, tid_of_unit[str(unit)]
     args = dict(span_dict["attrs"])
     args.update(span_dict["counters"])
-    ts = round(span_dict["start"] * 1e6, 3)
-    dur = round(span_dict["duration"] * 1e6, 3)
-    common = {
-        "name": span_dict["name"],
-        "pid": pid,
-        "tid": tid,
-        "cat": "repro",
-    }
-    if flavor == "BE":
-        events.append({**common, "ph": "B", "ts": ts, "args": args})
-    else:
-        events.append(
-            {**common, "ph": "X", "ts": ts, "dur": dur, "args": args}
-        )
+    events.append(
+        {
+            "name": span_dict["name"],
+            "pid": pid,
+            "tid": tid,
+            "cat": "repro",
+            "ph": "X",
+            "ts": round(span_dict["start"] * 1e6, 3),
+            "dur": round(span_dict["duration"] * 1e6, 3),
+            "args": args,
+        }
+    )
     for child in span_dict["children"]:
-        _chrome_events(child, events, pid, tid, flavor, tid_of_unit)
-    if flavor == "BE":
-        events.append(
-            {**common, "ph": "E", "ts": round(ts + dur, 3), "args": {}}
-        )
+        _chrome_events(child, events, pid, tid, tid_of_unit)
 
 
 def _collect_units(span_dicts: List[Dict]) -> Dict[str, int]:
@@ -250,23 +245,18 @@ def _collect_units(span_dicts: List[Dict]) -> Dict[str, int]:
     return {unit: tid for tid, unit in enumerate(units, start=1)}
 
 
-def to_chrome_trace(
-    source: Union[Tracer, Dict], flavor: str = "X"
-) -> Dict:
+def to_chrome_trace(source: Union[Tracer, Dict]) -> Dict:
     """Convert a tracer or a run-report dict to Chrome ``trace_event``.
 
     The result is the JSON-object flavour (``{"traceEvents": [...]}``)
-    with timestamps in microseconds — drop it into ``chrome://tracing``
-    or Perfetto as-is.  ``flavor`` selects complete events (``"X"``,
-    the default) or paired begin/end events (``"BE"``).
+    of complete (``"ph": "X"``) events with timestamps in microseconds
+    — drop it into ``chrome://tracing`` or Perfetto as-is.
 
     Parent spans render on pid 0; spans grafted from worker processes
     (tagged with a ``unit`` attribute) each get their own lane —
     pid 1, one tid per unit, assigned in sorted unit order so the
     mapping is stable across identical runs.
     """
-    if flavor not in ("X", "BE"):
-        raise ValueError(f"unknown chrome-trace flavor {flavor!r}")
     if isinstance(source, dict):
         span_dicts = source.get("spans", [])
         meta = source.get("meta", {})
@@ -309,7 +299,7 @@ def to_chrome_trace(
                 }
             )
     for span_dict in span_dicts:
-        _chrome_events(span_dict, events, 0, 0, flavor, tid_of_unit)
+        _chrome_events(span_dict, events, 0, 0, tid_of_unit)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -318,12 +308,10 @@ def to_chrome_trace(
 
 
 def write_chrome_trace(
-    path: Union[str, Path],
-    source: Union[Tracer, Dict],
-    flavor: str = "X",
+    path: Union[str, Path], source: Union[Tracer, Dict]
 ) -> Dict:
     """Write :func:`to_chrome_trace` JSON to ``path``."""
-    trace = to_chrome_trace(source, flavor=flavor)
+    trace = to_chrome_trace(source)
     Path(path).write_text(json.dumps(trace, indent=2))
     return trace
 

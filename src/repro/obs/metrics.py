@@ -15,7 +15,7 @@ stays import-free of the pipeline layers it measures.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 from .tracer import Span
 
@@ -24,33 +24,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "canonical_bucket_edges",
     "funnel_metrics",
     "stage_summary",
 ]
-
-
-def canonical_bucket_edges(
-    low: float = 1e-6, high: float = 1e4, factor: float = 2.0
-) -> tuple:
-    """The shared log-spaced bucket grid every histogram snaps to.
-
-    Per-worker histograms merged in the parent must agree on bucket
-    bounds or their merged distribution is meaningless; deriving edges
-    from each worker's observed range would make them diverge.  One
-    canonical grid (seconds-flavoured by default: 1 µs up to 10 000 s,
-    doubling) sidesteps the problem, and because histograms also retain
-    raw values, re-bucketing on merge is exact rather than approximate.
-    """
-    if low <= 0 or high <= low or factor <= 1.0:
-        raise ValueError("need 0 < low < high and factor > 1")
-    edges = [low]
-    while edges[-1] < high:
-        edges.append(edges[-1] * factor)
-    return tuple(edges)
-
-
-_DEFAULT_EDGES = canonical_bucket_edges()
 
 
 class Counter:
@@ -80,72 +56,22 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def add(self, amount: float) -> None:
-        self.value += amount
-
 
 class Histogram:
     """Streaming distribution: count/sum/min/max plus exact quantiles.
 
     Observations are kept (these runs record at most thousands of
-    values), so quantiles are exact rather than sketched.  Bucket
-    counts over the :func:`canonical_bucket_edges` grid are maintained
-    alongside; because every histogram shares the same grid — and
-    because :meth:`merge` re-buckets from raw values when it does not —
-    merged per-worker histograms have exact buckets *and* exact
-    percentiles.
+    values), so quantiles are exact rather than sketched.
     """
 
-    __slots__ = ("name", "values", "edges", "_bucket_counts")
+    __slots__ = ("name", "values")
 
-    def __init__(self, name: str, edges: Optional[tuple] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.values: List[float] = []
-        self.edges = _DEFAULT_EDGES if edges is None else tuple(edges)
-        # One count per edge ("<= edge"), plus a final overflow bucket.
-        self._bucket_counts = [0] * (len(self.edges) + 1)
-
-    def _bucket_index(self, value: float) -> int:
-        low, high = 0, len(self.edges)
-        while low < high:
-            mid = (low + high) // 2
-            if value <= self.edges[mid]:
-                high = mid
-            else:
-                low = mid + 1
-        return low
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self.values.append(value)
-        self._bucket_counts[self._bucket_index(value)] += 1
-
-    def bucket_counts(self) -> Dict[str, int]:
-        """Non-cumulative counts keyed by upper bucket edge."""
-        out: Dict[str, int] = {}
-        for edge, count in zip(self.edges, self._bucket_counts):
-            if count:
-                out[f"{edge:g}"] = count
-        if self._bucket_counts[-1]:
-            out["inf"] = self._bucket_counts[-1]
-        return out
-
-    def merge(self, other: Union["Histogram", Dict]) -> "Histogram":
-        """Fold another histogram (or an event payload) into this one.
-
-        Accepts a :class:`Histogram` — even one built on different
-        edges: its *raw* values are re-bucketed onto this histogram's
-        canonical grid, so the merge is exact, not a lossy
-        count-redistribution — or a dict payload carrying a ``values``
-        list (the telemetry-bus wire format).
-        """
-        if isinstance(other, Histogram):
-            incoming = other.values
-        else:
-            incoming = other.get("values", [])
-        for value in incoming:
-            self.observe(value)
-        return self
+        self.values.append(float(value))
 
     @property
     def count(self) -> int:
@@ -254,27 +180,17 @@ def funnel_metrics(workload, alignments: int) -> Dict[str, float]:
     }
 
 
-def stage_summary(
-    spans: Iterable[Span],
-    rate_counters: Optional[Iterable[str]] = None,
-) -> Dict[str, Dict]:
+def stage_summary(spans: Iterable[Span]) -> Dict[str, Dict]:
     """Aggregate a span tree (or forest) by span name.
 
     Returns ``{name: {"count", "seconds", "counters", "rates"}}`` where
-    ``rates`` holds per-second throughput for each counter named in
-    ``rate_counters`` (default: every counter ending in ``cells``,
-    ``tiles`` or ``hits`` — the pipeline's work units, giving the
-    cells/s-per-stage numbers directly).
+    ``rates`` holds per-second throughput for every counter ending in
+    ``cells``, ``tiles`` or ``hits`` — the pipeline's work units, giving
+    the cells/s-per-stage numbers directly.
 
     Only spans whose parent has a *different* name contribute seconds,
     so recursive or repeated same-name nesting never double-counts time.
     """
-
-    def _is_rate(counter: str) -> bool:
-        if rate_counters is not None:
-            return counter in set(rate_counters)
-        return counter.endswith(("cells", "tiles", "hits"))
-
     stages: Dict[str, Dict] = {}
     def visit(span: Span, parent_name: Optional[str]) -> None:
         if span.name != parent_name:
@@ -298,7 +214,7 @@ def stage_summary(
         rates: Dict[str, float] = {}
         if stage["seconds"] > 0:
             for counter, value in stage["counters"].items():
-                if _is_rate(counter):
+                if counter.endswith(("cells", "tiles", "hits")):
                     rates[f"{counter}_per_sec"] = value / stage["seconds"]
         stage["rates"] = rates
     return stages

@@ -64,7 +64,6 @@ class StreamStats:
         self.backpressure_stalls = 0
         self.dispatched_tasks = 0
         self.collected_tasks = 0
-        self.producer_steps = 0
 
     def _advance(self) -> float:
         now = self._clock()
@@ -100,11 +99,6 @@ class StreamStats:
         self._advance()
         self.backpressure_stalls += 1
 
-    def produced(self) -> None:
-        """Record one producer step (a stage emitting a payload)."""
-        self._advance()
-        self.producer_steps += 1
-
     def close(self) -> None:
         """Pin the window's end at "now".
 
@@ -117,10 +111,6 @@ class StreamStats:
         the tail would be invisible.
         """
         self._closed = self._advance()
-
-    @property
-    def in_flight(self) -> int:
-        return self._depth
 
     def _window_end(self) -> Optional[float]:
         if self._closed is not None:
@@ -169,5 +159,4 @@ class StreamStats:
             "backpressure_stalls": self.backpressure_stalls,
             "dispatched_tasks": self.dispatched_tasks,
             "collected_tasks": self.collected_tasks,
-            "producer_steps": self.producer_steps,
         }

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import cProfile
 import os
-import pstats
 from contextlib import contextmanager
-from io import StringIO
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -28,7 +26,6 @@ __all__ = [
     "flush_worker_profile",
     "install_worker_profile",
     "profile_capture",
-    "profile_summary",
     "worker_profile_active",
 ]
 
@@ -87,19 +84,3 @@ def flush_worker_profile() -> Optional[Path]:
     finally:
         profiler.enable()
     return path
-
-
-def uninstall_worker_profile() -> None:
-    """Stop and drop the per-process profiler (tests / reconfigure)."""
-    global _WORKER_PROFILE
-    if _WORKER_PROFILE is not None:
-        _WORKER_PROFILE[0].disable()
-        _WORKER_PROFILE = None
-
-
-def profile_summary(path: Union[str, Path], top: int = 10) -> str:
-    """Top functions by cumulative time from a pstats dump."""
-    buffer = StringIO()
-    stats = pstats.Stats(str(path), stream=buffer)
-    stats.sort_stats("cumulative").print_stats(top)
-    return buffer.getvalue()

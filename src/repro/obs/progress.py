@@ -3,9 +3,9 @@
 :class:`ProgressRenderer` maintains a single TTY status line —
 units done/in-flight/retried, cells/s throughput and an ETA — updated
 in place (carriage return, no scroll) and throttled to a few frames a
-second.  Recovery actions surface as persisted ``note`` lines above the
-status line, so a retry storm is visible while it happens rather than
-only in the end-of-run recovery summary.
+second.  Recovery actions surface as persisted lines above the status
+line, so a retry storm is visible while it happens rather than only in
+the end-of-run recovery summary.
 
 :data:`NO_PROGRESS` is the shared no-op sink (the progress counterpart
 of :data:`repro.obs.tracer.NULL_TRACER`): library code calls progress
@@ -14,9 +14,8 @@ off.  Rendering is TTY-aware: on a non-interactive stream the renderer
 disables itself unless explicitly forced on, so batch logs never fill
 with control characters.
 
-Thread safety: all mutating methods take an internal lock, so the
-telemetry bus pump thread and the main gather loop can both feed the
-same renderer.
+Thread safety: all mutating methods take an internal lock, so more
+than one thread may feed the same renderer.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ class NullProgress:
         return None
 
     def fell_back(self, key: str, cause: str) -> None:
-        return None
-
-    def note(self, text: str) -> None:
         return None
 
     def close(self) -> None:
@@ -146,11 +142,6 @@ class ProgressRenderer:
         with self._lock:
             self.fallbacks += 1
             self._note(f"serial fallback [{key}] after {cause}")
-
-    def note(self, text: str) -> None:
-        """Persist one line above the status line."""
-        with self._lock:
-            self._note(text)
 
     def close(self) -> None:
         """Clear the status line, leaving persisted notes in place."""

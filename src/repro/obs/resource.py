@@ -1,18 +1,10 @@
-"""Per-process resource sampling: RSS, CPU time and GC pauses.
+"""Per-process resource sampling: resident set size.
 
-Three layers, composable from cheapest to heaviest:
-
-* :func:`sample_resources` — one point-in-time sample (resident set
-  size, cumulative CPU seconds, GC pauses observed so far).  Worker
-  tasks call this once per unit and ship the sample over the telemetry
-  bus, so per-worker memory/CPU shows up in the parent's registry
-  without any background machinery in the workers.
-* :class:`GcPauseTracker` — hooks :data:`gc.callbacks` to time each
-  collection pause.  Pure stdlib; install/remove are idempotent.
-* :class:`ResourceSampler` — a daemon thread sampling periodically and
-  recording the series; :meth:`attach_to` summarises onto a span's
-  attributes so a trace carries peak RSS / CPU / GC-pause totals next
-  to the timings they explain.
+:func:`sample_resources` takes one point-in-time sample.  Worker tasks
+call it once per unit and ship the sample over the telemetry bus, so
+per-worker memory shows up in the parent's registry (the
+``worker_rss_bytes`` histogram of a ``--trace-out`` report) without any
+background machinery in the workers.
 
 RSS is read from ``/proc/self/statm`` (Linux, current value) with a
 ``resource.getrusage`` peak-RSS fallback elsewhere; both degrade to 0
@@ -21,19 +13,9 @@ rather than raising, so sampling never takes a pipeline down.
 
 from __future__ import annotations
 
-import gc
-import os
-import threading
-from dataclasses import dataclass
-from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
-__all__ = [
-    "GcPauseTracker",
-    "ResourceSample",
-    "ResourceSampler",
-    "sample_resources",
-]
+__all__ = ["sample_resources"]
 
 try:
     import resource as _resource
@@ -59,174 +41,6 @@ def _rss_bytes() -> int:
     return 0
 
 
-def _cpu_seconds() -> float:
-    """Cumulative user+system CPU seconds of this process."""
-    times = os.times()
-    return times.user + times.system
-
-
-class GcPauseTracker:
-    """Times every garbage-collection pause via :data:`gc.callbacks`."""
-
-    def __init__(self, clock: Callable[[], float] = perf_counter) -> None:
-        self._clock = clock
-        self._start: Optional[float] = None
-        self._installed = False
-        self.pauses: List[float] = []
-
-    def install(self) -> "GcPauseTracker":
-        if not self._installed:
-            gc.callbacks.append(self._callback)
-            self._installed = True
-        return self
-
-    def remove(self) -> None:
-        if self._installed:
-            try:
-                gc.callbacks.remove(self._callback)
-            except ValueError:  # pragma: no cover - removed externally
-                pass
-            self._installed = False
-
-    def _callback(self, phase: str, info: Dict) -> None:
-        if phase == "start":
-            self._start = self._clock()
-        elif phase == "stop" and self._start is not None:
-            self.pauses.append(self._clock() - self._start)
-            self._start = None
-
-    @property
-    def pause_count(self) -> int:
-        return len(self.pauses)
-
-    @property
-    def pause_seconds(self) -> float:
-        return sum(self.pauses)
-
-    def __enter__(self) -> "GcPauseTracker":
-        return self.install()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.remove()
-        return False
-
-
-@dataclass(frozen=True)
-class ResourceSample:
-    """One point-in-time resource reading."""
-
-    elapsed: float
-    rss_bytes: int
-    cpu_seconds: float
-    gc_pauses: int
-    gc_pause_seconds: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "elapsed": self.elapsed,
-            "rss_bytes": self.rss_bytes,
-            "cpu_seconds": self.cpu_seconds,
-            "gc_pauses": self.gc_pauses,
-            "gc_pause_seconds": self.gc_pause_seconds,
-        }
-
-
-def sample_resources(
-    tracker: Optional[GcPauseTracker] = None,
-    clock: Callable[[], float] = perf_counter,
-    epoch: float = 0.0,
-) -> ResourceSample:
-    """One sample of this process's RSS / CPU / GC-pause state."""
-    return ResourceSample(
-        elapsed=clock() - epoch,
-        rss_bytes=_rss_bytes(),
-        cpu_seconds=_cpu_seconds(),
-        gc_pauses=tracker.pause_count if tracker is not None else 0,
-        gc_pause_seconds=(
-            tracker.pause_seconds if tracker is not None else 0.0
-        ),
-    )
-
-
-class ResourceSampler:
-    """Periodic resource sampling on a daemon thread.
-
-    ``emit`` (optional) receives each :class:`ResourceSample` as it is
-    taken — e.g. a telemetry-bus publisher's ``emit_resource``; samples
-    are also kept in :attr:`samples` for :meth:`summary`.
-    """
-
-    def __init__(
-        self,
-        interval: float = 0.25,
-        emit: Optional[Callable[[ResourceSample], None]] = None,
-        clock: Callable[[], float] = perf_counter,
-    ) -> None:
-        self.interval = interval
-        self._emit = emit
-        self._clock = clock
-        self._epoch = clock()
-        self._tracker = GcPauseTracker(clock)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.samples: List[ResourceSample] = []
-
-    def sample_once(self) -> ResourceSample:
-        sample = sample_resources(
-            self._tracker, clock=self._clock, epoch=self._epoch
-        )
-        self.samples.append(sample)
-        if self._emit is not None:
-            self._emit(sample)
-        return sample
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample_once()
-
-    def start(self) -> "ResourceSampler":
-        if self._thread is None:
-            self._tracker.install()
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-resource-sampler", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> "ResourceSampler":
-        if self._thread is not None:
-            self._stop.set()
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self.sample_once()  # closing sample, so short runs record one
-        self._tracker.remove()
-        return self
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "samples": len(self.samples),
-            "max_rss_bytes": max(
-                (s.rss_bytes for s in self.samples), default=0
-            ),
-            "cpu_seconds": max(
-                (s.cpu_seconds for s in self.samples), default=0.0
-            ),
-            "gc_pauses": max(
-                (s.gc_pauses for s in self.samples), default=0
-            ),
-            "gc_pause_seconds": max(
-                (s.gc_pause_seconds for s in self.samples), default=0.0
-            ),
-        }
-
-    def attach_to(self, span) -> None:
-        """Summarise the series onto a span's attributes."""
-        span.set(resource=self.summary())
-
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
+def sample_resources() -> Dict[str, int]:
+    """One wire-ready sample of this process's resource state."""
+    return {"rss_bytes": _rss_bytes()}

@@ -17,7 +17,6 @@ report.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -33,41 +32,29 @@ __all__ = ["TelemetryOptions"]
 class TelemetryOptions:
     """Progress + metrics + bus + profiling knobs for one run.
 
-    ``stream=False`` disables the bus even for traced parallel runs
-    (workers then return spans inline with their results, the pre-bus
-    behaviour).  ``profile_dir`` turns on cProfile capture in every
-    worker via the pool initializer.  ``heartbeat_interval`` (seconds)
-    makes every pool worker publish liveness beats over the bus — the
-    serving daemon's hang sentinel reads them through a
+    ``profile_dir`` turns on cProfile capture in every worker via the
+    pool initializer.  ``heartbeat_interval`` (seconds) makes every
+    pool worker publish liveness beats over the bus — the serving
+    daemon's hang sentinel reads them through a
     :class:`~repro.obs.bus.HeartbeatMonitor`.
     """
 
     progress: object = NO_PROGRESS
     registry: MetricRegistry = field(default_factory=MetricRegistry)
     profile_dir: Union[str, Path, None] = None
-    stream: bool = True
     bus: Optional[TelemetryBus] = None
     heartbeat_interval: Optional[float] = None
 
-    def ensure_bus(
-        self,
-        context: Optional[multiprocessing.context.BaseContext] = None,
-    ) -> Optional[TelemetryBus]:
-        """Create the bus on first use (no-op when streaming is off)."""
-        if self.stream and self.bus is None:
-            self.bus = TelemetryBus(context=context)
+    def ensure_bus(self) -> TelemetryBus:
+        """Create the bus on first use."""
+        if self.bus is None:
+            self.bus = TelemetryBus()
         return self.bus
 
-    def attach(self, tracer=None, pump: bool = False) -> None:
-        """Point the bus at this run's tracer/registry/progress."""
+    def attach(self, tracer=None) -> None:
+        """Point the bus at this run's tracer and registry."""
         if self.bus is not None:
-            self.bus.attach(
-                tracer=tracer,
-                registry=self.registry,
-                progress=self.progress,
-            )
-            if pump:
-                self.bus.start_pump()
+            self.bus.attach(tracer=tracer, registry=self.registry)
 
     def finish(self, timeout: float = 5.0) -> Dict:
         """Drain the bus and return the run's telemetry summary."""

@@ -131,12 +131,6 @@ class Tracer:
         """The innermost open span, or None outside any span."""
         return self._stack[-1] if self._stack else None
 
-    def inc(self, counter: str, amount: float = 1) -> None:
-        """Accumulate onto the innermost open span (no-op outside one)."""
-        current = self.current()
-        if current is not None:
-            current.inc(counter, amount)
-
     def walk(self):
         """Yield every recorded span, depth first across all roots."""
         for root in self.roots:
@@ -209,9 +203,6 @@ class NullTracer:
         return 0.0
 
     def current(self) -> None:
-        return None
-
-    def inc(self, counter: str, amount: float = 1) -> None:
         return None
 
     def walk(self):

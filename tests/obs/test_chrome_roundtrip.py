@@ -1,10 +1,9 @@
-"""Chrome-trace round trips: valid JSON, B/E pairing, stable lanes."""
+"""Chrome-trace round trips: valid JSON, complete events, stable lanes."""
 
 import json
 
-import pytest
-
-from repro.obs import Tracer, graft_span_dicts, serialize_spans, to_chrome_trace
+from repro.obs.export import graft_span_dicts, serialize_spans, to_chrome_trace
+from repro.obs.tracer import Tracer
 
 
 def worker_span_dicts(units, order=None):
@@ -44,46 +43,13 @@ class TestTraceShape:
             assert {"name", "ph", "pid", "tid"} <= set(event)
 
     def test_x_flavor_events_carry_durations(self):
-        trace = to_chrome_trace(traced_run(UNITS), flavor="X")
-        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        trace = to_chrome_trace(traced_run(UNITS))
+        spans = [e for e in trace["traceEvents"] if e["ph"] != "M"]
         assert spans
         for event in spans:
+            assert event["ph"] == "X"
             assert event["dur"] >= 0
             assert event["ts"] >= 0
-
-    def test_unknown_flavor_rejected(self):
-        with pytest.raises(ValueError):
-            to_chrome_trace(traced_run(UNITS), flavor="Z")
-
-
-class TestBeginEndPairing:
-    def test_be_events_pair_and_nest_per_lane(self):
-        trace = to_chrome_trace(traced_run(UNITS), flavor="BE")
-        stacks = {}
-        for event in trace["traceEvents"]:
-            if event["ph"] == "M":
-                continue
-            lane = (event["pid"], event["tid"])
-            stack = stacks.setdefault(lane, [])
-            if event["ph"] == "B":
-                stack.append(event["name"])
-            elif event["ph"] == "E":
-                assert stack, f"E without B on lane {lane}"
-                assert stack.pop() == event["name"]
-            else:  # pragma: no cover - BE flavor emits only B/E/M
-                raise AssertionError(event["ph"])
-        for lane, stack in stacks.items():
-            assert stack == [], f"unclosed B events on lane {lane}"
-
-    def test_be_end_timestamps_follow_begins(self):
-        trace = to_chrome_trace(traced_run(UNITS), flavor="BE")
-        begins = {}
-        for event in trace["traceEvents"]:
-            key = (event["pid"], event["tid"], event["name"])
-            if event["ph"] == "B":
-                begins.setdefault(key, []).append(event["ts"])
-            elif event["ph"] == "E":
-                assert event["ts"] >= begins[key][-1]
 
 
 class TestStableLanes:

@@ -7,17 +7,16 @@ import pytest
 
 from repro.core import DarwinWGA
 from repro.genome import make_species_pair
-from repro.obs import (
-    Tracer,
+from repro.obs.export import (
     load_run_report,
     render_run,
     render_tree,
     run_report,
-    spans_from_report,
     to_chrome_trace,
     write_chrome_trace,
     write_run_report,
 )
+from repro.obs.tracer import Tracer
 
 
 @pytest.fixture
@@ -92,25 +91,6 @@ class TestRunReport:
         path.write_text(json.dumps({"version": 999, "spans": []}))
         with pytest.raises(ValueError, match="version"):
             load_run_report(path)
-
-    def test_spans_from_report_round_trip(self, traced_run):
-        tracer, result = traced_run
-        report = run_report(tracer, result=result)
-        rebuilt = spans_from_report(
-            json.loads(json.dumps(report))
-        )
-        original = list(tracer.walk())
-        recovered = [s for root in rebuilt for s in root.walk()]
-        assert [s.name for s in recovered] == [
-            s.name for s in original
-        ]
-        assert [s.counters for s in recovered] == [
-            s.counters for s in original
-        ]
-        for orig, back in zip(original, recovered):
-            assert back.duration == pytest.approx(
-                orig.duration, abs=1e-9
-            )
 
 
 class TestChromeTrace:

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core import Workload
-from repro.obs import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    Tracer,
     funnel_metrics,
     stage_summary,
 )
+from repro.obs.tracer import Tracer
 
 
 class TestPrimitives:
@@ -26,8 +26,7 @@ class TestPrimitives:
     def test_gauge(self):
         g = Gauge("util")
         g.set(0.5)
-        g.add(0.25)
-        assert g.value == pytest.approx(0.75)
+        assert g.value == pytest.approx(0.5)
         g.set(0.1)
         assert g.value == pytest.approx(0.1)
 
@@ -131,13 +130,6 @@ class TestStageSummary:
         # "anchors" is not a work-unit counter by default
         assert "anchors_per_sec" not in rates
 
-    def test_explicit_rate_counters(self):
-        tracer = self._tracer()
-        with tracer.span("s") as span:
-            span.inc("anchors", 4)
-        stages = stage_summary(tracer.roots, rate_counters=["anchors"])
-        assert stages["s"]["rates"]["anchors_per_sec"] == pytest.approx(4.0)
-
     def test_same_name_nesting_not_double_counted(self):
         tracer = self._tracer()
         with tracer.span("extend") as outer:
@@ -150,75 +142,3 @@ class TestStageSummary:
         assert stages["extend"]["seconds"] == pytest.approx(
             outer.duration
         )
-
-
-class TestCanonicalBuckets:
-    """The shared bucket grid that makes cross-worker merges exact."""
-
-    def test_edges_are_log_spaced_and_cover_range(self):
-        from repro.obs import canonical_bucket_edges
-
-        edges = canonical_bucket_edges(low=1e-3, high=10.0, factor=2.0)
-        assert edges[0] == pytest.approx(1e-3)
-        assert edges[-1] >= 10.0
-        for lower, upper in zip(edges, edges[1:]):
-            assert upper == pytest.approx(lower * 2.0)
-
-    def test_invalid_parameters_rejected(self):
-        from repro.obs import canonical_bucket_edges
-
-        for low, high, factor in [
-            (0.0, 1.0, 2.0),
-            (1.0, 0.5, 2.0),
-            (1e-3, 1.0, 1.0),
-        ]:
-            with pytest.raises(ValueError):
-                canonical_bucket_edges(low, high, factor)
-
-    def test_every_histogram_shares_the_default_grid(self):
-        first = Histogram("a")
-        second = Histogram("b")
-        assert first.edges == second.edges
-        first.observe(0.003)
-        second.observe(0.003)
-        assert first.bucket_counts() == second.bucket_counts()
-
-    def test_merge_gives_exact_buckets_and_percentiles(self):
-        """Merging per-worker histograms must equal one histogram that
-        saw every observation directly — buckets AND quantiles."""
-        workers = [Histogram("lat"), Histogram("lat"), Histogram("lat")]
-        values = [0.0001 * (i + 1) ** 2 for i in range(30)]
-        for index, value in enumerate(values):
-            workers[index % 3].observe(value)
-        merged = Histogram("lat")
-        for worker in workers:
-            merged.merge(worker)
-        direct = Histogram("lat")
-        for value in values:
-            direct.observe(value)
-        assert merged.bucket_counts() == direct.bucket_counts()
-        for q in (0.5, 0.9, 0.95, 0.99, 1.0):
-            assert merged.quantile(q) == direct.quantile(q)
-        assert merged.summary() == direct.summary()
-
-    def test_merge_rebuckets_foreign_edges_exactly(self):
-        foreign = Histogram("lat", edges=(0.5, 1.0, 2.0))
-        for value in [0.2, 0.7, 1.5, 5.0]:
-            foreign.observe(value)
-        merged = Histogram("lat").merge(foreign)
-        direct = Histogram("lat")
-        for value in [0.2, 0.7, 1.5, 5.0]:
-            direct.observe(value)
-        # Raw values re-bucket onto the canonical grid: exact, not a
-        # lossy count redistribution from the foreign buckets.
-        assert merged.bucket_counts() == direct.bucket_counts()
-
-    def test_merge_accepts_wire_payload(self):
-        merged = Histogram("lat").merge({"values": [0.1, 0.2]})
-        assert merged.count == 2
-        assert merged.quantile(1.0) == pytest.approx(0.2)
-
-    def test_overflow_bucket_catches_out_of_range(self):
-        h = Histogram("lat")
-        h.observe(1e9)  # beyond the 1e4 top edge
-        assert h.bucket_counts()["inf"] == 1

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.obs import NO_PROGRESS, ProgressRenderer
+from repro.obs.progress import NO_PROGRESS, ProgressRenderer
 
 
 class FakeClock:
@@ -65,7 +65,7 @@ class TestRendering:
         renderer, stream, _ = make_renderer(enabled=False)
         renderer.begin("align", total=2)
         renderer.advance(units=1)
-        renderer.note("hello")
+        renderer.retried("u1", "crash", 1)
         renderer.close()
         assert stream.getvalue() == ""
 
@@ -85,12 +85,12 @@ class TestRendering:
     def test_notes_persist_above_status_line(self):
         renderer, stream, _ = make_renderer(enabled=True)
         renderer.begin("align", total=2)
-        renderer.note("retry storm")
+        renderer.retried("u1", "crash", 1)
         noted = stream.getvalue()
-        assert "retry storm" in noted
+        assert "retry #1 [u1] after crash" in noted
         assert "\n" in noted  # the note scrolled, unlike the status line
         # After the note the status line is repainted below it.
-        assert stream.getvalue().rstrip().endswith("units")
+        assert stream.getvalue().endswith("units · 1 retried")
 
     def test_close_clears_the_line(self):
         renderer, stream, _ = make_renderer(enabled=True)
@@ -104,6 +104,5 @@ class TestRendering:
         NO_PROGRESS.set_in_flight(3)
         NO_PROGRESS.retried("k", "c", 1)
         NO_PROGRESS.fell_back("k", "c")
-        NO_PROGRESS.note("t")
         NO_PROGRESS.close()
         assert NO_PROGRESS.enabled is False

@@ -1,103 +1,16 @@
-"""Resource sampling: GC-pause tracking, point samples, the sampler."""
+"""Resource sampling: the per-task point sample workers publish."""
 
-import gc
+import json
 
-import pytest
-
-from repro.obs import GcPauseTracker, ResourceSampler, Tracer, sample_resources
-from repro.obs.resource import ResourceSample
-
-
-class TestGcPauseTracker:
-    def test_records_collection_pauses(self):
-        with GcPauseTracker() as tracker:
-            gc.collect()
-            gc.collect()
-        assert tracker.pause_count >= 2
-        assert tracker.pause_seconds >= 0.0
-        assert all(p >= 0.0 for p in tracker.pauses)
-
-    def test_remove_stops_recording(self):
-        tracker = GcPauseTracker().install()
-        gc.collect()
-        tracker.remove()
-        seen = tracker.pause_count
-        gc.collect()
-        assert tracker.pause_count == seen
-
-    def test_install_is_idempotent(self):
-        tracker = GcPauseTracker()
-        before = len(gc.callbacks)
-        tracker.install()
-        tracker.install()
-        assert len(gc.callbacks) == before + 1
-        tracker.remove()
-        tracker.remove()
-        assert len(gc.callbacks) == before
+from repro.obs.resource import sample_resources
 
 
 class TestSampleResources:
     def test_sample_has_plausible_values(self):
         sample = sample_resources()
-        assert sample.rss_bytes > 0  # this test process surely uses memory
-        assert sample.cpu_seconds > 0.0
-        assert sample.gc_pauses == 0  # no tracker attached
-
-    def test_sample_reads_tracker_and_epoch(self):
-        tracker = GcPauseTracker().install()
-        try:
-            gc.collect()
-            sample = sample_resources(
-                tracker, clock=lambda: 12.0, epoch=10.0
-            )
-        finally:
-            tracker.remove()
-        assert sample.elapsed == pytest.approx(2.0)
-        assert sample.gc_pauses == tracker.pause_count
-        assert sample.gc_pause_seconds == pytest.approx(
-            tracker.pause_seconds
-        )
+        assert sample["rss_bytes"] > 0  # this test process surely uses memory
 
     def test_as_dict_is_wire_ready(self):
-        payload = ResourceSample(1.0, 2048, 0.5, 3, 0.01).as_dict()
-        assert payload == {
-            "elapsed": 1.0,
-            "rss_bytes": 2048,
-            "cpu_seconds": 0.5,
-            "gc_pauses": 3,
-            "gc_pause_seconds": 0.01,
-        }
-
-
-class TestResourceSampler:
-    def test_stop_always_records_a_closing_sample(self):
-        sampler = ResourceSampler(interval=60.0)  # never fires on its own
-        sampler.start()
-        sampler.stop()
-        assert len(sampler.samples) >= 1
-        assert sampler.summary()["max_rss_bytes"] > 0
-
-    def test_emit_callback_receives_each_sample(self):
-        emitted = []
-        sampler = ResourceSampler(interval=60.0, emit=emitted.append)
-        sampler.sample_once()
-        sampler.sample_once()
-        assert len(emitted) == 2
-        assert all(isinstance(s, ResourceSample) for s in emitted)
-
-    def test_attach_to_summarises_onto_span(self):
-        tracer = Tracer()
-        with tracer.span("run") as span:
-            with ResourceSampler(interval=60.0) as sampler:
-                pass
-            sampler.attach_to(span)
-        resource = span.attrs["resource"]
-        assert resource["samples"] == len(sampler.samples)
-        assert resource["max_rss_bytes"] > 0
-        assert set(resource) == {
-            "samples",
-            "max_rss_bytes",
-            "cpu_seconds",
-            "gc_pauses",
-            "gc_pause_seconds",
-        }
+        sample = sample_resources()
+        assert set(sample) == {"rss_bytes"}
+        assert json.loads(json.dumps(sample)) == sample

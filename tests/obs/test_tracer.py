@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_TRACER, NullTracer, Tracer
-from repro.obs.tracer import _NullSpan
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, _NullSpan
 
 
 class FakeClock:
@@ -114,19 +113,6 @@ class TestCountersAndAttrs:
         with tracer.span("s") as span:
             span.inc("cells", 10).inc("cells", 5).inc("tiles")
         assert span.counters == {"cells": 15, "tiles": 1}
-
-    def test_tracer_inc_targets_innermost(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                tracer.inc("hits", 3)
-        assert inner.counters == {"hits": 3}
-        assert outer.counters == {}
-
-    def test_tracer_inc_outside_span_is_noop(self):
-        tracer = Tracer()
-        tracer.inc("hits", 1)
-        assert tracer.roots == []
 
     def test_attrs_from_creation_and_set(self):
         tracer = Tracer()

@@ -178,6 +178,30 @@ class TestTrace:
         assert report["spans"][0]["name"] == "chain"
         assert report["meta"]["command"] == "chain"
 
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (None, "No such file or directory"),
+            ("not json {", "not JSON"),
+            ("[1, 2, 3]", "not a run report"),
+            ('{"spans": []}', "unsupported run-report version None"),
+            ('{"version": 999}', "unsupported run-report version 999"),
+        ],
+        ids=["missing", "not-json", "not-object", "no-version", "bad-version"],
+    )
+    def test_unreadable_report_exits_with_one_line(
+        self, tmp_path, content, expected
+    ):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", str(path)])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"{path}: ")
+        assert expected in message
+        assert "\n" not in message
+
 
 class TestModel:
     def test_model_defaults(self, capsys):
@@ -251,6 +275,32 @@ class TestTblastx:
         )
         assert code == 0
         assert "translated hits" in capsys.readouterr().out
+
+
+class TestMalformedFasta:
+    """Sequence data before the first ``>`` line is a one-line error."""
+
+    @pytest.mark.parametrize(
+        "command", ["align", "mask", "chain", "net", "tblastx"]
+    )
+    def test_headerless_fasta_exits_with_one_line(self, genomes, command):
+        bad = genomes / "nohdr.fa"
+        bad.write_text("ACGTACGT\n>late\nACGT\n")
+        maf = genomes / "empty.maf"
+        maf.write_text("##maf version=1\n")
+        good = str(genomes / "query.fa")
+        argv = {
+            "align": ["align", str(bad), good],
+            "mask": ["mask", str(bad), "--out", str(genomes / "m.fa")],
+            "chain": ["chain", str(maf), str(bad), good],
+            "net": ["net", str(maf), str(bad), good],
+            "tblastx": ["tblastx", good, str(bad)],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code) == (
+            f"{bad}: FASTA data before first header line"
+        )
 
 
 @pytest.fixture
@@ -389,6 +439,25 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_help_lists_the_ten_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        unwrapped = "".join(capsys.readouterr().out.split())
+        assert (
+            "{generate,align,chain,model,mask,net,tblastx,trace,lint,serve}"
+            in unwrapped
+        )
+
+    def test_bench_subcommand_and_gate_module_are_gone(self, capsys):
+        # The second benchmark gate was removed; perf/run.py is the ruler.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "check"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(ImportError):
+            from repro.obs import gate  # noqa: F401
 
     def test_barrier_flag_is_gone(self):
         # The barrier schedule was removed with the flag that chose it.
