@@ -27,7 +27,12 @@ share:
   DP value (plus the minus-infinity sentinel's headroom) provably fits,
   falling back to ``int64`` otherwise — scores are exact either way;
 * grow-only scratch workspaces so hot kernels never touch fresh pages
-  (first-touch page faults dominate fresh-slab allocation costs).
+  (first-touch page faults dominate fresh-slab allocation costs).  A
+  slab is never released, so what a kernel asks for is what the process
+  keeps: slabs are row buffers, rings of a fixed number of rows and
+  packed pointer stores — nothing sized rows x columns of a tile in a
+  score dtype (X-drop's six such matrices were 89 MB of a 133 MB
+  ``repro align``).
 """
 
 from __future__ import annotations

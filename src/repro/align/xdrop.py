@@ -32,15 +32,23 @@ oracle ``xdrop_extend_reference`` in :mod:`repro.align._reference`):
   the gap ``o``/``e`` charges are paid once, inside the store writes
   the recurrence needs anyway.  The diagonal term compensates with a
   ``+o``-baked substitution matrix: ``(V-o) + (W+o) = V + W``.
-* Traceback stores no per-cell direction nibble.  The forward pass
-  keeps ``V``, ``U`` (shifted, above) and the true ``H`` row; every
-  traceback decision is then a constant-time value comparison —
-  ``H == V`` for a horizontal move, ``H(i,j) == H(i,j-1) - e`` for its
-  gap-extension flag (provably equal to the prefix-scan test
-  ``running[j-1] == running[j-2]``), ``V == U`` for a vertical move and
-  ``U(i,j) == U(i-1,j) - e`` for its flag; diagonal is the only
-  possibility left.  The walk reproduces the reference pointer walk
-  exactly without ever materialising pointers.
+* Traceback state is four bits per cell of the X-drop window, as in
+  the hardware (paper section III-D, Fig. 10), written a block of
+  ``_BLOCK`` rows at a time.  The forward pass keeps only
+  ``(_BLOCK + 1)``-row *rings* of ``V - o``, ``U - e`` and ``H - o``
+  (slot 0 carries the previous block's last row).  When a block fills,
+  or the lane finishes, ``_flush`` derives the four flags for all of
+  its rows in one bulk pass over the union of their windows —
+  ``H == V`` (horizontal move; the tie priority puts it first),
+  ``V == U`` (vertical move), ``H(i,j) == H(i,j-1) - e`` (the H run
+  extends; equal to the prefix-scan test
+  ``running[j-1] == running[j-2]``) and ``U(i-1,j) - e >= V(i-1,j) - o``
+  (the U run extends; ties side with extension, as in the oracle) —
+  and appends them, bit-packed, to one flat ``uint8`` store per lane.
+  ``_walk`` is then the reference pointer walk over those bits.
+  Deriving the flags per row inside ``_step`` instead reaches the same
+  memory but adds 14 numpy calls to a 29-call row step; deferred to
+  the block they cost 4 compares and 2 integer ops per 64 rows.
 """
 
 from __future__ import annotations
@@ -55,6 +63,14 @@ from . import _dp
 from .cigar import Cigar
 from .scoring import ScoringScheme
 
+#: Rows per traceback block: the V/U/H rings hold this many rows (plus
+#: the carried one) between two bulk pointer derivations.
+_BLOCK = 64
+
+#: Spare ring columns past the tile, so a block's flag rectangle can be
+#: widened to a whole number of bytes without leaving the ring.
+_BYTE_PAD = 7
+
 
 @dataclass(frozen=True)
 class XDropExtension:
@@ -64,7 +80,8 @@ class XDropExtension:
     above zero).  ``cigar`` spans from the tile origin to the maximum and
     is ``None`` when traceback was not requested.  ``row_windows`` holds
     the inclusive computed column range per row; ``cells`` is their total
-    size (the traceback-memory and cycle cost unit).
+    size (the traceback-memory and cycle cost unit).  ``traceback_bytes``
+    is what the kernel actually wrote as packed pointer state.
     """
 
     score: int
@@ -73,6 +90,7 @@ class XDropExtension:
     cigar: Optional[Cigar]
     cells: int
     row_windows: Tuple[Tuple[int, int], ...]
+    traceback_bytes: int = 0
 
     @property
     def rows_computed(self) -> int:
@@ -112,6 +130,10 @@ class _Lane:
         "v_store",
         "u_store",
         "h_store",
+        "stored",
+        "pointers",
+        "pointer_bytes",
+        "blocks",
         "row_windows",
         "cells",
     )
@@ -175,6 +197,12 @@ class _LaneEngine:
                 self._free_slots.append(slot)
                 return
             t_tile, q_tile = tile
+            longest = max(len(t_tile), len(q_tile))
+            if longest > self.max_tile_len:
+                raise ValueError(
+                    f"tile of {longest} bp exceeds max_tile_len "
+                    f"{self.max_tile_len}"
+                )
             if len(t_tile) == 0 or len(q_tile) == 0:
                 stream.consume(_empty_extension(self.with_traceback))
                 continue
@@ -192,19 +220,26 @@ class _LaneEngine:
         n = len(query)
         lane.target = target
         lane.query = query
-        lane.q_codes = query.codes
+        lane.q_codes = query.codes.tolist()
         lane.m = m
         lane.n = n
         lane.sub_cols = self.matrix_o[:, target.codes]
         key = str(lane.slot)
-        lane.v_store = self.ws.array("xv" + key, (n + 1, m + 2), self.dtype)
-        lane.u_store = self.ws.array("xu" + key, (n + 1, m + 2), self.dtype)
+        ring = (_BLOCK + 1, m + 2 + _BYTE_PAD)
+        lane.v_store = self.ws.array("xv" + key, ring, self.dtype)
+        lane.u_store = self.ws.array("xu" + key, ring, self.dtype)
         if self.with_traceback:
-            lane.h_store = self.ws.array(
-                "xh" + key, (n + 1, m + 2), self.dtype
+            lane.h_store = self.ws.array("xh" + key, ring, self.dtype)
+            # Worst case: every row's block spans all m columns.
+            lane.pointers = self.ws.array(
+                "xp" + key, (n * 4 * ((m + 7) // 8),), np.uint8
             )
         else:
             lane.h_store = None
+            lane.pointers = None
+        lane.pointer_bytes = 0
+        lane.blocks = []
+        lane.stored = 0
         boundary = _dp.boundary_scores(m, self.scoring, free=False)
         lane.v_store[0, : m + 1] = boundary - self.o
         lane.u_store[0, : m + 1] = self.negf
@@ -224,6 +259,7 @@ class _LaneEngine:
         best = lane.best
         cigar: Optional[Cigar] = None
         if self.with_traceback:
+            self._flush(lane)
             cigar = self._walk(lane) if best > 0 else Cigar(())
         result = XDropExtension(
             score=best,
@@ -232,6 +268,7 @@ class _LaneEngine:
             cigar=cigar,
             cells=lane.cells,
             row_windows=tuple(lane.row_windows),
+            traceback_bytes=lane.pointer_bytes,
         )
         stream = lane.stream
         slot = lane.slot
@@ -257,6 +294,16 @@ class _LaneEngine:
         self.vv = ws.array("vv", (cap, wc), self.dtype)
         self.thr = ws.array("thr", (cap, 1), self.dtype)
         self.liveb = ws.array("liveb", (cap, wc), np.dtype(bool))
+        if self.with_traceback:
+            # One block's flag planes and integer scratch, shared by the
+            # lanes (a flush runs one lane at a time).
+            wide = wc + _BYTE_PAD
+            self.flags = ws.array(
+                "flags", (4 * _BLOCK * wide,), np.dtype(bool)
+            )
+            self.diff = ws.array(
+                "diff", ((_BLOCK + 1) * wide,), self.dtype
+            )
         while lanes:
             self._step(lanes)
 
@@ -264,12 +311,23 @@ class _LaneEngine:
         negf = self.negf
         o = self.o
         e = self.e
+        ydrop = self.ydrop
+        gap_slack = self.gap_slack
+        with_traceback = self.with_traceback
         n_lanes = len(lanes)
         width = 0
         for lane in lanes:
             w = lane.hi - lane.lo + 1
             if w > width:
                 width = w
+        uu = self.uu[:n_lanes, :width]
+        dg = self.dg[:n_lanes, :width]
+        vb = self.vb[:n_lanes, :width]
+        hh = self.hh[:n_lanes, :width]
+        vv = self.vv[:n_lanes, :width]
+        acc = self.acc[:n_lanes, : width + 1]
+        thr = self.thr[:n_lanes]
+        live = self.liveb[:n_lanes, :width]
 
         # Per-lane gathers from the stored previous row into the batch
         # slabs.  The stores hold ``V - o`` and ``U - e``, so the whole
@@ -277,62 +335,59 @@ class _LaneEngine:
         # one elementwise max of two stored rows, and the diagonal term
         # uses the ``+o``-baked substitution volume; windows are
         # absolute column slices, so each gather is a contiguous 1-D
-        # op.  Short lanes get a NEG-filled tail.
+        # op.  Short lanes get a NEG-filled tail.  Row ``i`` lives in
+        # ring slot ``(i - 1) % _BLOCK + 1``, its predecessor one below.
         for idx, lane in enumerate(lanes):
             lo = lane.lo
             hi = lane.hi
             row = lane.i
             w = hi - lo + 1
-            vs_prev = lane.v_store[row - 1]
+            prev = (row - 1) % _BLOCK
+            vs_prev = lane.v_store[prev]
             np.maximum(
                 vs_prev[lo : hi + 1],
-                lane.u_store[row - 1][lo : hi + 1],
-                out=self.uu[idx, :w],
+                lane.u_store[prev, lo : hi + 1],
+                out=uu[idx, :w],
             )
             np.add(
                 vs_prev[lo - 1 : hi],
                 lane.sub_cols[lane.q_codes[row - 1], lo - 1 : hi],
-                out=self.dg[idx, :w],
+                out=dg[idx, :w],
             )
             if w < width:
-                self.uu[idx, w:width] = negf
-                self.dg[idx, w:width] = negf
-            lane.boundary = (
-                -self.scoring.gap_cost(row) if lo == 1 else negf
-            )
-            self.acc[idx, 0] = lane.boundary
+                uu[idx, w:] = negf
+                dg[idx, w:] = negf
+            lane.boundary = -(o + (row - 1) * e) if lo == 1 else negf
+            acc[idx, 0] = lane.boundary
 
         # One batched affine-gap row update for every lane (same op
         # sequence as the reference row_update, minus pointer assembly).
-        uu = self.uu[:n_lanes, :width]
-        dg = self.dg[:n_lanes, :width]
-        vb = self.vb[:n_lanes, :width]
-        hh = self.hh[:n_lanes, :width]
-        vv = self.vv[:n_lanes, :width]
-        acc = self.acc[:n_lanes, : width + 1]
         np.maximum(uu, dg, out=vb)
         np.add(vb, self.ke[1 : width + 1], out=acc[:, 1:])
         np.maximum.accumulate(acc, axis=1, out=acc)
         np.subtract(acc[:, :width], self.oke[:width], out=hh)
         np.maximum(vb, hh, out=vv)
-        amax = vv.argmax(axis=1)
+        amax = vv.argmax(axis=1).tolist()
 
         # Best update must precede the live threshold (the row's own
         # maximum tightens it), so the threshold compare is a second
-        # batched pass.
+        # batched pass.  A row whose maximum misses the threshold has no
+        # live cell: the extension dies there.
+        dead = []
         for idx, lane in enumerate(lanes):
-            j = int(amax[idx])
+            j = amax[idx]
             row_max = int(vv[idx, j])
             if row_max > lane.best:
                 lane.best = row_max
                 lane.best_i = lane.i
                 lane.best_j = lane.lo + j
-            self.thr[idx, 0] = lane.best - self.ydrop
+            threshold = lane.best - ydrop
+            thr[idx, 0] = threshold
+            dead.append(row_max < threshold)
 
-        live = self.liveb[:n_lanes, :width]
-        np.greater_equal(vv, self.thr[:n_lanes], out=live)
-        first = live.argmax(axis=1)
-        last = width - 1 - live[:, ::-1].argmax(axis=1)
+        np.greater_equal(vv, thr, out=live)
+        first = live.argmax(axis=1).tolist()
+        last = live[:, ::-1].argmax(axis=1).tolist()
 
         finished: List[_Lane] = []
         for idx, lane in enumerate(lanes):
@@ -342,25 +397,27 @@ class _LaneEngine:
             w = hi - lo + 1
             lane.row_windows.append((lo, hi))
             lane.cells += w
-            f = int(first[idx])
-            if not live[idx, f]:
-                # Whole row below threshold: the extension dies here; the
-                # dead row still counts (window + cells) but stores
+            if dead[idx]:
+                # The dead row still counts (window + cells) but stores
                 # nothing, exactly like the reference's early break.
                 finished.append(lane)
                 continue
-            vs = lane.v_store[row]
-            us = lane.u_store[row]
+            slot = (row - 1) % _BLOCK + 1
+            vs = lane.v_store[slot]
+            us = lane.u_store[slot]
             vs[lo - 1] = lane.boundary - o
             np.subtract(vv[idx, :w], o, out=vs[lo : hi + 1])
             np.subtract(uu[idx, :w], e, out=us[lo : hi + 1])
-            if self.with_traceback:
-                lane.h_store[row, lo : hi + 1] = hh[idx, :w]
+            if with_traceback:
+                np.subtract(
+                    hh[idx, :w], o, out=lane.h_store[slot, lo : hi + 1]
+                )
+            lane.stored = row
             if row == lane.n:
                 finished.append(lane)
                 continue
-            next_lo = lo + f
-            next_hi = min(lane.m, lo + int(last[idx]) + 1 + self.gap_slack)
+            next_lo = lo + first[idx]
+            next_hi = min(lane.m, lo + width - last[idx] + gap_slack)
             if next_hi < next_lo:
                 finished.append(lane)
                 continue
@@ -369,6 +426,13 @@ class _LaneEngine:
                 # the reference sees NEG_INF; seed that margin.
                 vs[hi + 1 : next_hi + 1] = negf
                 us[hi + 1 : next_hi + 1] = negf
+            if slot == _BLOCK:
+                # Block full: pack its pointers, then carry this row
+                # into slot 0 as the next block's predecessor.
+                if with_traceback:
+                    self._flush(lane)
+                lane.v_store[0] = vs
+                lane.u_store[0] = us
             lane.lo = next_lo
             lane.hi = next_hi
             lane.i = row + 1
@@ -379,66 +443,109 @@ class _LaneEngine:
 
     # -- traceback --------------------------------------------------------
 
-    def _walk(self, lane: _Lane) -> Cigar:
-        """Reproduce the reference pointer walk from stored values.
+    def _flush(self, lane: _Lane) -> None:
+        """Pack the traceback flags of the ring's not yet packed rows.
 
-        Directions are recovered per cell in O(1) from the stored
-        (shifted) ``V``/``U`` rows and the true ``H`` rows: ``H == V``
-        says "V came from H" (the tie priority puts horizontal first);
-        otherwise ``V == U`` means a vertical move (``V == V0``
-        whenever the H test fails, and ``V0`` is ``max(U, diag)``);
-        diagonal is the only remaining case.  Gap-run extension flags
-        are ``H(i,j) == H(i,j-1) - e`` (equal to the forward pass's
-        prefix-scan test ``running[j-1] == running[j-2]``, since
-        ``H[c] = running[c-1] - o - (c-1)e``) and
-        ``U(i,j) == U(i-1,j) - e``; the shifted stores preserve both
-        equalities unchanged, and ``V == H`` / ``V == U`` just pick up
-        a constant ``o``/``o - e`` correction.
+        The rows are block ``len(lane.blocks)``: ring slots ``1..k``.
+        Each flag (see the module docstring) is one compare over the
+        ``k x width`` rectangle spanning the union of the rows' windows,
+        widened to whole bytes; cells of the rectangle outside a row's
+        own window hold stale values and yield bits the walk never
+        reads.  With ``D = (U - e) - (V - o)`` per stored row, "V == U"
+        is ``D == o - e`` and "U extends" is ``D >= 0`` one row up, so
+        both cost one subtraction.  The block is appended to
+        ``lane.pointers`` as four bit-planes of ``k`` rows and located
+        by its ``(offset, first column, row bytes, plane bytes)``.
+        """
+        first = len(lane.blocks) * _BLOCK
+        k = lane.stored - first
+        if k <= 0:
+            return
+        windows = lane.row_windows
+        lo = windows[first][0]  # windows never move left
+        hi = max([window[1] for window in windows[first : first + k]])
+        row_bytes = (hi - lo + 8) // 8
+        width = row_bytes * 8
+        stop = lo + width  # at most _BYTE_PAD columns past the tile
+        vs = lane.v_store
+        h = lane.h_store[1 : k + 1, lo:stop]
+        flags = self.flags[: 4 * k * width].reshape(4, k, width)
+        diff = self.diff[: (k + 1) * width].reshape(k + 1, width)
+        np.equal(h, vs[1 : k + 1, lo:stop], out=flags[0])
+        np.subtract(
+            lane.u_store[: k + 1, lo:stop], vs[: k + 1, lo:stop], out=diff
+        )
+        np.equal(diff[1:], self.o - self.e, out=flags[1])
+        np.greater_equal(diff[:k], 0, out=flags[3])
+        np.subtract(
+            h, lane.h_store[1 : k + 1, lo - 1 : stop - 1], out=diff[:k]
+        )
+        np.equal(diff[:k], -self.e, out=flags[2])
+        packed = np.packbits(flags.reshape(-1), bitorder="little")
+        start = lane.pointer_bytes
+        lane.pointers[start : start + packed.size] = packed
+        lane.blocks.append((start, lo, row_bytes, k * row_bytes))
+        lane.pointer_bytes = start + packed.size
+
+    def _walk(self, lane: _Lane) -> Cigar:
+        """The reference pointer walk over the packed flag planes.
+
+        A cell outside its row's window reads as ``DIR_NONE`` with no
+        flags, as in the oracle: the walk stops there in state V, and a
+        gap run ends there.  The H-extend flag of a window's first
+        column is never set (the oracle has no ``H(i, lo - 1)``).
         """
         i = lane.best_i
         j = lane.best_j
         windows = lane.row_windows
-        vs = lane.v_store
-        us = lane.u_store
-        hs = lane.h_store
-        t_codes = lane.target.codes
+        blocks = lane.blocks
+        bits = memoryview(lane.pointers)
+        t_codes = lane.target.codes.tolist()
         q_codes = lane.q_codes
-        o = self.o
-        e = self.e
-        eo = e - o
         ops: List[str] = []
         state = "V"
+        floor = i  # first step looks its block up
         while i > 0 and j > 0:
+            if i <= floor:
+                floor = (i - 1) // _BLOCK * _BLOCK
+                start, col0, row_bytes, plane = blocks[floor // _BLOCK]
             lo, hi = windows[i - 1]
-            inside = lo <= j <= hi
-            if state == "V":
-                if not inside:
-                    break
-                if int(hs[i, j]) == int(vs[i, j]) + o:
-                    state = "H"
-                elif int(vs[i, j]) == int(us[i, j]) + eo:
-                    state = "U"
-                else:
-                    same = (
-                        t_codes[j - 1] == q_codes[i - 1]
-                        and t_codes[j - 1] < 4
-                    )
-                    ops.append("=" if same else "X")
-                    i -= 1
+            if lo <= j <= hi:
+                col = j - col0
+                at = start + (i - 1 - floor) * row_bytes + (col >> 3)
+                bit = 1 << (col & 7)
+                if state == "V":
+                    if bits[at] & bit:
+                        state = "H"
+                    elif bits[at + plane] & bit:
+                        state = "U"
+                    else:
+                        same = (
+                            t_codes[j - 1] == q_codes[i - 1]
+                            and t_codes[j - 1] < 4
+                        )
+                        ops.append("=" if same else "X")
+                        i -= 1
+                        j -= 1
+                elif state == "H":
+                    ops.append("D")
+                    if j == lo or not bits[at + 2 * plane] & bit:
+                        state = "V"
                     j -= 1
+                else:  # state == "U"
+                    ops.append("I")
+                    if not bits[at + 3 * plane] & bit:
+                        state = "V"
+                    i -= 1
+            elif state == "V":
+                break
             elif state == "H":
                 ops.append("D")
-                extend = (
-                    inside
-                    and j > lo
-                    and int(hs[i, j]) == int(hs[i, j - 1]) - e
-                )
-                state = "H" if extend else "V"
+                state = "V"
                 j -= 1
-            else:  # state == "U"
+            else:
                 ops.append("I")
-                extend = inside and int(us[i, j]) == int(us[i - 1, j]) - e
-                state = "U" if extend else "V"
+                state = "V"
                 i -= 1
         # Extension mode: pad with gap columns back to the tile origin.
         ops.extend("D" * j)

@@ -42,11 +42,17 @@ from .config import ExtensionParams
 
 @dataclass(frozen=True)
 class TileTrace:
-    """Workload record of one extension tile (feeds the hardware model)."""
+    """Workload record of one extension tile (feeds the hardware model).
+
+    ``traceback_bytes`` is what the software kernel wrote as packed
+    pointer state for the tile — the counterpart of the model's
+    ``GactXArrayModel.pointer_bytes``.
+    """
 
     rows: int
     cells: int
     row_windows: Tuple[Tuple[int, int], ...]
+    traceback_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,7 @@ class _DirectionStream:
                 rows=extension.rows_computed,
                 cells=extension.cells,
                 row_windows=extension.row_windows,
+                traceback_bytes=extension.traceback_bytes,
             )
         )
         if extension.score <= 0 or extension.max_i == 0:
@@ -294,6 +301,7 @@ def gact_x_extend(
         tiles = tuple(left.traces) + tuple(right.traces)
         span.inc("extension_tiles", len(tiles))
         span.inc("extension_cells", sum(t.cells for t in tiles))
+        span.inc("traceback_bytes", sum(t.traceback_bytes for t in tiles))
         if len(cigar) == 0:
             return ExtensionResult(alignment=None, tiles=tiles)
 

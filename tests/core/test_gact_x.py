@@ -1,12 +1,16 @@
 """GACT-X tiled extension tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.align import AnchorHit, Cigar
 from repro.align.matrices import lastz_default
 from repro.core import ExtensionParams, gact_x_extend, score_cigar, truncate_cigar
-from repro.genome import Sequence
+from repro.genome import Sequence, make_species_pair
+from repro.hw import default_asic
+from repro.obs import Tracer
 
 from .. import reference
 
@@ -180,3 +184,73 @@ class TestExtension:
         assert result.cells == sum(t.cells for t in result.tiles)
         for trace in result.tiles:
             assert trace.rows == len(trace.row_windows)
+
+
+def middle_anchor(target, query):
+    """An exact 20-mer shared by both sequences near the middle."""
+    query_bytes = query.codes.tobytes()
+    for start in range(len(target) // 2, len(target) // 2 + 500):
+        at = query_bytes.find(target.codes[start : start + 20].tobytes())
+        if at >= 0 and abs(at - start) < 500:
+            return AnchorHit(start, at, 5000)
+    raise AssertionError("no shared 20-mer near the middle")
+
+
+class TestTracebackMemory:
+    """Software traceback state is the hardware model's, not the tile's."""
+
+    @pytest.fixture(scope="class")
+    def near_pair(self):
+        pair = make_species_pair(
+            6000, 0.1, np.random.default_rng(21), long_indel_prob=0.0
+        )
+        return pair.target.genome, pair.query.genome
+
+    def test_software_pointer_bytes_track_the_hardware_model(
+        self, scoring, near_pair
+    ):
+        target, query = near_pair
+        params = ExtensionParams()
+        result = gact_x_extend(
+            target, query, middle_anchor(target, query), scoring, params
+        )
+        assert result.alignment is not None
+        model = default_asic().gactx_model()
+        full = [t for t in result.tiles if t.rows == params.tile_size]
+        assert len(full) >= 2  # one per direction
+        for trace in full:
+            modelled = model.pointer_bytes(trace)
+            assert modelled <= trace.traceback_bytes <= 1.3 * modelled
+
+    def test_two_full_tiles_in_lockstep_stay_under_16_mib(
+        self, scoring, near_pair
+    ):
+        target, query = near_pair
+        anchor = middle_anchor(target, query)
+        tracemalloc.start()
+        try:
+            result = gact_x_extend(
+                target, query, anchor, scoring, ExtensionParams()
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.tile_count >= 4
+        # Six (1921 x 1922) int32 stores were 85.5 MiB here.
+        assert peak < 16 * 2**20
+
+    def test_traceback_bytes_counter_on_extend_anchor_span(
+        self, scoring, params, rng
+    ):
+        target, query, pad, core = shared_segment_pair(rng)
+        tracer = Tracer()
+        anchor = AnchorHit(pad + core // 2, pad + core // 2, 5000)
+        result = gact_x_extend(target, query, anchor, scoring, params, tracer)
+        (span,) = tracer.roots
+        assert span.name == "extend_anchor"
+        assert span.counters["traceback_bytes"] == sum(
+            t.traceback_bytes for t in result.tiles
+        )
+        assert 0 < span.counters["traceback_bytes"] < (
+            span.counters["extension_cells"]
+        )
