@@ -11,7 +11,6 @@ from .dsoft import (
     SeedingResult,
     all_seed_hits,
     dsoft_seed,
-    query_seed_words,
 )
 from .cache import CACHE_VERSION, SeedIndexCache, index_cache_key
 from .index import SeedIndex
@@ -29,7 +28,6 @@ __all__ = [
     "SeedingResult",
     "all_seed_hits",
     "dsoft_seed",
-    "query_seed_words",
     "SeedIndex",
     "DEFAULT_PATTERN",
     "SpacedSeed",

@@ -23,7 +23,6 @@ import numpy as np
 from ..genome.sequence import Sequence
 from ..obs.tracer import NULL_TRACER
 from .index import SeedIndex
-from .patterns import SpacedSeed
 
 
 @dataclass(frozen=True)
@@ -66,25 +65,44 @@ class SeedingResult:
         return int(self.target_positions.size)
 
 
-def query_seed_words(
-    query: Sequence, seed: SpacedSeed
+def _seed_hits(
+    index: SeedIndex, query: Sequence, seed_limit: int, span
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Seed words of the query, expanded with transition variants.
+    """Every seed hit of ``query`` in the indexed target.
 
-    Returns ``(words, positions)`` where each valid query position
-    contributes one exact word plus — when the seed tolerates transitions —
-    ``weight`` one-transition variants (the ``m + 1`` lookups per position
-    of paper section III-B).
+    Each valid query position contributes one exact word plus — when the
+    seed tolerates transitions — ``weight`` one-transition variants (the
+    ``m + 1`` lookups per position of paper section III-B).  The exact
+    words and each variant are looked up one slab at a time and only the
+    words the index's presence bitmap lets through are kept, so the
+    ``(m + 1)``-fold word array never exists.  Hits come out variant by
+    variant, then in query order, then in target order.  ``seed_limit > 0``
+    drops words occurring more often than the limit in the target.
+
+    Returns ``(target_hits, query_hits)`` and records the lookup funnel
+    (``seed_lookups`` -> ``seed_probe_pass`` -> ``seed_hits``) on ``span``.
     """
-    words, valid = seed.words(query)
+    seed = index.seed
+    exact, valid = seed.words(query)
     positions = np.flatnonzero(valid).astype(np.int64)
-    words = words[positions]
-    if not seed.transitions or words.size == 0:
-        return words, positions
-    variants = [words] + seed.transition_neighbours(words)
-    all_words = np.concatenate(variants)
-    all_positions = np.tile(positions, len(variants))
-    return all_words, all_positions
+    exact = exact[positions]
+    flips = (0,) + seed.transition_flips if seed.transitions else (0,)
+    slabs = []
+    for flip in flips:
+        kept, left, counts = index.word_ranges(exact ^ np.int64(flip))
+        slabs.append((left, counts, positions[kept]))
+    left, counts, kept_positions = map(np.concatenate, zip(*slabs))
+    span.inc("seed_lookups", int(exact.size) * len(flips))
+    span.inc("seed_probe_pass", int(left.size))
+    if seed_limit > 0:
+        rare = counts <= seed_limit
+        left, counts = left[rare], counts[rare]
+        kept_positions = kept_positions[rare]
+    target_hits, query_hits = index.expand_ranges(
+        left, counts, kept_positions
+    )
+    span.inc("seed_hits", int(target_hits.size))
+    return target_hits, query_hits
 
 
 def dsoft_seed(
@@ -99,10 +117,8 @@ def dsoft_seed(
     ``params.threshold`` seed hits.
     """
     with tracer.span("seed", method="dsoft") as span:
-        words, positions = query_seed_words(query, index.seed)
-        target_hits, query_hits = index.lookup_batch(words, positions)
+        target_hits, query_hits = _seed_hits(index, query, 0, span)
         raw = int(target_hits.size)
-        span.inc("seed_hits", raw)
         if raw == 0:
             empty = np.empty(0, dtype=np.int64)
             return SeedingResult(empty, empty.copy(), 0, 0)
@@ -150,17 +166,9 @@ def all_seed_hits(
     over-represented seeds), with 0 meaning unlimited.
     """
     with tracer.span("seed", method="all_hits") as span:
-        words, positions = query_seed_words(query, index.seed)
-        if seed_limit > 0 and words.size:
-            left = np.searchsorted(index.sorted_words, words, side="left")
-            right = np.searchsorted(
-                index.sorted_words, words, side="right"
-            )
-            keep = (right - left) <= seed_limit
-            words = words[keep]
-            positions = positions[keep]
-        target_hits, query_hits = index.lookup_batch(words, positions)
-        span.inc("seed_hits", int(target_hits.size))
+        target_hits, query_hits = _seed_hits(
+            index, query, seed_limit, span
+        )
         span.inc("candidates", int(target_hits.size))
         return SeedingResult(
             target_positions=target_hits,

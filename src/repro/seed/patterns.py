@@ -87,18 +87,21 @@ class SpacedSeed:
             words |= (window & 3) << (2 * k)
         return words, valid
 
+    @property
+    def transition_flips(self) -> Tuple[int, ...]:
+        """One xor mask per match slot: bit ``2k + 1`` of a word, whose
+        flip substitutes the base at slot ``k`` with its transition
+        partner."""
+        return tuple(2 << (2 * k) for k in range(self.weight))
+
     def transition_neighbours(self, words: np.ndarray) -> List[np.ndarray]:
         """All one-transition variants of each word (one array per slot).
 
-        Flipping bit ``2k + 1`` of a word substitutes the base at match
-        slot ``k`` with its transition partner.  The returned list has
-        ``weight`` arrays; together with the original words this gives the
-        ``m + 1`` lookups per position the paper describes.
+        The returned list has ``weight`` arrays; together with the
+        original words this gives the ``m + 1`` lookups per position the
+        paper describes.
         """
-        return [
-            words ^ (np.int64(2) << np.int64(2 * k))
-            for k in range(self.weight)
-        ]
+        return [words ^ np.int64(flip) for flip in self.transition_flips]
 
     def word_of(self, text: str) -> int:
         """Seed word of a single ``span``-length string (for tests)."""

@@ -1,9 +1,17 @@
-"""Naive O(n*m) dynamic-programming references used as test oracles.
+"""Reference implementations used as test oracles.
 
-These are deliberately slow, loop-based implementations written straight
-from the recurrences (paper equations 1-3), independent of the vectorised
-kernels in :mod:`repro.align`.
+The dynamic-programming references are deliberately slow, loop-based
+implementations written straight from the recurrences (paper equations
+1-3), independent of the vectorised kernels in :mod:`repro.align`.
+
+The seeding references at the end are the full-scan seed lookup as it was
+before the index gained its presence bitmap, frozen verbatim: every
+``(m + 1)``-fold variant word goes through ``searchsorted``, and nothing
+reads ``SeedIndex.bitmap``.  ``tests/seed/test_lookup_differential.py``
+holds the production path equal to them, array for array.
 """
+
+import numpy as np
 
 NEG = -(10**12)
 
@@ -97,3 +105,82 @@ def cigar_score(cigar, target, query, scoring, t_start=0, q_start=0):
             total -= scoring.gap_cost(length)
             qi += length
     return total
+
+
+def query_seed_words_reference(query, seed):
+    """Seed words of the query, expanded with transition variants.
+
+    Returns ``(words, positions)``: each valid query position contributes
+    one exact word plus, when the seed tolerates transitions, ``weight``
+    one-transition variants, variant-major.
+    """
+    words, valid = seed.words(query)
+    positions = np.flatnonzero(valid).astype(np.int64)
+    words = words[positions]
+    if not seed.transitions or words.size == 0:
+        return words, positions
+    variants = [words] + seed.transition_neighbours(words)
+    all_words = np.concatenate(variants)
+    all_positions = np.tile(positions, len(variants))
+    return all_words, all_positions
+
+
+def lookup_batch_reference(index, query_words, query_positions):
+    """Full-scan ``SeedIndex.lookup_batch``: ``(target_hits, query_hits)``
+    in query order then target order."""
+    left = np.searchsorted(index.sorted_words, query_words, side="left")
+    right = np.searchsorted(index.sorted_words, query_words, side="right")
+    counts = right - left
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    starts = np.repeat(left, counts)
+    offsets = np.arange(total) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    target_hits = index.sorted_positions[starts + offsets]
+    query_hits = np.repeat(query_positions, counts)
+    return target_hits, query_hits
+
+
+def all_seed_hits_reference(index, query, seed_limit=0):
+    """Full-scan ``all_seed_hits``: ``(target_hits, query_hits)``."""
+    words, positions = query_seed_words_reference(query, index.seed)
+    if seed_limit > 0 and words.size:
+        left = np.searchsorted(index.sorted_words, words, side="left")
+        right = np.searchsorted(index.sorted_words, words, side="right")
+        keep = (right - left) <= seed_limit
+        words = words[keep]
+        positions = positions[keep]
+    return lookup_batch_reference(index, words, positions)
+
+
+def dsoft_seed_reference(index, query, params):
+    """Full-scan ``dsoft_seed``.
+
+    Returns ``(target_positions, query_positions, raw_hit_count,
+    band_count)``, the fields of a ``SeedingResult``.
+    """
+    words, positions = query_seed_words_reference(query, index.seed)
+    target_hits, query_hits = lookup_batch_reference(index, words, positions)
+    raw = int(target_hits.size)
+    if raw == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), 0, 0
+    chunk_ids = query_hits // params.chunk_size
+    band_coord = target_hits - (query_hits % params.chunk_size) + len(query)
+    bin_ids = band_coord // params.bin_size
+    n_bins = (index.target_length + len(query)) // params.bin_size + 2
+    band_keys = chunk_ids * n_bins + bin_ids
+    order = np.argsort(band_keys, kind="stable")
+    unique_keys, first_index, counts = np.unique(
+        band_keys[order], return_index=True, return_counts=True
+    )
+    representatives = order[first_index[counts >= params.threshold]]
+    return (
+        target_hits[representatives],
+        query_hits[representatives],
+        raw,
+        int(unique_keys.size),
+    )

@@ -1,5 +1,7 @@
 """Seed-index cache: hit/miss accounting, invalidation, corruption."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,51 @@ class TestSeedIndexCache:
         np.testing.assert_array_equal(
             loaded.sorted_positions, fresh.sorted_positions
         )
+        self.assert_same_lookups(loaded, fresh)
+
+    def test_entry_written_before_the_bitmap_existed_loads(
+        self, tmp_path, target, seed
+    ):
+        # The bitmap is derived, never stored: an entry laid down by the
+        # previous release (these three keys, CACHE_VERSION 2, a sha256
+        # sidecar) must still be a hit and give the same lookups.
+        assert cache_module.CACHE_VERSION == 2
+        fresh = SeedIndex.build(target, seed)
+        entry = tmp_path / f"seedindex-{index_cache_key(target, seed)}.npz"
+        with open(entry, "wb") as handle:
+            np.savez(
+                handle,
+                sorted_words=fresh.sorted_words,
+                sorted_positions=fresh.sorted_positions,
+                target_length=np.int64(fresh.target_length),
+            )
+        digest = hashlib.sha256(entry.read_bytes()).hexdigest()
+        (tmp_path / f"{entry.name}.sha256").write_text(digest + "\n")
+        cache = SeedIndexCache(tmp_path)
+        loaded = cache.get_or_build(target, seed)
+        assert (cache.hits, cache.misses) == (1, 0)
+        self.assert_same_lookups(loaded, fresh)
+        # and what this release stores has exactly those keys
+        other = tmp_path / "other"
+        stored = SeedIndexCache(other).store(target, seed, fresh)
+        with np.load(stored) as archive:
+            assert sorted(archive.files) == [
+                "sorted_positions", "sorted_words", "target_length",
+            ]
+
+    @staticmethod
+    def assert_same_lookups(loaded, fresh):
+        assert loaded.bitmap_bits == fresh.bitmap_bits
+        np.testing.assert_array_equal(loaded.bitmap, fresh.bitmap)
+        words = np.concatenate(
+            [fresh.sorted_words[::3], fresh.sorted_words[::3] ^ 8]
+        )
+        positions = np.arange(words.size, dtype=np.int64)
+        for got, want in zip(
+            loaded.lookup_batch(words, positions),
+            fresh.lookup_batch(words, positions),
+        ):
+            np.testing.assert_array_equal(got, want)
 
     def test_key_separates_sequences_and_seeds(self, rng, target):
         other = Sequence(markov_genome(4000, rng).codes, name="u")

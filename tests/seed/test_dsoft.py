@@ -1,16 +1,18 @@
 """D-SOFT seeding tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.genome import Sequence
+from repro.obs import Tracer
 from repro.seed import (
     DsoftParams,
     SeedIndex,
     SpacedSeed,
     all_seed_hits,
     dsoft_seed,
-    query_seed_words,
 )
 
 
@@ -34,18 +36,37 @@ class TestParams:
             DsoftParams(threshold=0)
 
 
+def seed_counters(index, query):
+    tracer = Tracer()
+    all_seed_hits(index, query, tracer=tracer)
+    (span,) = tracer.roots
+    return span.counters
+
+
 class TestQueryWords:
     def test_exact_only(self, seed, rng):
         query = Sequence(rng.integers(0, 4, 60).astype(np.uint8))
-        words, positions = query_seed_words(query, seed)
-        assert words.size == positions.size == 60 - seed.span + 1
+        counters = seed_counters(SeedIndex.build(query, seed), query)
+        assert counters["seed_lookups"] == 60 - seed.span + 1
 
     def test_transitions_multiply_lookups(self, transition_seed, rng):
         query = Sequence(rng.integers(0, 4, 60).astype(np.uint8))
-        words, positions = query_seed_words(query, transition_seed)
+        counters = seed_counters(
+            SeedIndex.build(query, transition_seed), query
+        )
         base = 60 - transition_seed.span + 1
         # m + 1 lookups per position (paper section III-B)
-        assert words.size == base * (transition_seed.weight + 1)
+        assert counters["seed_lookups"] == base * (
+            transition_seed.weight + 1
+        )
+
+    def test_probe_funnel_narrows_on_unrelated_sequences(self, rng):
+        target = Sequence(rng.integers(0, 4, 3000).astype(np.uint8))
+        query = Sequence(rng.integers(0, 4, 3000).astype(np.uint8))
+        counters = seed_counters(SeedIndex.build(target, SpacedSeed()), query)
+        # 64 bitmap bits per indexed word: about 1 absent word in 64 passes.
+        assert counters["seed_lookups"] > 20 * counters["seed_probe_pass"] > 0
+        assert counters["seed_hits"] == counters["candidates"]
 
     def test_transition_hit_found(self, transition_seed):
         # Target differs from query by a single transition (A->G) at a
@@ -91,6 +112,22 @@ class TestDsoft:
         low = dsoft_seed(index, query, DsoftParams(threshold=1))
         high = dsoft_seed(index, query, DsoftParams(threshold=3))
         assert high.candidate_count <= low.candidate_count
+
+    def test_50_kbp_unrelated_pair_stays_under_8_mib(self):
+        rng = np.random.default_rng(7)
+        target = Sequence(rng.integers(0, 4, 50_000).astype(np.uint8), "t")
+        query = Sequence(rng.integers(0, 4, 50_000).astype(np.uint8), "q")
+        index = SeedIndex.build(target, SpacedSeed())
+        tracemalloc.start()
+        try:
+            result = dsoft_seed(index, query, DsoftParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.raw_hit_count > 0
+        # The 13-fold variant words and their full-scan searchsorted
+        # ranges were 30 MiB here.
+        assert peak < 8 * 2**20
 
     def test_empty_query(self, seed, rng):
         target = Sequence(rng.integers(0, 4, 100).astype(np.uint8))

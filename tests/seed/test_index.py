@@ -1,5 +1,7 @@
 """Seed index tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,59 @@ class TestBuild:
         word = seed.word_of("AAAA")
         assert index.word_frequency(word) == 5
         assert index.word_frequency(word + 1) == 0
+
+
+class TestBitmap:
+    def test_sized_from_the_index(self, rng):
+        seed = SpacedSeed()  # 12of19: 24-bit words
+        for length, bits in ((18, 3), (1_018, 16), (50_018, 22)):
+            target = Sequence(rng.integers(0, 4, length).astype(np.uint8))
+            index = SeedIndex.build(target, seed)
+            # next power of two above 64 bits per indexed word
+            assert index.bitmap_bits == bits
+            assert index.bitmap.dtype == np.uint8
+            assert index.bitmap.size == (1 << bits) // 8
+
+    def test_never_wider_than_the_word(self, rng):
+        seed = SpacedSeed(pattern="1011")  # 6-bit words
+        target = Sequence(rng.integers(0, 4, 5000).astype(np.uint8))
+        index = SeedIndex.build(target, seed)
+        assert index.bitmap_bits == seed.word_bits == 6
+        assert index.bitmap.size == 8
+
+    def test_empty_index(self, seed):
+        for text in ("", "ACG", "NNNNNNNNNN"):
+            index = SeedIndex.build(Sequence.from_string(text), seed)
+            assert index.size == 0
+            assert index.bitmap.tolist() == [0]
+            assert index.word_frequency(seed.word_of("ACGT")) == 0
+            query = Sequence.from_string("ACGTACGT")
+            words, valid = seed.words(query)
+            t_hits, q_hits = index.lookup_batch(
+                words, np.arange(words.size, dtype=np.int64)
+            )
+            assert t_hits.size == q_hits.size == 0
+
+    def test_pickle_round_trip_rederives_the_bitmap(self, rng):
+        target = Sequence(rng.integers(0, 4, 3000).astype(np.uint8))
+        index = SeedIndex.build(target, SpacedSeed())
+        payload = pickle.dumps(index)
+        # the tables travel, the bitmap does not
+        assert len(payload) < 16 * index.size + 2048 < (
+            16 * index.size + index.bitmap.nbytes
+        )
+        clone = pickle.loads(payload)
+        assert clone.seed == index.seed
+        assert clone.target_length == index.target_length
+        assert clone.bitmap_bits == index.bitmap_bits
+        np.testing.assert_array_equal(clone.bitmap, index.bitmap)
+        words = index.sorted_words[::5] ^ 2
+        positions = np.arange(words.size, dtype=np.int64)
+        for got, want in zip(
+            clone.lookup_batch(words, positions),
+            index.lookup_batch(words, positions),
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLookup:
