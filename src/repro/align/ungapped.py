@@ -12,41 +12,20 @@ Smith-Waterman; both are implemented so the pipelines can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
 from ..genome.sequence import Sequence
+from . import _dp
 from .scoring import ScoringScheme
 
 
-@lru_cache(maxsize=8)
-def _direction_offsets(max_length: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(right, left)`` offset arrays for one window size.
-
-    These are identical for every batch with the same ``max_length``, so
-    they are built once and reused instead of calling ``np.arange`` inside
-    the hot filtering loop.
-    """
-    right = np.arange(max_length, dtype=np.int64)
-    left = -np.arange(1, max_length + 1, dtype=np.int64)
-    right.setflags(write=False)
-    left.setflags(write=False)
-    return right, left
-
-
-_LANES = np.empty(0, dtype=np.int64)
-
-
-def _lane_indices(k: int) -> np.ndarray:
-    """First ``k`` lane indices from a grow-only cached ``arange``."""
-    global _LANES
-    if _LANES.size < k:
-        lanes = np.arange(max(k, 2 * _LANES.size), dtype=np.int64)
-        lanes.setflags(write=False)
-        _LANES = lanes
-    return _LANES[:k]
+#: Columns every live lane advances between retirements of dead lanes.
+#: Noise hits die within ~15 columns of LASTZ's default X-drop, so one
+#: chunk retires most of a batch; wider chunks score more dead columns,
+#: narrower ones pay the per-chunk dispatch more often.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -143,6 +122,66 @@ def ungapped_extend(
     )
 
 
+def _scan(
+    target: Sequence,
+    query: Sequence,
+    t_from: np.ndarray,
+    q_from: np.ndarray,
+    step: int,
+    limits: np.ndarray,
+    matrix: np.ndarray,
+    xdrop: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(best, spans)`` of every lane's X-drop extension in one direction.
+
+    Lane ``i`` scores ``target[t_from[i] + step * j]`` against
+    ``query[q_from[i] + step * j]`` for ``j < limits[i]``, in the dtype
+    of ``matrix``.  All live lanes advance :data:`CHUNK` columns at a
+    time, carrying the cumulative score and the running maximum — which
+    starts at 0, so it *is* the best prefix score so far.  A lane is
+    retired after the chunk in which it falls more than ``xdrop`` below
+    that maximum or reaches its limit.
+    """
+    best = np.zeros(limits.size, dtype=matrix.dtype)
+    spans = np.zeros(limits.size, dtype=np.int64)
+    live = np.flatnonzero(limits > 0)
+    cumulative = np.zeros(live.size, dtype=matrix.dtype)
+    columns = step * np.arange(CHUNK)
+    scores, alphabet = matrix.ravel(), np.uint8(matrix.shape[1])
+    done = 0
+    while live.size:
+        # Reads past a lane's limit are clipped into range and never
+        # counted: ``stop`` below ends the lane at its limit.
+        pairs = target.codes.take(t_from[live, None] + columns, mode="clip")
+        pairs *= alphabet
+        pairs += query.codes.take(q_from[live, None] + columns, mode="clip")
+        chunk = scores.take(pairs)
+        chunk[:, 0] += cumulative
+        np.cumsum(chunk, axis=1, out=chunk)
+        running = np.maximum.accumulate(chunk, axis=1)
+        np.maximum(running, best[live, None], out=running)
+        dropped = running - chunk > xdrop
+        left = limits[live] - done
+        stop = np.where(dropped.any(axis=1), dropped.argmax(axis=1), CHUNK)
+        np.minimum(stop, left, out=stop)
+        # The running maximum at a lane's last counted column is its best
+        # so far.  It moves the span only when strictly greater than the
+        # carried best, and the first column equal to it is the first
+        # argmax: ties keep the earlier, shorter span.
+        rows = np.flatnonzero(stop > 0)
+        peak = running[rows, stop[rows] - 1]
+        better = peak > best[live[rows]]
+        rows, peak = rows[better], peak[better]
+        best[live[rows]] = peak
+        first = (chunk[rows] == peak[:, None]).argmax(axis=1)
+        spans[live[rows]] = done + first + 1
+        keep = np.flatnonzero((stop == CHUNK) & (left > CHUNK))
+        live, cumulative = live[keep], chunk[keep, -1]
+        columns += step * CHUNK
+        done += CHUNK
+    return best.astype(np.int64), spans
+
+
 def ungapped_extend_batch(
     target: Sequence,
     query: Sequence,
@@ -154,90 +193,27 @@ def ungapped_extend_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised ungapped extension of many seed hits at once.
 
-    Returns ``(scores, left_spans, right_spans)`` arrays.  Positions past
-    either sequence end contribute N-vs-N substitution scores against the
-    clamped final base... they are excluded by masking to a large negative
-    score, which terminates extension at the boundary under X-drop.
+    Returns ``(scores, left_spans, right_spans)`` arrays.  A position past
+    either sequence end ends extension there, exactly as X-drop ends it
+    anywhere else, so a hit on or beyond an end scores nothing that way.
     """
-    k = target_positions.size
-    if k == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    t = target.codes
-    q = query.codes
-    matrix = scoring.matrix64
-    boundary_penalty = np.int64(-(xdrop + 1))
-    lanes = _lane_indices(k)
-    # Clamp each direction's window to the longest extension any hit can
-    # actually make (sequence ends bound it) rather than ``max_length``:
-    # hits near the ends of short sequences would otherwise pay for a
-    # (k, max_length) slab that is almost entirely boundary padding.
-    # Truncated columns are out of range for every lane, where the
-    # boundary penalty already kills extension under X-drop, so scores
-    # and spans are unchanged.
-    right_cap = max(
-        0,
-        int(
-            min(
-                np.minimum(
-                    len(target) - target_positions,
-                    len(query) - query_positions,
-                ).max(),
-                max_length,
-            )
-        ),
+    n_t, n_q = len(target), len(query)
+    tp = np.asarray(target_positions, dtype=np.int64)
+    qp = np.asarray(query_positions, dtype=np.int64)
+    # Narrowest exact dtype: a lane's cumulative score runs at most one
+    # chunk past ``max_length`` columns before it is retired.
+    dtype = _dp.kernel_dtype(scoring, max_length + CHUNK, slack=xdrop)
+    matrix = _dp.matrix_for(scoring, dtype)
+    right_limits = np.where(
+        (tp >= 0) & (qp >= 0), np.minimum(n_t - tp, n_q - qp), 0
+    ).clip(0, max_length)
+    left_limits = np.where(
+        (tp <= n_t) & (qp <= n_q), np.minimum(tp, qp), 0
+    ).clip(0, max_length)
+    right_best, right_spans = _scan(
+        target, query, tp, qp, 1, right_limits, matrix, xdrop
     )
-    left_cap = max(
-        0,
-        int(
-            min(
-                np.minimum(target_positions, query_positions).max(),
-                max_length,
-            )
-        ),
-    )
-    width = max(right_cap, left_cap)
-    # One padded (k, width) slab serves both directions: every downstream
-    # array (cumsum, running max, masks) is a fresh allocation, so the
-    # left pass may overwrite the right pass's window in place.
-    score_slab = np.empty((k, width), dtype=np.int64)
-
-    def direction_scores(offsets: np.ndarray, cap: int) -> np.ndarray:
-        slab = score_slab[:, :cap]
-        t_idx = target_positions[:, None] + offsets[None, :cap]
-        q_idx = query_positions[:, None] + offsets[None, :cap]
-        valid = (
-            (t_idx >= 0)
-            & (t_idx < len(target))
-            & (q_idx >= 0)
-            & (q_idx < len(query))
-        )
-        slab.fill(boundary_penalty)
-        slab[valid] = matrix[t[t_idx[valid]], q[q_idx[valid]]]
-        return slab
-
-    def best_under_xdrop(scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if scores.shape[1] == 0:
-            zeros = np.zeros(k, dtype=np.int64)
-            return zeros, zeros.copy()
-        cumulative = np.cumsum(scores, axis=1)
-        running_max = np.maximum.accumulate(
-            np.maximum(cumulative, 0), axis=1
-        )
-        alive = np.cumprod(running_max - cumulative <= xdrop, axis=1).astype(
-            bool
-        )
-        masked = np.where(alive, cumulative, np.int64(-(2**42)))
-        spans = np.argmax(masked, axis=1) + 1
-        best = np.maximum(masked[lanes, spans - 1], 0)
-        spans = np.where(best > 0, spans, 0)
-        return best, spans
-
-    offsets_right, offsets_left = _direction_offsets(max_length)
-    right_best, right_spans = best_under_xdrop(
-        direction_scores(offsets_right, right_cap)
-    )
-    left_best, left_spans = best_under_xdrop(
-        direction_scores(offsets_left, left_cap)
+    left_best, left_spans = _scan(
+        target, query, tp - 1, qp - 1, -1, left_limits, matrix, xdrop
     )
     return right_best + left_best, left_spans, right_spans

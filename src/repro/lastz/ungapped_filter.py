@@ -5,8 +5,9 @@ III-C).  Hits whose ungapped score reaches the threshold become extension
 anchors; hits falling inside an already-found HSP on the same diagonal are
 deduplicated (LASTZ's anchor absorption within the ungapped stage).
 
-Extensions are batched and fully vectorised; the cell count (scored
-diagonal positions) is the stage's workload unit.
+Extensions are batched and vectorised, each hit scored only as far as
+X-drop lets it run; the cell count (scored diagonal positions) is the
+stage's workload unit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from ..genome.sequence import Sequence
 #: LASTZ's default HSP X-drop, ten times the strongest match score.
 DEFAULT_XDROP = 910
 
+#: Hits extended per kernel call; bounds the kernel's per-chunk arrays.
+LANES_PER_CALL = 8192
+
 
 @dataclass(frozen=True)
 class UngappedFilterParams:
@@ -34,8 +38,12 @@ class UngappedFilterParams:
     max_extension: int = 512
 
     def __post_init__(self) -> None:
-        if self.xdrop < 0 or self.max_extension <= 0:
-            raise ValueError("xdrop/max_extension must be non-negative")
+        if self.threshold < 0:
+            raise ValueError("threshold must be non-negative")
+        if self.xdrop < 0:
+            raise ValueError("xdrop must be non-negative")
+        if self.max_extension <= 0:
+            raise ValueError("max_extension must be positive")
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,6 @@ def ungapped_filter(
     scoring: ScoringScheme,
     params: UngappedFilterParams,
     strand: int = 1,
-    batch_size: int = 8192,
 ) -> UngappedFilterResult:
     """Filter seed hits by ungapped X-drop extension.
 
@@ -71,8 +78,8 @@ def ungapped_filter(
     left_spans = np.empty(k, dtype=np.int64)
     right_spans = np.empty(k, dtype=np.int64)
     cells = 0
-    for start in range(0, k, batch_size):
-        stop = min(start + batch_size, k)
+    for start in range(0, k, LANES_PER_CALL):
+        stop = min(start + LANES_PER_CALL, k)
         batch_scores, lspans, rspans = ungapped_extend_batch(
             target,
             query,

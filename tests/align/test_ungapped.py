@@ -151,9 +151,11 @@ class TestBatch:
         assert (scores > 0).all()
 
     def test_out_of_range_positions_score_zero_side(self, rng):
+        # A self-hit at position 0 of a 50-base sequence under a 64-base
+        # window: nothing to the left, the whole sequence to the right.
         scoring = lastz_default()
         t = Sequence(rng.integers(0, 4, 50).astype(np.uint8))
-        scores, _, _ = ungapped_extend_batch(
+        scores, lspans, rspans = ungapped_extend_batch(
             t,
             t,
             np.array([0]),
@@ -162,4 +164,6 @@ class TestBatch:
             xdrop=910,
             max_length=64,
         )
-        assert scores[0] == 50 * 91 or scores[0] > 0
+        single = ungapped_extend(t, t, 0, 0, scoring, xdrop=910, max_length=64)
+        assert (single.target_start, single.target_end) == (0, 50)
+        assert (scores[0], lspans[0], rspans[0]) == (single.score, 0, 50)

@@ -1,11 +1,16 @@
 """Ungapped filter stage tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.align import ungapped_extend_batch
 from repro.align.matrices import lastz_default
-from repro.genome import Sequence
+from repro.genome import Sequence, markov_genome
 from repro.lastz import UngappedFilterParams, ungapped_filter
+from repro.lastz.ungapped_filter import LANES_PER_CALL
+from repro.seed import SeedIndex, SpacedSeed, all_seed_hits
 
 
 @pytest.fixture
@@ -126,3 +131,76 @@ class TestUngappedFilter:
             UngappedFilterParams(xdrop=-1)
         with pytest.raises(ValueError):
             UngappedFilterParams(max_extension=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("threshold", -1, "threshold must be non-negative"),
+            ("xdrop", -1, "xdrop must be non-negative"),
+            ("max_extension", 0, "max_extension must be positive"),
+            ("max_extension", -5, "max_extension must be positive"),
+        ],
+    )
+    def test_each_field_is_checked_and_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UngappedFilterParams(**{field: value})
+        # the boundary values themselves are accepted
+        UngappedFilterParams(threshold=0, xdrop=0, max_extension=1)
+
+    def test_more_hits_than_one_kernel_call(self, scoring, rng):
+        # Hits are extended LANES_PER_CALL at a time; the split may not
+        # show in anchors or in the cell count.
+        target = Sequence(rng.integers(0, 4, 4000).astype(np.uint8), "t")
+        q_codes = rng.integers(0, 4, 4000).astype(np.uint8)
+        q_codes[1000:1300] = target.codes[1000:1300]
+        query = Sequence(q_codes, "q")
+        k = LANES_PER_CALL + 37
+        hits_t = rng.integers(0, 4000, k)
+        hits_q = hits_t.copy()
+        hits_q[::3] = rng.integers(0, 4000, hits_q[::3].size)
+        params = UngappedFilterParams()
+        result = ungapped_filter(
+            target, query, hits_t, hits_q, scoring, params
+        )
+        scores, left, right = ungapped_extend_batch(
+            target, query, hits_t, hits_q, scoring, params.xdrop,
+            max_length=params.max_extension,
+        )
+        assert result.hits == k
+        overshoot = 2 * (params.xdrop // 91 + 1)  # the filter's fixed charge
+        assert result.cells == int(left.sum() + right.sum()) + overshoot * k
+        assert result.anchors
+        passing = {
+            (int(t), int(q)): int(score)
+            for t, q, score in zip(hits_t, hits_q, scores)
+            if score >= params.threshold
+        }
+        for anchor in result.anchors:
+            assert passing[anchor.target_pos, anchor.query_pos] == (
+                anchor.filter_score
+            )
+
+    def test_50_kbp_unrelated_pair_stays_under_16_mib(self, scoring):
+        rng = np.random.default_rng(7)
+        target = markov_genome(50_000, rng, name="t")
+        query = markov_genome(50_000, rng, name="q")
+        hits = all_seed_hits(SeedIndex.build(target, SpacedSeed()), query)
+        assert hits.target_positions.size > 1000
+        tracemalloc.start()
+        try:
+            result = ungapped_filter(
+                target,
+                query,
+                hits.target_positions,
+                hits.query_positions,
+                scoring,
+                UngappedFilterParams(),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.hits == hits.target_positions.size
+        assert result.cells > 0
+        # One (hits, 512) int64 slab per cumulative / running-max / mask
+        # was 64 MiB here; a chunk of live lanes in int32 is a few.
+        assert peak < 16 * 2**20

@@ -9,6 +9,12 @@ before the index gained its presence bitmap, frozen verbatim: every
 ``(m + 1)``-fold variant word goes through ``searchsorted``, and nothing
 reads ``SeedIndex.bitmap``.  ``tests/seed/test_lookup_differential.py``
 holds the production path equal to them, array for array.
+
+``ungapped_extend_batch_reference`` is the LASTZ ungapped filter kernel as
+it was before it learnt to stop where X-drop stops, frozen verbatim (its
+two cached ``arange`` helpers inlined).
+``tests/align/test_ungapped_differential.py`` holds the chunked,
+lane-retiring kernel equal to it.
 """
 
 import numpy as np
@@ -184,3 +190,105 @@ def dsoft_seed_reference(index, query, params):
         raw,
         int(unique_keys.size),
     )
+
+
+def ungapped_extend_batch_reference(
+    target,
+    query,
+    target_positions,
+    query_positions,
+    scoring,
+    xdrop,
+    max_length=4096,
+):
+    """The slab ``ungapped_extend_batch``: ``(scores, left_spans,
+    right_spans)``.
+
+    Every hit's whole ``max_length`` window is scored on both sides into
+    a padded ``(k, width)`` slab; positions past either sequence end get
+    ``-(xdrop + 1)``, which ends extension there under X-drop; the rule
+    is applied to the finished slab.
+    """
+    k = target_positions.size
+    if k == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    t = target.codes
+    q = query.codes
+    matrix = scoring.matrix64
+    boundary_penalty = np.int64(-(xdrop + 1))
+    lanes = np.arange(k, dtype=np.int64)
+    # Clamp each direction's window to the longest extension any hit can
+    # actually make (sequence ends bound it) rather than ``max_length``:
+    # hits near the ends of short sequences would otherwise pay for a
+    # (k, max_length) slab that is almost entirely boundary padding.
+    # Truncated columns are out of range for every lane, where the
+    # boundary penalty already kills extension under X-drop, so scores
+    # and spans are unchanged.
+    right_cap = max(
+        0,
+        int(
+            min(
+                np.minimum(
+                    len(target) - target_positions,
+                    len(query) - query_positions,
+                ).max(),
+                max_length,
+            )
+        ),
+    )
+    left_cap = max(
+        0,
+        int(
+            min(
+                np.minimum(target_positions, query_positions).max(),
+                max_length,
+            )
+        ),
+    )
+    width = max(right_cap, left_cap)
+    # One padded (k, width) slab serves both directions: every downstream
+    # array (cumsum, running max, masks) is a fresh allocation, so the
+    # left pass may overwrite the right pass's window in place.
+    score_slab = np.empty((k, width), dtype=np.int64)
+
+    def direction_scores(offsets, cap):
+        slab = score_slab[:, :cap]
+        t_idx = target_positions[:, None] + offsets[None, :cap]
+        q_idx = query_positions[:, None] + offsets[None, :cap]
+        valid = (
+            (t_idx >= 0)
+            & (t_idx < len(target))
+            & (q_idx >= 0)
+            & (q_idx < len(query))
+        )
+        slab.fill(boundary_penalty)
+        slab[valid] = matrix[t[t_idx[valid]], q[q_idx[valid]]]
+        return slab
+
+    def best_under_xdrop(scores):
+        if scores.shape[1] == 0:
+            zeros = np.zeros(k, dtype=np.int64)
+            return zeros, zeros.copy()
+        cumulative = np.cumsum(scores, axis=1)
+        running_max = np.maximum.accumulate(
+            np.maximum(cumulative, 0), axis=1
+        )
+        alive = np.cumprod(running_max - cumulative <= xdrop, axis=1).astype(
+            bool
+        )
+        masked = np.where(alive, cumulative, np.int64(-(2**42)))
+        spans = np.argmax(masked, axis=1) + 1
+        best = np.maximum(masked[lanes, spans - 1], 0)
+        spans = np.where(best > 0, spans, 0)
+        return best, spans
+
+    offsets_right = np.arange(max_length, dtype=np.int64)
+    offsets_left = -np.arange(1, max_length + 1, dtype=np.int64)
+    right_best, right_spans = best_under_xdrop(
+        direction_scores(offsets_right, right_cap)
+    )
+    left_best, left_spans = best_under_xdrop(
+        direction_scores(offsets_left, left_cap)
+    )
+    return right_best + left_best, left_spans, right_spans
