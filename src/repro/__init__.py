@@ -17,38 +17,30 @@ Quickstart::
     chains = build_chains(result.alignments)
 """
 
-from .align import Alignment, Cigar, ScoringScheme, lastz_default
-from .chain import Chain, GapCosts, build_chains
-from .core import (
-    DarwinWGA,
-    DarwinWGAConfig,
-    ExtensionParams,
-    FilterParams,
-    WGAResult,
-)
-from .genome import Sequence, make_species_pair
-from .hw import CostModel
-from .lastz import LastzAligner, LastzConfig
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Alignment",
-    "Cigar",
-    "ScoringScheme",
-    "lastz_default",
-    "Chain",
-    "GapCosts",
-    "build_chains",
-    "DarwinWGA",
-    "DarwinWGAConfig",
-    "ExtensionParams",
-    "FilterParams",
-    "WGAResult",
-    "Sequence",
-    "make_species_pair",
-    "CostModel",
-    "LastzAligner",
-    "LastzConfig",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Alignment": "align",
+        "Cigar": "align",
+        "ScoringScheme": "align",
+        "lastz_default": "align",
+        "Chain": "chain",
+        "GapCosts": "chain",
+        "build_chains": "chain",
+        "DarwinWGA": "core",
+        "DarwinWGAConfig": "core",
+        "ExtensionParams": "core",
+        "FilterParams": "core",
+        "WGAResult": "core",
+        "Sequence": "genome",
+        "make_species_pair": "genome",
+        "CostModel": "hw",
+        "LastzAligner": "lastz",
+        "LastzConfig": "lastz",
+    },
+)
+__all__.append("__version__")

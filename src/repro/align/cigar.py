@@ -11,8 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
+import numpy as np
+
 #: Valid CIGAR operation characters.
 OPS = ("=", "X", "I", "D")
+
+#: Per-column op codes (each the index of its character in ``OPS``), the
+#: form :meth:`Cigar.columns` / :meth:`Cigar.from_columns` trade in.
+MATCH, MISMATCH, INSERTION, DELETION = range(4)
 
 #: Operations that consume a target base.
 CONSUMES_TARGET = {"=": True, "X": True, "I": False, "D": True}
@@ -51,6 +57,28 @@ class Cigar:
     def from_ops(cls, ops: Iterable[str]) -> "Cigar":
         """Build a CIGAR from a per-base operation sequence."""
         return cls.from_runs((op, 1) for op in ops)
+
+    @classmethod
+    def from_columns(cls, codes: np.ndarray) -> "Cigar":
+        """Run-length encode one op code per alignment column."""
+        codes = np.asarray(codes)
+        if codes.size == 0:
+            return cls(())
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(codes)) + 1))
+        lengths = np.diff(np.append(starts, codes.size))
+        return cls(
+            tuple(
+                (OPS[code], length)
+                for code, length in zip(
+                    codes[starts].tolist(), lengths.tolist()
+                )
+            )
+        )
+
+    def columns(self) -> np.ndarray:
+        """One op code per alignment column (``uint8``)."""
+        codes = np.array([OPS.index(op) for op, _ in self.runs], np.uint8)
+        return np.repeat(codes, [length for _, length in self.runs])
 
     @classmethod
     def parse(cls, text: str) -> "Cigar":

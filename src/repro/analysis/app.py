@@ -32,7 +32,13 @@ DEFAULT_TARGET = Path("src/repro")
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the lint options (shared with ``repro lint``)."""
+    """Install the lint options.
+
+    ``repro lint`` spells the same five in ``repro/cli.py`` — its parser
+    is built without importing this package, so an ``align`` never
+    compiles the rule engine — and ``tests/test_cli.py`` holds the two
+    equal, action for action.
+    """
     parser.add_argument(
         "paths",
         nargs="*",

@@ -1,36 +1,26 @@
 """Chaining: axtChain-like chain construction and sensitivity metrics."""
 
-from .chainer import Chain, build_chains
-from .gap_costs import GapCosts
-from .liftover import LiftOver, LiftSegment, best_lift
-from .nets import Net, NetEntry, build_net
-from .metrics import (
-    ChainComparison,
-    block_length_histogram,
-    compare,
-    fraction_below,
-    mean_top_score,
-    top_chain_scores,
-    total_matches,
-    ungapped_block_lengths,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Chain",
-    "build_chains",
-    "GapCosts",
-    "LiftOver",
-    "LiftSegment",
-    "best_lift",
-    "Net",
-    "NetEntry",
-    "build_net",
-    "ChainComparison",
-    "block_length_histogram",
-    "compare",
-    "fraction_below",
-    "mean_top_score",
-    "top_chain_scores",
-    "total_matches",
-    "ungapped_block_lengths",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Chain": "chainer",
+        "build_chains": "chainer",
+        "GapCosts": "gap_costs",
+        "LiftOver": "liftover",
+        "LiftSegment": "liftover",
+        "best_lift": "liftover",
+        "Net": "nets",
+        "NetEntry": "nets",
+        "build_net": "nets",
+        "ChainComparison": "metrics",
+        "block_length_histogram": "metrics",
+        "compare": "metrics",
+        "fraction_below": "metrics",
+        "mean_top_score": "metrics",
+        "top_chain_scores": "metrics",
+        "total_matches": "metrics",
+        "ungapped_block_lengths": "metrics",
+    },
+)

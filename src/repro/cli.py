@@ -27,32 +27,10 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
-from .analysis.app import add_lint_arguments, run_lint
-from .chain import GapCosts, build_chains, top_chain_scores, total_matches
-from .core import Workload, align_assemblies, aligner_named
-from .genome import make_species_pair, read_fasta, write_fasta
-from .hw import CostModel, asic_estimate
-from .io import write_assembly_maf, write_chains, write_maf
-from .obs import (
-    NO_PROGRESS,
-    NULL_TRACER,
-    ProgressRenderer,
-    TelemetryOptions,
-    Tracer,
-    load_run_report,
-    profile_capture,
-    render_run,
-    write_chrome_trace,
-    write_run_report,
-)
-from .resilience import (
-    FaultPlan,
-    ManifestError,
-    ResilienceOptions,
-    RetryPolicy,
-)
+# Nothing else is imported here: ``build_parser`` needs only argparse,
+# and each ``_cmd_*`` imports what it runs, from the module that
+# defines it, so an invocation loads (and, with no bytecode cache,
+# compiles) one command's modules (DESIGN.md, "Import policy").
 
 
 def _add_generate(subparsers) -> None:
@@ -86,6 +64,11 @@ def _add_generate(subparsers) -> None:
 
 
 def _cmd_generate(args) -> int:
+    import numpy as np
+
+    from .genome.evolution import make_species_pair
+    from .genome.fasta import write_fasta
+
     if args.chromosomes < 1:
         raise SystemExit("--chromosomes must be at least 1")
     rng = np.random.default_rng(args.seed)
@@ -223,6 +206,8 @@ def _add_progress_flags(parser) -> None:
 
 def _progress_from_args(args):
     """Resolve the --progress tri-state to a progress sink."""
+    from .obs.progress import NO_PROGRESS, ProgressRenderer
+
     if args.progress is False:
         return NO_PROGRESS
     renderer = ProgressRenderer(enabled=args.progress)
@@ -243,6 +228,8 @@ def _print_telemetry(summary) -> None:
 
 
 def _load_records(path: Path):
+    from .genome.fasta import read_fasta
+
     try:
         records = read_fasta(path)
     except ValueError as error:
@@ -263,7 +250,10 @@ def _load_single(path: Path):
     return records[0]
 
 
-def _resilience_from_args(args) -> ResilienceOptions:
+def _resilience_from_args(args):
+    from .resilience.faults import FaultPlan
+    from .resilience.policy import ResilienceOptions, RetryPolicy
+
     if args.max_retries < 0:
         raise SystemExit("--max-retries must be >= 0")
     plan = None
@@ -316,6 +306,14 @@ def _print_stream(summary) -> None:
 
 
 def _cmd_align(args) -> int:
+    from .core.pipeline import align_assemblies, aligner_named
+    from .io.maf import write_assembly_maf, write_maf
+    from .obs.export import write_run_report
+    from .obs.profiling import profile_capture
+    from .obs.session import TelemetryOptions
+    from .obs.tracer import NULL_TRACER, Tracer
+    from .resilience.checkpoint import ManifestError
+
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
     if args.resume and args.checkpoint is None:
@@ -327,7 +325,7 @@ def _cmd_align(args) -> int:
     progress = _progress_from_args(args)
     telemetry = TelemetryOptions(progress=progress, profile_dir=args.profile)
     if args.workers > 1:
-        from .parallel import install_signal_cleanup
+        from .parallel.engine import install_signal_cleanup
 
         install_signal_cleanup()
     aligner_class = aligner_named(args.aligner)
@@ -437,7 +435,13 @@ def _add_chain(subparsers) -> None:
 
 
 def _cmd_chain(args) -> int:
-    from .io import read_maf
+    from .chain.chainer import build_chains
+    from .chain.gap_costs import GapCosts
+    from .chain.metrics import top_chain_scores, total_matches
+    from .io.chain_format import write_chains
+    from .io.maf import read_maf
+    from .obs.export import write_run_report
+    from .obs.tracer import NULL_TRACER, Tracer
 
     alignments = read_maf(args.maf)
     target = _load_single(args.target)
@@ -497,6 +501,10 @@ def _add_model(subparsers) -> None:
 
 
 def _cmd_model(args) -> int:
+    from .core.pipeline import Workload
+    from .hw.cost import CostModel
+    from .hw.power import asic_estimate
+
     workload = Workload(
         seed_hits=args.seed_hits,
         filter_tiles=args.filter_tiles,
@@ -543,7 +551,8 @@ def _add_mask(subparsers) -> None:
 
 
 def _cmd_mask(args) -> int:
-    from .genome import (
+    from .genome.fasta import write_fasta
+    from .genome.masking import (
         apply_soft_mask,
         entropy_mask,
         frequency_mask,
@@ -583,8 +592,9 @@ def _add_net(subparsers) -> None:
 
 
 def _cmd_net(args) -> int:
-    from .chain import build_net
-    from .io import read_maf
+    from .chain.chainer import build_chains
+    from .chain.nets import build_net
+    from .io.maf import read_maf
 
     alignments = read_maf(args.maf)
     target = _load_single(args.target)
@@ -618,7 +628,8 @@ def _add_tblastx(subparsers) -> None:
 
 
 def _cmd_tblastx(args) -> int:
-    from .annotate import TblastxParams, translated_search
+    from .annotate.tblastx import TblastxParams
+    from .annotate.translated_search import translated_search
 
     target = _load_single(args.target)
     query = _load_single(args.query)
@@ -646,8 +657,41 @@ def _add_lint(subparsers) -> None:
         help="project-specific static analysis (determinism / layering "
         "/ kernel invariants)",
     )
-    add_lint_arguments(parser)
-    parser.set_defaults(func=run_lint)
+    # The same five options as repro.analysis.app.add_lint_arguments,
+    # spelled here because building the parser may not import the rule
+    # engine (tests/test_cli.py holds the two equal).
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        type=Path,
+        help="files or directories to lint (default: src/repro)",
+    )
+    parser.add_argument(
+        "--format",
+        dest="fmt",
+        choices=("text", "json"),
+        default="text",
+    )
+    parser.add_argument(
+        "--select",
+        default=None,
+        help="comma-separated rule ids to run (default: all)",
+    )
+    parser.add_argument(
+        "--show-suppressed",
+        action="store_true",
+        help="also list suppressed findings (text format)",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true", help="print the rule table"
+    )
+    parser.set_defaults(func=_cmd_lint)
+
+
+def _cmd_lint(args) -> int:
+    from .analysis.app import run_lint
+
+    return run_lint(args)
 
 
 def _add_trace(subparsers) -> None:
@@ -673,6 +717,8 @@ def _add_trace(subparsers) -> None:
 
 
 def _cmd_trace(args) -> int:
+    from .obs.export import load_run_report, render_run, write_chrome_trace
+
     try:
         report = load_run_report(args.report)
     except OSError as error:
@@ -777,7 +823,8 @@ def _add_serve(subparsers) -> None:
 
 
 def _cmd_serve(args) -> int:
-    from .service import ServeConfig, ServeDaemon
+    from .resilience.faults import FaultPlan
+    from .service.daemon import ServeConfig, ServeDaemon
 
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")

@@ -1,62 +1,42 @@
 """Darwin-WGA core: configuration, gapped filter, GACT/GACT-X, pipeline."""
 
-from .anchors import CoverageGrid
-from .config import DarwinWGAConfig, ExtensionParams, FilterParams
-from .gact import (
-    GactExtensionResult,
-    GactParams,
-    gact_extend,
-    tile_size_for_memory,
-)
-from .gact_x import (
-    ExtensionResult,
-    TileTrace,
-    gact_x_extend,
-    score_cigar,
-    truncate_cigar,
-)
-from .gapped_filter import GappedFilterResult, gapped_filter
-from .report import (
-    alignment_detail,
-    chain_table,
-    dotplot,
-    workload_summary,
-)
-from .pipeline import (
-    DarwinWGA,
-    WGAResult,
-    Workload,
-    align_assemblies,
-    aligner_named,
-)
-from .stream import BoundedQueue, StrandStream, StreamParams
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CoverageGrid",
-    "DarwinWGAConfig",
-    "ExtensionParams",
-    "FilterParams",
-    "GactExtensionResult",
-    "GactParams",
-    "gact_extend",
-    "tile_size_for_memory",
-    "ExtensionResult",
-    "TileTrace",
-    "gact_x_extend",
-    "score_cigar",
-    "truncate_cigar",
-    "GappedFilterResult",
-    "gapped_filter",
-    "DarwinWGA",
-    "WGAResult",
-    "Workload",
-    "aligner_named",
-    "align_assemblies",
-    "BoundedQueue",
-    "StrandStream",
-    "StreamParams",
-    "alignment_detail",
-    "chain_table",
-    "dotplot",
-    "workload_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CoverageGrid": "anchors",
+        "DarwinWGAConfig": "config",
+        "ExtensionParams": "config",
+        "FilterParams": "config",
+        "GactExtensionResult": "gact",
+        "GactParams": "gact",
+        "gact_extend": "gact",
+        "tile_size_for_memory": "gact",
+        "ExtensionResult": "gact_x",
+        "TileTrace": "gact_x",
+        "gact_x_extend": "gact_x",
+        "score_cigar": "gact_x",
+        "truncate_cigar": "gact_x",
+        "GappedFilterResult": "gapped_filter",
+        "gapped_filter": "gapped_filter",
+        "DarwinWGA": "pipeline",
+        "WGAResult": "pipeline",
+        "Workload": "pipeline",
+        "aligner_named": "pipeline",
+        "align_assemblies": "pipeline",
+        "BoundedQueue": "stream",
+        "StrandStream": "stream",
+        "StreamParams": "stream",
+        "alignment_detail": "report",
+        "chain_table": "report",
+        "dotplot": "report",
+        "workload_summary": "report",
+    },
+)
+
+# Bound now, not through the table.  This export shares its
+# submodule's name, and the import system sets the package attribute
+# ``gapped_filter`` to the *module* the moment anything imports that
+# submodule (DESIGN.md, "Import policy").
+from .gapped_filter import gapped_filter  # noqa: E402

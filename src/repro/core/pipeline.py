@@ -391,11 +391,14 @@ class DarwinWGA(SeedFilterExtendAligner):
 
 def aligner_named(label: str) -> type:
     """The aligner class behind an ``--aligner`` name."""
+    if label == DarwinWGA.label:
+        return DarwinWGA
     # Deferred: repro.lastz is a sibling layer that imports this module
-    # at module level, so the reverse import must wait for call time.
+    # at module level, so the reverse import must wait for call time —
+    # and for a caller that names the baseline.
     from ..lastz.pipeline import LastzAligner
 
-    return {cls.label: cls for cls in (DarwinWGA, LastzAligner)}[label]
+    return {LastzAligner.label: LastzAligner}[label]
 
 
 def _unit_key(ti: int, target: Sequence, qi: int, query: Sequence) -> str:

@@ -1,66 +1,40 @@
 """Genome substrate: sequences, I/O, synthesis, evolution, shuffles."""
 
-from . import alphabet
-from .assembly import Assembly, split_into_chromosomes
-from .masking import (
-    MaskStats,
-    apply_soft_mask,
-    entropy_mask,
-    frequency_mask,
-    mask_intervals,
-    mask_stats,
-)
-from .evolution import (
-    sample_islands,
-    EvolutionParams,
-    Interval,
-    Lineage,
-    SpeciesPair,
-    evolve,
-    k80_difference_probabilities,
-    make_species_pair,
-    plant_exons,
-)
-from .fasta import fasta_string, iter_fasta, read_fasta, write_fasta
-from .sequence import Sequence
-from .shuffle import kmer_counts, shuffle_preserving_kmers
-from .synthesis import (
-    DEFAULT_DINUCLEOTIDE_MODEL,
-    dinucleotide_counts,
-    markov_genome,
-    plant_repeats,
-    uniform_genome,
-)
+from .._lazy import lazy_exports
+from . import alphabet  # exported as a module; every sequence needs it
 
-__all__ = [
-    "alphabet",
-    "Assembly",
-    "split_into_chromosomes",
-    "MaskStats",
-    "apply_soft_mask",
-    "entropy_mask",
-    "frequency_mask",
-    "mask_intervals",
-    "mask_stats",
-    "Sequence",
-    "EvolutionParams",
-    "Interval",
-    "Lineage",
-    "SpeciesPair",
-    "evolve",
-    "k80_difference_probabilities",
-    "make_species_pair",
-    "plant_exons",
-    "sample_islands",
-    "fasta_string",
-    "iter_fasta",
-    "read_fasta",
-    "write_fasta",
-    "kmer_counts",
-    "shuffle_preserving_kmers",
-    "DEFAULT_DINUCLEOTIDE_MODEL",
-    "dinucleotide_counts",
-    "markov_genome",
-    "plant_repeats",
-    "uniform_genome",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Assembly": "assembly",
+        "split_into_chromosomes": "assembly",
+        "MaskStats": "masking",
+        "apply_soft_mask": "masking",
+        "entropy_mask": "masking",
+        "frequency_mask": "masking",
+        "mask_intervals": "masking",
+        "mask_stats": "masking",
+        "Sequence": "sequence",
+        "EvolutionParams": "evolution",
+        "Interval": "evolution",
+        "Lineage": "evolution",
+        "SpeciesPair": "evolution",
+        "evolve": "evolution",
+        "k80_difference_probabilities": "evolution",
+        "make_species_pair": "evolution",
+        "plant_exons": "evolution",
+        "sample_islands": "evolution",
+        "fasta_string": "fasta",
+        "iter_fasta": "fasta",
+        "read_fasta": "fasta",
+        "write_fasta": "fasta",
+        "kmer_counts": "shuffle",
+        "shuffle_preserving_kmers": "shuffle",
+        "DEFAULT_DINUCLEOTIDE_MODEL": "synthesis",
+        "dinucleotide_counts": "synthesis",
+        "markov_genome": "synthesis",
+        "plant_repeats": "synthesis",
+        "uniform_genome": "synthesis",
+    },
+)
+__all__.insert(0, "alphabet")

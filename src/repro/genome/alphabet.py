@@ -54,16 +54,25 @@ def encode(text: str) -> np.ndarray:
     return _ENCODE_TABLE[raw]
 
 
+def ascii_codes(codes: np.ndarray) -> np.ndarray:
+    """The upper-case ASCII byte of every code, as a ``uint8`` array.
+
+    >>> ascii_codes(encode("acgtn")).tobytes()
+    b'ACGTN'
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.size and codes.max() >= ALPHABET_SIZE:
+        raise ValueError("code array contains values outside the alphabet")
+    return _DECODE_TABLE[codes]
+
+
 def decode(codes: np.ndarray) -> str:
     """Decode a code array back into an upper-case ASCII DNA string.
 
     >>> decode(encode("acgtn"))
     'ACGTN'
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and codes.max() >= ALPHABET_SIZE:
-        raise ValueError("code array contains values outside the alphabet")
-    return _DECODE_TABLE[codes].tobytes().decode("ascii")
+    return ascii_codes(codes).tobytes().decode("ascii")
 
 
 def complement(codes: np.ndarray) -> np.ndarray:

@@ -1,22 +1,22 @@
 """Output formats: MAF/AXT alignments, UCSC chains, BED intervals."""
 
-from .axt import axt_string, read_axt, write_axt
-from .bed import bed_string, read_bed, write_bed
-from .chain_format import chain_triples, chains_string, write_chains
-from .maf import maf_string, read_maf, write_assembly_maf, write_maf
+from .._lazy import lazy_exports
 
-__all__ = [
-    "axt_string",
-    "read_axt",
-    "write_axt",
-    "bed_string",
-    "read_bed",
-    "write_bed",
-    "chain_triples",
-    "chains_string",
-    "write_chains",
-    "maf_string",
-    "read_maf",
-    "write_assembly_maf",
-    "write_maf",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "axt_string": "axt",
+        "read_axt": "axt",
+        "write_axt": "axt",
+        "bed_string": "bed",
+        "read_bed": "bed",
+        "write_bed": "bed",
+        "chain_triples": "chain_format",
+        "chains_string": "chain_format",
+        "write_chains": "chain_format",
+        "maf_string": "maf",
+        "read_maf": "maf",
+        "write_assembly_maf": "maf",
+        "write_maf": "maf",
+    },
+)

@@ -9,47 +9,57 @@ CIGAR is rebuilt from the gapped texts).
 from __future__ import annotations
 
 import io
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, List, TextIO, Union
 
+import numpy as np
+
 from ..align.alignment import Alignment
-from ..align.cigar import Cigar
+from ..align.cigar import DELETION, INSERTION, MATCH, MISMATCH, Cigar
+from ..genome import alphabet
 from ..genome.sequence import Sequence
 
 _PathOrFile = Union[str, Path, TextIO]
+_GAP = ord("-")
 
 
 def _opened(source: _PathOrFile, mode: str):
+    """A context manager: a path is opened (and closed on exit), an
+    open file is passed through and left open."""
     if isinstance(source, (str, Path)):
-        return open(source, mode), True
-    return source, False
+        return open(source, mode)
+    return nullcontext(source)
 
 
 def _gapped_texts(
     alignment: Alignment, target: Sequence, query: Sequence
 ) -> (str, str):
-    q_seq = (
-        query.reverse_complement() if alignment.strand == -1 else query
-    )
-    t_text: List[str] = []
-    q_text: List[str] = []
-    ti = alignment.target_start
-    qi = alignment.query_start
-    for op, length in alignment.cigar:
-        if op in ("=", "X"):
-            t_text.append(str(target.slice(ti, ti + length)))
-            q_text.append(str(q_seq.slice(qi, qi + length)))
-            ti += length
-            qi += length
-        elif op == "D":
-            t_text.append(str(target.slice(ti, ti + length)))
-            q_text.append("-" * length)
-            ti += length
-        else:
-            t_text.append("-" * length)
-            q_text.append(str(q_seq.slice(qi, qi + length)))
-            qi += length
-    return "".join(t_text), "".join(q_text)
+    """Both gapped rows; raises before returning either if the block
+    overruns a sequence (``Sequence.slice`` would clamp the row short)."""
+    ops = alignment.cigar.columns()
+    rows = []
+    for seq, start, end, strand, gap in (
+        (target, alignment.target_start, alignment.target_end, 1, INSERTION),
+        (query, alignment.query_start, alignment.query_end,
+         alignment.strand, DELETION),
+    ):
+        if start < 0 or end > len(seq):
+            raise ValueError(
+                f"[{start}, {end}) of the {alignment.target_name or 'target'}"
+                f" x {alignment.query_name or 'query'} block overruns "
+                f"{seq.name!r}, which is {len(seq)} bp long"
+            )
+        if strand == 1:
+            codes = seq.codes[start:end]
+        else:  # coordinates on the reverse complement
+            codes = alphabet.reverse_complement(
+                seq.codes[len(seq) - end : len(seq) - start]
+            )
+        row = np.full(ops.size, _GAP, dtype=np.uint8)
+        row[ops != gap] = alphabet.ascii_codes(codes)
+        rows.append(row.tobytes().decode("ascii"))
+    return tuple(rows)
 
 
 def _write_block(
@@ -78,14 +88,10 @@ def write_maf(
     destination: _PathOrFile,
 ) -> None:
     """Write alignments as MAF blocks."""
-    handle, needs_close = _opened(destination, "w")
-    try:
+    with _opened(destination, "w") as handle:
         handle.write("##maf version=1 scoring=lastz-default\n")
         for alignment in alignments:
             _write_block(handle, alignment, target, query)
-    finally:
-        if needs_close:
-            handle.close()
 
 
 def write_assembly_maf(
@@ -103,8 +109,7 @@ def write_assembly_maf(
     """
     targets = {seq.name: seq for seq in target_assembly}
     queries = {seq.name: seq for seq in query_assembly}
-    handle, needs_close = _opened(destination, "w")
-    try:
+    with _opened(destination, "w") as handle:
         handle.write("##maf version=1 scoring=lastz-default\n")
         for alignment in alignments:
             _write_block(
@@ -113,9 +118,6 @@ def write_assembly_maf(
                 targets[alignment.target_name],
                 queries[alignment.query_name],
             )
-    finally:
-        if needs_close:
-            handle.close()
 
 
 def maf_string(
@@ -127,25 +129,22 @@ def maf_string(
 
 
 def _cigar_from_texts(t_text: str, q_text: str) -> Cigar:
-    ops: List[str] = []
-    for t_char, q_char in zip(t_text, q_text):
-        if t_char == "-" and q_char == "-":
-            raise ValueError("MAF column with gaps in both rows")
-        if t_char == "-":
-            ops.append("I")
-        elif q_char == "-":
-            ops.append("D")
-        elif t_char.upper() == q_char.upper() and t_char.upper() != "N":
-            ops.append("=")
-        else:
-            ops.append("X")
-    return Cigar.from_ops(ops)
+    if len(t_text) != len(q_text):
+        raise ValueError("MAF rows differ in length")
+    t = np.frombuffer(t_text.encode("ascii").upper(), dtype=np.uint8)
+    q = np.frombuffer(q_text.encode("ascii").upper(), dtype=np.uint8)
+    t_gap, q_gap = t == _GAP, q == _GAP
+    if (t_gap & q_gap).any():
+        raise ValueError("MAF column with gaps in both rows")
+    ops = np.where((t == q) & (t != ord("N")), MATCH, MISMATCH)
+    ops[q_gap] = DELETION
+    ops[t_gap] = INSERTION
+    return Cigar.from_columns(ops)
 
 
 def read_maf(source: _PathOrFile) -> List[Alignment]:
     """Parse a two-species MAF back into alignments."""
-    handle, needs_close = _opened(source, "r")
-    try:
+    with _opened(source, "r") as handle:
         alignments: List[Alignment] = []
         score = 0
         rows: List[tuple] = []
@@ -187,6 +186,3 @@ def read_maf(source: _PathOrFile) -> List[Alignment]:
                 )
                 rows = []
         return alignments
-    finally:
-        if needs_close:
-            handle.close()

@@ -15,13 +15,15 @@ they must be module-level functions, never lambdas or closures
 (enforced by ``repro lint`` rule FLOW003).
 """
 
-from .engine import ExecutionEngine, SequenceHandle, install_signal_cleanup
-from .supervise import ResilientDispatcher, Ticket
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExecutionEngine",
-    "ResilientDispatcher",
-    "SequenceHandle",
-    "Ticket",
-    "install_signal_cleanup",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ExecutionEngine": "engine",
+        "ResilientDispatcher": "supervise",
+        "SequenceHandle": "engine",
+        "Ticket": "supervise",
+        "install_signal_cleanup": "engine",
+    },
+)

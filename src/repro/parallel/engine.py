@@ -46,6 +46,7 @@ from ..obs.progress import NO_PROGRESS
 from ..obs.session import TelemetryOptions
 from ..obs.tracer import NULL_TRACER
 from ..resilience.policy import ResilienceOptions
+from .supervise import ResilientDispatcher
 
 __all__ = [
     "ExecutionEngine",
@@ -389,10 +390,6 @@ class ExecutionEngine:
 
     def _dispatcher(self):
         if self._dispatcher_obj is None:
-            # Deferred sibling import: supervise pulls in resilience
-            # machinery that plain submit() users never need.
-            from .supervise import ResilientDispatcher
-
             self._dispatcher_obj = ResilientDispatcher(
                 self, self.resilience
             )

@@ -1,23 +1,18 @@
 """Phylogenetics: distance estimators and neighbour-joining trees."""
 
-from .distance import (
-    SiteCounts,
-    count_sites,
-    estimate_distance,
-    jc69_distance,
-    k80_distance,
-    k80_kappa,
-)
-from .tree import TreeNode, neighbour_joining, tree_distance
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SiteCounts",
-    "count_sites",
-    "estimate_distance",
-    "jc69_distance",
-    "k80_distance",
-    "k80_kappa",
-    "TreeNode",
-    "neighbour_joining",
-    "tree_distance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "SiteCounts": "distance",
+        "count_sites": "distance",
+        "estimate_distance": "distance",
+        "jc69_distance": "distance",
+        "k80_distance": "distance",
+        "k80_kappa": "distance",
+        "TreeNode": "tree",
+        "neighbour_joining": "tree",
+        "tree_distance": "tree",
+    },
+)

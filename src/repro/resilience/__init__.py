@@ -25,53 +25,31 @@ package stays importable by every layer and imports nothing above
 :mod:`repro.obs`.
 """
 
-from .checkpoint import (
-    MANIFEST_VERSION,
-    ManifestError,
-    ManifestMismatch,
-    RunManifest,
-    config_digest,
-    sequences_digest,
-)
-from .faults import (
-    DEFAULT_RATES,
-    FAULT_KINDS,
-    FaultPlan,
-    InjectedFault,
-    corrupt_file,
-    injected_task_error,
-    injected_worker_crash,
-    injected_worker_hang,
-)
-from .journal import AppendJournal, JournalError
-from .policy import (
-    RecoveryStats,
-    ResilienceOptions,
-    RetryPolicy,
-    backoff_delay,
-    stable_fraction,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AppendJournal",
-    "DEFAULT_RATES",
-    "FAULT_KINDS",
-    "MANIFEST_VERSION",
-    "FaultPlan",
-    "InjectedFault",
-    "JournalError",
-    "ManifestError",
-    "ManifestMismatch",
-    "RecoveryStats",
-    "ResilienceOptions",
-    "RetryPolicy",
-    "RunManifest",
-    "backoff_delay",
-    "config_digest",
-    "corrupt_file",
-    "injected_task_error",
-    "injected_worker_crash",
-    "injected_worker_hang",
-    "sequences_digest",
-    "stable_fraction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "AppendJournal": "journal",
+        "DEFAULT_RATES": "faults",
+        "FAULT_KINDS": "faults",
+        "MANIFEST_VERSION": "checkpoint",
+        "FaultPlan": "faults",
+        "InjectedFault": "faults",
+        "JournalError": "journal",
+        "ManifestError": "checkpoint",
+        "ManifestMismatch": "checkpoint",
+        "RecoveryStats": "policy",
+        "ResilienceOptions": "policy",
+        "RetryPolicy": "policy",
+        "RunManifest": "checkpoint",
+        "backoff_delay": "policy",
+        "config_digest": "checkpoint",
+        "corrupt_file": "faults",
+        "injected_task_error": "faults",
+        "injected_worker_crash": "faults",
+        "injected_worker_hang": "faults",
+        "sequences_digest": "checkpoint",
+        "stable_fraction": "policy",
+    },
+)

@@ -1,34 +1,23 @@
 """Seeding: spaced seed patterns, target index, and D-SOFT banding."""
 
-from .analysis import (
-    compare_patterns,
-    expected_random_hits,
-    hit_probability,
-    monte_carlo_sensitivity,
-)
-from .dsoft import (
-    DsoftParams,
-    SeedingResult,
-    all_seed_hits,
-    dsoft_seed,
-)
-from .cache import CACHE_VERSION, SeedIndexCache, index_cache_key
-from .index import SeedIndex
-from .patterns import DEFAULT_PATTERN, SpacedSeed
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "SeedIndexCache",
-    "index_cache_key",
-    "compare_patterns",
-    "expected_random_hits",
-    "hit_probability",
-    "monte_carlo_sensitivity",
-    "DsoftParams",
-    "SeedingResult",
-    "all_seed_hits",
-    "dsoft_seed",
-    "SeedIndex",
-    "DEFAULT_PATTERN",
-    "SpacedSeed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CACHE_VERSION": "cache",
+        "SeedIndexCache": "cache",
+        "index_cache_key": "cache",
+        "compare_patterns": "analysis",
+        "expected_random_hits": "analysis",
+        "hit_probability": "analysis",
+        "monte_carlo_sensitivity": "analysis",
+        "DsoftParams": "dsoft",
+        "SeedingResult": "dsoft",
+        "all_seed_hits": "dsoft",
+        "dsoft_seed": "dsoft",
+        "SeedIndex": "index",
+        "DEFAULT_PATTERN": "patterns",
+        "SpacedSeed": "patterns",
+    },
+)

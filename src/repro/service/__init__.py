@@ -36,28 +36,21 @@ The package sits at the top of the layer DAG (rank 7, beside the CLI):
 it orchestrates every lower layer but is imported by none of them.
 """
 
-from .client import ServeClient
-from .daemon import ServeConfig, ServeDaemon
-from .journal import JobJournal, JournalError
-from .jobs import (
-    JOB_KINDS,
-    JOB_STATES,
-    PRIORITY_WEIGHTS,
-    Job,
-    replay_jobs,
-)
-from .scheduler import WeightedFairScheduler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JOB_KINDS",
-    "JOB_STATES",
-    "PRIORITY_WEIGHTS",
-    "Job",
-    "JobJournal",
-    "JournalError",
-    "ServeClient",
-    "ServeConfig",
-    "ServeDaemon",
-    "WeightedFairScheduler",
-    "replay_jobs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "JOB_KINDS": "jobs",
+        "JOB_STATES": "jobs",
+        "PRIORITY_WEIGHTS": "jobs",
+        "Job": "jobs",
+        "JobJournal": "journal",
+        "JournalError": "journal",
+        "ServeClient": "client",
+        "ServeConfig": "daemon",
+        "ServeDaemon": "daemon",
+        "WeightedFairScheduler": "scheduler",
+        "replay_jobs": "jobs",
+    },
+)

@@ -37,9 +37,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
-from ..obs import HeartbeatMonitor, TelemetryOptions
+from ..obs.bus import HeartbeatMonitor
+from ..obs.session import TelemetryOptions
 from ..parallel.engine import ExecutionEngine
-from ..resilience import FaultPlan, ResilienceOptions, RetryPolicy
+from ..resilience.faults import FaultPlan
+from ..resilience.policy import ResilienceOptions, RetryPolicy
 from .http import HttpJsonServer
 from .jobs import Job, JobError, replay_jobs
 from .journal import JobJournal

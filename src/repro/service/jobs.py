@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = [
+    "ALIGNERS",
     "JOB_KINDS",
     "JOB_STATES",
     "PRIORITY_WEIGHTS",
@@ -55,6 +56,9 @@ PRIORITY_WEIGHTS: Dict[str, float] = {
     "default": 4.0,
     "batch": 1.0,
 }
+
+#: ``--aligner`` names an align job may ask for.
+ALIGNERS = ("darwin", "lastz")
 
 _SPEC_FIELDS = {
     "align": ("target", "query"),
@@ -125,7 +129,7 @@ class Job:
             if name in payload:
                 spec[name] = payload[name]
         aligner = spec.get("aligner", "darwin")
-        if kind == "align" and aligner not in ("darwin", "lastz"):
+        if kind == "align" and aligner not in ALIGNERS:
             raise JobError(f"unknown aligner {aligner!r}")
         return cls(
             id=job_id,

@@ -34,11 +34,14 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..chain import GapCosts, build_chains, total_matches
-from ..core import align_assemblies, aligner_named
-from ..genome import read_fasta
-from ..io import read_maf, write_assembly_maf, write_chains
-from .jobs import Job
+from ..chain.chainer import build_chains
+from ..chain.gap_costs import GapCosts
+from ..chain.metrics import total_matches
+from ..core.pipeline import align_assemblies, aligner_named
+from ..genome.fasta import read_fasta
+from ..io.chain_format import write_chains
+from ..io.maf import read_maf, write_assembly_maf
+from .jobs import ALIGNERS, Job
 
 __all__ = ["JobRunner"]
 
@@ -77,6 +80,9 @@ class JobRunner:
         self.resilience = resilience
         self.telemetry = telemetry
         self._genomes: Dict[Tuple[str, str], List] = {}
+        # Resolved while the daemon starts, so the first job that names
+        # an aligner (and every forked worker) finds it imported.
+        self._aligners = {label: aligner_named(label) for label in ALIGNERS}
 
     # -- caches ------------------------------------------------------
     def records(self, path_text: str) -> List:
@@ -118,7 +124,7 @@ class JobRunner:
         spec = job.spec
         targets = self.records(spec["target"])
         queries = self.records(spec["query"])
-        aligner_class = aligner_named(spec.get("aligner", "darwin"))
+        aligner_class = self._aligners[spec.get("aligner", "darwin")]
         config = aligner_class.config_class(
             both_strands=not spec.get("plus_only")
         )

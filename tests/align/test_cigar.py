@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.align import Cigar
+from repro.align.cigar import OPS
 
 ops = st.sampled_from("=XID")
 run_lists = st.lists(
@@ -114,6 +115,15 @@ class TestProperties:
     def test_parse_str_roundtrip(self, runs):
         cigar = Cigar.from_runs(runs)
         assert Cigar.parse(str(cigar)) == cigar
+
+    @given(run_lists)
+    def test_columns_roundtrip(self, runs):
+        cigar = Cigar.from_runs(runs)
+        columns = cigar.columns()
+        assert "".join(OPS[code] for code in columns) == "".join(
+            op * length for op, length in cigar.runs
+        )
+        assert Cigar.from_columns(columns) == cigar
 
     @given(run_lists)
     def test_block_lengths_sum_to_aligned_pairs(self, runs):

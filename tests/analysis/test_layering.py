@@ -61,6 +61,55 @@ class TestLayerOrder:
         )
         assert findings == []
 
+    # A package __init__ is a table of strings handed to the rank-0
+    # resolver, so the package file itself imports nothing upward; the
+    # rule must keep biting on the module a table entry names.
+    LAZY_INIT = (
+        "from .._lazy import lazy_exports\n"
+        "__all__, __getattr__, __dir__ = lazy_exports(\n"
+        "    __name__, {'Sequence': 'sequence', 'evolve': 'evolution'}\n"
+        ")\n"
+    )
+
+    def test_lazy_export_table_passes(self):
+        findings = lint_tree(
+            {
+                "repro._lazy": "def lazy_exports(package, table): ...\n",
+                "repro.genome.__init__": self.LAZY_INIT,
+                "repro.genome.sequence": "",
+                "repro.genome.evolution": "from .sequence import Sequence\n",
+            },
+            select=LAY,
+        )
+        assert findings == []
+
+    def test_upward_import_in_a_table_target_is_rejected(self):
+        findings = lint_tree(
+            {
+                "repro._lazy": "def lazy_exports(package, table): ...\n",
+                "repro.genome.__init__": self.LAZY_INIT,
+                "repro.genome.sequence": "",
+                "repro.genome.evolution": (
+                    "from ..core.pipeline import DarwinWGA\n"
+                ),
+                "repro.core.pipeline": "",
+            },
+            select=LAY,
+        )
+        assert rules_of(findings) == ["LAY001"]
+        assert findings[0].path.endswith("genome/evolution.py")
+        assert "genome (layer 1) imports core (layer 5)" in findings[0].message
+
+    def test_the_resolver_may_import_nothing_above_it(self):
+        findings = lint_tree(
+            {
+                "repro._lazy": "from .genome.sequence import Sequence\n",
+                "repro.genome.sequence": "",
+            },
+            select=LAY,
+        )
+        assert rules_of(findings) == ["LAY001"]
+
 
 class TestImportCycle:
     def test_synthetic_cycle_is_rejected(self):

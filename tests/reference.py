@@ -15,6 +15,12 @@ it was before it learnt to stop where X-drop stops, frozen verbatim (its
 two cached ``arange`` helpers inlined).
 ``tests/align/test_ungapped_differential.py`` holds the chunked,
 lane-retiring kernel equal to it.
+
+``gapped_texts_reference`` / ``cigar_from_texts_reference`` are the MAF
+row writer (one ``Sequence.slice`` + ``str`` per CIGAR run) and reader
+(one Python character at a time) as they were before ``io/maf.py`` built
+and classified rows as byte arrays, frozen verbatim;
+``tests/io/test_maf.py`` holds the array forms equal to them.
 """
 
 import numpy as np
@@ -292,3 +298,44 @@ def ungapped_extend_batch_reference(
         direction_scores(offsets_left, left_cap)
     )
     return right_best + left_best, left_spans, right_spans
+
+
+def gapped_texts_reference(alignment, target, query):
+    q_seq = query.reverse_complement() if alignment.strand == -1 else query
+    t_text = []
+    q_text = []
+    ti = alignment.target_start
+    qi = alignment.query_start
+    for op, length in alignment.cigar:
+        if op in ("=", "X"):
+            t_text.append(str(target.slice(ti, ti + length)))
+            q_text.append(str(q_seq.slice(qi, qi + length)))
+            ti += length
+            qi += length
+        elif op == "D":
+            t_text.append(str(target.slice(ti, ti + length)))
+            q_text.append("-" * length)
+            ti += length
+        else:
+            t_text.append("-" * length)
+            q_text.append(str(q_seq.slice(qi, qi + length)))
+            qi += length
+    return "".join(t_text), "".join(q_text)
+
+
+def cigar_from_texts_reference(t_text, q_text):
+    from repro.align.cigar import Cigar
+
+    ops = []
+    for t_char, q_char in zip(t_text, q_text):
+        if t_char == "-" and q_char == "-":
+            raise ValueError("MAF column with gaps in both rows")
+        if t_char == "-":
+            ops.append("I")
+        elif q_char == "-":
+            ops.append("D")
+        elif t_char.upper() == q_char.upper() and t_char.upper() != "N":
+            ops.append("=")
+        else:
+            ops.append("X")
+    return Cigar.from_ops(ops)

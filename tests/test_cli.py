@@ -1,8 +1,16 @@
 """Command-line interface tests."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
+COMMANDS = (
+    "generate align chain model mask net tblastx trace lint serve".split()
+)
 
 
 @pytest.fixture
@@ -449,6 +457,57 @@ class TestParser:
             "{generate,align,chain,model,mask,net,tblastx,trace,lint,serve}"
             in unwrapped
         )
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="3.9 titles the section differently"
+    )
+    def test_help_texts_are_byte_identical_to_the_golden_file(
+        self, capsys, monkeypatch
+    ):
+        # tests/golden/cli_help.txt is `repro [CMD] --help` for the top
+        # level and the ten subcommands, generated at PR 23 (before the
+        # CLI imported per command) at 80 columns.
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for command in [""] + COMMANDS:
+            with pytest.raises(SystemExit) as excinfo:
+                main(([command] if command else []) + ["--help"])
+            assert excinfo.value.code == 0
+            texts.append(
+                f"=== repro {command} --help\n" + capsys.readouterr().out
+            )
+        assert "".join(texts) == GOLDEN_HELP.read_text()
+
+    def test_lint_options_equal_the_analysis_front_end_s(self):
+        # `repro lint` spells its five options in cli.py (building the
+        # parser may not import repro.analysis); they must stay the ones
+        # `python -m repro.analysis` installs.
+        import argparse
+
+        from repro.analysis.app import add_lint_arguments
+
+        def described(parser):
+            return [
+                (
+                    action.option_strings,
+                    action.dest,
+                    action.nargs,
+                    action.default,
+                    action.type,
+                    action.choices,
+                    action.help,
+                )
+                for action in parser._actions
+            ]
+
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        front_end = argparse.ArgumentParser()
+        add_lint_arguments(front_end)
+        assert described(subparsers.choices["lint"]) == described(front_end)
 
     def test_bench_subcommand_and_gate_module_are_gone(self, capsys):
         # The second benchmark gate was removed; perf/run.py is the ruler.
