@@ -73,22 +73,6 @@ FLAG_U_EXTEND = 8
 _DIR_MASK = 3
 
 
-def substitution_columns(
-    target: Sequence, scoring: ScoringScheme
-) -> np.ndarray:
-    """Precomputed substitution rows against a fixed target, ``int64``.
-
-    Returns a read-only ``(ALPHABET_SIZE, m)`` array where row ``b`` is
-    ``W[b, target]``.  Kernels then fetch the whole row for query base
-    ``q_i`` with a plain index (``columns[q_i]``, a view) — the
-    fancy-index gather over the target codes runs once per kernel call
-    instead of once per DP row.
-    """
-    columns = scoring.matrix64[:, target.codes]
-    columns.setflags(write=False)
-    return columns
-
-
 def boundary_scores(
     length: int, scoring: ScoringScheme, free: bool
 ) -> np.ndarray:

@@ -91,13 +91,3 @@ class ScoringScheme:
     def row_scores(self, base: int, codes: np.ndarray) -> np.ndarray:
         """Vector of substitution scores of ``base`` against ``codes``."""
         return self.matrix64[base, codes]
-
-    def substitution_rows(self, codes: np.ndarray) -> np.ndarray:
-        """Per-base substitution rows ``W[codes[i], :]`` as ``int64``.
-
-        Precomputing the gather once per sequence lets row-wise DP loops
-        slice ``rows[i][window]`` instead of re-indexing the matrix for
-        every row (the per-cell lookup the hardware folds into its PE
-        array).
-        """
-        return self.matrix64[codes]

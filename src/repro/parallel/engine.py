@@ -383,8 +383,9 @@ class ExecutionEngine:
 
         Advisory only: the streaming coordinator uses it for eager
         in-order replay (drain finished results before dispatching new
-        speculation so commits see the freshest coverage grid).  All
-        recovery still happens inside :meth:`result`.
+        speculation so commits see the freshest coverage grid).  A pool
+        death it reads is recovered like one seen anywhere else: one
+        rebuild, every in-flight ticket re-dispatched.
         """
         return self._dispatcher().poll(ticket)
 

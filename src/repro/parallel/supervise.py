@@ -7,10 +7,12 @@ ladder a production run needs:
 1. **retry** — a failed or timed-out attempt is re-dispatched with
    bounded exponential backoff (deterministic jitter, see
    :mod:`repro.resilience.policy`);
-2. **rebuild** — ``BrokenProcessPool`` (a worker died abruptly) tears
-   down the executor, builds a fresh one on the same shared-memory
-   blocks, and re-dispatches *every* in-flight ticket — not just the
-   one whose result raised;
+2. **rebuild** — one rule for a dead pool, wherever it shows.  Every
+   interaction with the pool (a submit, a poll, a result wait) runs
+   through one guard; a worker death it sees — ``BrokenProcessPool``,
+   or a hang the liveness sentinel declares — costs one rebuild, after
+   which every outstanding ticket is re-dispatched.  Only the ticket
+   whose own wait saw the death is charged an attempt;
 3. **serial fallback** — a ticket that exhausts its retry budget is
    executed in-process.  The fallback runs the exact task function on
    the exact arguments, so a poisoned batch costs throughput, never
@@ -38,7 +40,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..obs.tracer import NULL_TRACER
 from ..resilience.faults import (
-    InjectedFault,
     injected_task_error,
     injected_worker_crash,
     injected_worker_hang,
@@ -89,21 +90,53 @@ class ResilientDispatcher:
         self._sleep = sleep
         self._outstanding: List[Ticket] = []
 
+    # -- the one pool-death rule -------------------------------------
+    def _guard(self, interact: Callable, *args, redispatch: bool = True):
+        """Run one pool interaction; the only place a dead pool is handled.
+
+        When ``interact`` finds the pool dead — ``BrokenProcessPool``,
+        or a hang the liveness sentinel declared — the pool is rebuilt
+        once (its workers killed first only for a hang) and every
+        outstanding ticket is re-dispatched; a death during that
+        re-dispatch is one more death and goes round the same loop.
+        Reads of a future pass ``redispatch=False`` and re-dispatch
+        through this guard themselves: :meth:`result` first charges its
+        own ticket the attempt and may take it out for the serial
+        fallback, and :meth:`poll` keeps its task-error catch off the
+        recovery.  Returns ``(value, cause)``; ``cause`` is None when no
+        death was seen, else the first one's, ``"broken_pool"`` or
+        ``"hang"``.
+        """
+        stats = self.options.stats
+        cause = None
+        while True:
+            try:
+                return interact(*args), cause
+            except (BrokenProcessPool, _WorkerHang) as death:
+                hang = isinstance(death, _WorkerHang)
+                cause = cause or ("hang" if hang else "broken_pool")
+                stats.pool_rebuilds += 1
+                self._engine.rebuild(terminate=hang)
+                if hang:
+                    # Re-arm the sentinel so a *still*-frozen replacement
+                    # escalates again on the next attempt.
+                    stats.hangs += 1
+                    self.options.liveness.escalated()
+                if not redispatch:
+                    return None, cause
+                interact, args = self._redispatch, ()
+
+    def _redispatch(self) -> None:
+        """Start every outstanding ticket on a freshly rebuilt pool."""
+        for ticket in self._outstanding:
+            self._start(ticket)
+
     # -- submission --------------------------------------------------
     def submit(self, fn: Callable, /, *args, key: str = "") -> Ticket:
-        """Dispatch a task under supervision; returns its ticket.
-
-        A streamed caller interleaves submits with collections, so an
-        asynchronously-dying worker (e.g. an injected crash still in
-        flight) can break the pool *between* collections — the rebuild
-        ladder therefore also runs here, not only in :meth:`result`.
-        """
+        """Dispatch a task under supervision; returns its ticket."""
         ticket = Ticket(fn, args, key)
         self._outstanding.append(ticket)
-        try:
-            self._start(ticket)
-        except BrokenProcessPool:
-            self._rebuild_and_redispatch()
+        self._guard(self._start, ticket)
         return ticket
 
     def _start(self, ticket: Ticket) -> None:
@@ -130,25 +163,6 @@ class ResilientDispatcher:
         else:
             ticket.future = self._engine.submit(ticket.fn, *ticket.args)
 
-    def _rebuild_and_redispatch(self) -> None:
-        """Fresh pool, every outstanding ticket re-dispatched.
-
-        Attempts are *not* incremented: no result was lost to a
-        deadline or error, the substrate died — exactly the result-path
-        ``broken_pool`` treatment, minus the per-ticket retry
-        accounting (that still happens in :meth:`result` when a ticket
-        actually observes the breakage).
-        """
-        self.options.stats.pool_rebuilds += 1
-        self._engine.rebuild()
-        for ticket in self._outstanding:
-            try:
-                self._start(ticket)
-            except BrokenProcessPool:
-                # A still-landing crash broke the fresh pool mid
-                # re-dispatch; start over with another rebuild.
-                return self._rebuild_and_redispatch()
-
     # -- collection --------------------------------------------------
     def poll(self, ticket: Ticket) -> bool:
         """Whether the ticket's current attempt has settled (no block).
@@ -156,42 +170,37 @@ class ResilientDispatcher:
         Advisory, for eager in-order replay in the streaming
         coordinator: True means :meth:`result` will not wait on the
         healthy-path future.  A future settled with a *task* exception
-        still polls True and drives the retry/rebuild/fallback ladder
-        inside :meth:`result`, and an injected timeout may still make
-        :meth:`result` retry.
-
-        One recovery action does run here: a future settled with
-        ``BrokenProcessPool`` means a worker died while we were not
-        looking, and every outstanding future died with it.  Surfacing
-        that as "settled" would make a streamed caller drain a corpse
-        — so, exactly as :meth:`submit` does for dispatch-time
-        breakage, the pool is rebuilt and every outstanding ticket
-        re-dispatched immediately (attempts unchanged: no deadline or
-        task error was observed).  A serving loop polls far more often
-        than it submits, so this is where asynchronous worker death is
-        usually discovered first.
+        still polls True and :meth:`result` drives its retry, and an
+        injected timeout may still make :meth:`result` retry.  A settled
+        future that carries a pool death gets the supervisor's one rule
+        (:meth:`_guard`: rebuild, re-dispatch every outstanding ticket,
+        no attempt charged), and the answer is about the re-dispatched
+        future.
         """
         future = ticket.future
         if future is None or not future.done():
             return False
-        if not future.cancelled():
-            error = future.exception(timeout=0)
-            if isinstance(error, BrokenProcessPool):
-                self._rebuild_and_redispatch()
-                future = ticket.future
-                return future is not None and future.done()
-        return True
+        try:
+            _, cause = self._guard(future.result, 0, redispatch=False)
+        except Exception:  # a task error: result() retries it
+            return True
+        if cause is None:
+            return True
+        self._guard(self._redispatch)
+        return ticket.future.done()
 
-    def _await(self, ticket: Ticket, monitor, timeout: Optional[float]):
+    def _await(self, ticket: Ticket):
         """Wait for the future, watching worker liveness between slices.
 
-        Without a monitor this is a plain ``result(timeout)``.  With
-        one, the wait proceeds in ``poll_interval`` slices; between
+        Without a liveness monitor this is a plain ``result(timeout)``.
+        With one, the wait proceeds in ``poll_interval`` slices; between
         slices the monitor is asked whether any beating worker has gone
         silent past its deadline, which raises :class:`_WorkerHang` —
         the only way a SIGSTOP'd or infinitely-looping worker (which
         neither errors nor breaks the pool) ever surfaces.
         """
+        monitor = self.options.liveness
+        timeout = self.options.policy.timeout
         if monitor is None:
             return ticket.future.result(timeout=timeout)
         slice_seconds = monitor.poll_interval
@@ -214,9 +223,7 @@ class ResilientDispatcher:
         policy = self.options.policy
         plan = self.options.fault_plan
         stats = self.options.stats
-        monitor = self.options.liveness
         while True:
-            cause = None
             if plan is not None and plan.decide(
                 "timeout", ticket.key, ticket.attempt
             ):
@@ -226,43 +233,32 @@ class ResilientDispatcher:
                 cause = "timeout"
             else:
                 try:
-                    value = self._await(ticket, monitor, policy.timeout)
+                    value, cause = self._guard(
+                        self._await, ticket, redispatch=False
+                    )
                 except FutureTimeout:
                     cause = "timeout"
-                except _WorkerHang:
-                    cause = "hang"
-                except BrokenProcessPool:
-                    cause = "broken_pool"
-                except InjectedFault:
-                    cause = "task_error"
                 except Exception:
                     # Transient task failures retry; a deterministic bug
                     # exhausts the budget and re-raises from the serial
                     # fallback with its original traceback.
                     cause = "task_error"
                 else:
-                    self._discard(ticket)
-                    return value
+                    if cause is None:
+                        self._discard(ticket)
+                        return value
 
             ticket.attempt += 1
             if cause == "timeout":
                 stats.timeouts += 1
-            if cause == "hang":
-                # A wedged worker cannot be joined or reasoned with:
-                # terminate it, rebuild the pool, and re-arm the
-                # sentinel so a *still*-frozen replacement escalates
-                # again on the next attempt.
-                stats.hangs += 1
-                stats.pool_rebuilds += 1
-                self._engine.rebuild(terminate=True)
-                if monitor is not None:
-                    monitor.escalated()
-            if cause == "broken_pool":
-                stats.pool_rebuilds += 1
-                self._engine.rebuild()
+            # After a death every outstanding future died with the pool,
+            # not only this one: all of them go onto the fresh pool.
+            died = cause in ("broken_pool", "hang")
             progress = self._engine.progress
             if ticket.attempt > policy.max_retries:
                 self._discard(ticket)
+                if died:
+                    self._guard(self._redispatch)
                 stats.serial_fallbacks += 1
                 progress.fell_back(ticket.key, cause)
                 with tracer.span(
@@ -284,13 +280,10 @@ class ResilientDispatcher:
                 delay = backoff_delay(policy, ticket.attempt, ticket.key)
                 if delay > 0:
                     self._sleep(delay)
-                if cause in ("broken_pool", "hang"):
-                    # Every outstanding future died with the pool;
-                    # re-dispatch them all onto the fresh executor.
-                    for other in self._outstanding:
-                        self._start(other)
+                if died:
+                    self._guard(self._redispatch)
                 else:
-                    self._start(ticket)
+                    self._guard(self._start, ticket)
 
     def _discard(self, ticket: Ticket) -> None:
         try:
