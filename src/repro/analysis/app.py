@@ -67,16 +67,14 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def list_rules() -> str:
-    lines = ["rule    scope    severity  name / description"]
+    lines = ["rule    severity  name / description"]
     for rule in sorted(all_rules(), key=lambda r: r.id):
         lines.append(
-            f"{rule.id:<7} {rule.scope:<8} {str(rule.severity):<9} "
+            f"{rule.id:<7} {str(rule.severity):<9} "
             f"{rule.name}: {rule.description}"
         )
     for rule_id, description in sorted(ENGINE_RULES.items()):
-        lines.append(
-            f"{rule_id:<7} {'engine':<8} {'error':<9} {description}"
-        )
+        lines.append(f"{rule_id:<7} {'error':<9} engine: {description}")
     return "\n".join(lines)
 
 
@@ -114,8 +112,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "project-specific static analysis: determinism, layering "
-            "and DP-kernel invariants"
+            "project-specific static analysis: determinism, "
+            "process-boundary and DP-kernel invariants"
         ),
     )
     add_lint_arguments(parser)

@@ -108,39 +108,3 @@ def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
         ):
             yield node
-
-
-def is_type_checking_guard(node: ast.If) -> bool:
-    """True for ``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:``."""
-    test = node.test
-    name = dotted_name(test)
-    return name in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
-
-
-def module_level_imports(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.stmt, bool]]:
-    """Module-level import statements, with their TYPE_CHECKING-ness.
-
-    Descends into module-level ``if``/``try`` blocks (a common pattern
-    for optional dependencies) but not into function or class bodies —
-    deferred imports inside functions are the sanctioned wiring escape
-    hatch for top-layer construction and are deliberately not reported.
-    """
-
-    def visit(stmts, type_checking: bool):
-        for stmt in stmts:
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                yield stmt, type_checking
-            elif isinstance(stmt, ast.If):
-                guarded = type_checking or is_type_checking_guard(stmt)
-                yield from visit(stmt.body, guarded)
-                yield from visit(stmt.orelse, type_checking)
-            elif isinstance(stmt, ast.Try):
-                yield from visit(stmt.body, type_checking)
-                for handler in stmt.handlers:
-                    yield from visit(handler.body, type_checking)
-                yield from visit(stmt.orelse, type_checking)
-                yield from visit(stmt.finalbody, type_checking)
-
-    yield from visit(tree.body, False)

@@ -1,8 +1,8 @@
 """Analysis engine: file discovery, parsing, rule dispatch, suppression.
 
 The engine is deliberately self-contained (stdlib only, no imports from
-the rest of :mod:`repro`) so the layering rules it hosts can place
-``repro.analysis`` at the bottom of the DAG alongside ``repro.obs``.
+the rest of :mod:`repro`), so ``repro.analysis`` sits at the bottom of
+the layer DAG alongside ``repro.obs`` (``tests/test_layers.py``).
 
 Entry points:
 
@@ -21,11 +21,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from .astutil import import_aliases
 from .findings import Finding, Severity
-from .registry import MODULE_RULES, PROJECT_RULES, known_rule_ids
+from .registry import MODULE_RULES, known_rule_ids
 from .suppress import Suppressions, lint_suppressions, parse_suppressions
 
 # Rule modules register themselves on import.
-from . import flow, rules  # noqa: F401  (imported for the registration)
+from . import rules  # noqa: F401  (imported for the registration)
 
 
 @dataclass
@@ -37,17 +37,6 @@ class ModuleInfo:
     source: str
     tree: Optional[ast.Module]
     suppressions: Suppressions
-
-    @property
-    def package(self) -> str:
-        """Top-level repro subpackage ("align" for repro.align.stats);
-        root modules (repro.cli, repro.__init__) map to "cli"/"repro"."""
-        parts = self.modname.split(".")
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        if len(parts) >= 2 and parts[0] == "repro":
-            return parts[1]
-        return parts[-1] if parts else self.modname
 
     @cached_property
     def aliases(self) -> Dict[str, str]:
@@ -169,9 +158,6 @@ def analyze_modules(
             continue
         for rule in _selected(MODULE_RULES, select):
             raw.extend(rule.check(module))
-    parsed = [m for m in modules if m.tree is not None]
-    for rule in _selected(PROJECT_RULES, select):
-        raw.extend(rule.check(parsed))
 
     by_path: Dict[str, Suppressions] = {
         m.path: m.suppressions for m in modules

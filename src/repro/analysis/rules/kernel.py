@@ -4,8 +4,8 @@ The kernel rules encode what Scrooge-style aligner work keeps
 re-learning: score accumulators in narrow dtypes overflow silently on
 long tiles, and a Python-level loop over *both* sequence axes turns an
 O(n*m) kernel into an interpreter benchmark.  The general rules
-(mutable defaults, bare except, stray terminal output) apply across the
-whole tree.
+(mutable defaults, stray terminal output) apply across the whole tree;
+a bare ``except:`` is ruff's ``E722`` (CI's ruff job), not a rule here.
 """
 
 from __future__ import annotations
@@ -164,28 +164,6 @@ def check_mutable_default(module) -> Iterator[Finding]:
                         "create inside"
                     ),
                 )
-
-
-@module_rule(
-    "KER004",
-    "bare-except",
-    Severity.ERROR,
-    "bare except clause",
-)
-def check_bare_except(module) -> Iterator[Finding]:
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield Finding(
-                rule="KER004",
-                severity=Severity.ERROR,
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    "bare except swallows KeyboardInterrupt/SystemExit "
-                    "— catch Exception (or narrower) instead"
-                ),
-            )
 
 
 #: Direct writes to the process's terminal streams.

@@ -63,7 +63,8 @@ def _make_engine(
 
     Deferred import: ``repro.parallel`` is a higher layer than
     ``core``, so the pipelines only reach up at call time, when the
-    caller actually asked for workers (see LAY001 in repro.analysis).
+    caller actually asked for workers (``tests/test_layers.py`` holds
+    module-level imports to the layer DAG).
     """
     from ..parallel.engine import ExecutionEngine
 

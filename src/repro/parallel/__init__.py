@@ -11,8 +11,11 @@ construction at call time — the layer DAG forbids ``core`` importing
 ``parallel``).
 
 Task callables submitted to the engine are pickled **by reference**:
-they must be module-level functions, never lambdas or closures
-(enforced by ``repro lint`` rule FLOW003).
+they must be module-level functions, never lambdas or closures, and
+their arguments plain data.  The test suite pickles every callable and
+its arguments at ``submit``/``dispatch`` (``tests/conftest.py``), so a
+task that would not cross the boundary fails its test instead of
+falling back to a silent in-process run.
 """
 
 from .._lazy import lazy_exports

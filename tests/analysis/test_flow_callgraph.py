@@ -1,181 +1,84 @@
-"""Call-graph construction: resolution through aliases, methods,
-nested defs, package re-exports, and the conservative dispatch union."""
+"""The resolution cases the deleted whole-project call graph modelled,
+held now by the runtime pickle guard in ``tests/conftest.py``.
 
-from .helpers import call_graph
+The graph followed a callable by name, through aliases, methods, nested
+scopes and re-exports, to ``submit``/``dispatch``.  The guard pickles
+the object that arrives, so none of that resolution is needed; each
+case pins that the guard still gets it right.
+"""
+
+from repro.parallel import ExecutionEngine as Reexported
+from repro.parallel.engine import ExecutionEngine
+
+from . import helpers as h
+from .helpers import (
+    nested_def,
+    passed_by_the_pickle_guard,
+    rejected_by_the_pickle_guard,
+    task,
+)
+from .helpers import task as aliased
 
 
 def test_plain_module_level_call_resolves():
-    graph = call_graph(
-        {
-            "repro.seed.mod": """
-            def helper():
-                return 1
-
-            def top():
-                return helper()
-            """,
-        }
-    )
-    targets = [t for t, _ in graph.callees("repro.seed.mod.top")]
-    assert targets == ["repro.seed.mod.helper"]
+    assert passed_by_the_pickle_guard(lambda e: e.submit(task, 7)) == 7
 
 
 def test_aliased_import_resolves_across_modules():
-    graph = call_graph(
-        {
-            "repro.seed.producer": """
-            def make():
-                return 7
-            """,
-            "repro.seed.consumer": """
-            from repro.seed.producer import make as build
-
-            def run():
-                return build()
-            """,
-        }
-    )
-    targets = [
-        t for t, _ in graph.callees("repro.seed.consumer.run")
-    ]
-    assert targets == ["repro.seed.producer.make"]
+    # Pickled by its defining module and name, not by the alias.
+    assert passed_by_the_pickle_guard(lambda e: e.submit(aliased, 7)) == 7
 
 
 def test_module_alias_attribute_call_resolves():
-    graph = call_graph(
-        {
-            "repro.seed.producer": """
-            def make():
-                return 7
-            """,
-            "repro.seed.consumer": """
-            import repro.seed.producer as prod
-
-            def run():
-                return prod.make()
-            """,
-        }
+    rejected_by_the_pickle_guard(
+        lambda e: h.fan_out(e, "dispatch", task, lambda: 3)
     )
-    targets = [
-        t for t, _ in graph.callees("repro.seed.consumer.run")
-    ]
-    assert targets == ["repro.seed.producer.make"]
 
 
 def test_init_reexport_is_followed():
-    graph = call_graph(
-        {
-            "repro.seed.__init__": """
-            from .dsoft import seed_hits
-            """,
-            "repro.seed.dsoft": """
-            def seed_hits():
-                return []
-            """,
-            "repro.align.caller": """
-            from repro.seed import seed_hits
+    # The guard patches the class, so every import path sees it.
+    assert Reexported is ExecutionEngine
+    rejected_by_the_pickle_guard(lambda e: Reexported.dispatch(e, lambda: 3))
 
-            def run():
-                return seed_hits()
-            """,
-        }
-    )
-    targets = [t for t, _ in graph.callees("repro.align.caller.run")]
-    assert targets == ["repro.seed.dsoft.seed_hits"]
+
+class Stage:
+    def __init__(self, engine):
+        self.engine = engine
+
+    def step(self, item):
+        return self._send(lambda: item)
+
+    def _send(self, fn):
+        return self.engine.dispatch(fn, key="stage")
 
 
 def test_self_method_call_resolves_within_class():
-    graph = call_graph(
-        {
-            "repro.core.cls": """
-            class Engine:
-                def step(self):
-                    return self.helper()
+    rejected_by_the_pickle_guard(lambda e: Stage(e).step(1))
 
-                def helper(self):
-                    return 1
-            """,
-        }
-    )
-    targets = [
-        t for t, _ in graph.callees("repro.core.cls.Engine.step")
-    ]
-    assert targets == ["repro.core.cls.Engine.helper"]
+
+class TracedEngine(ExecutionEngine):
+    """A receiver no static analysis could type: a subclass."""
 
 
 def test_unknown_receiver_unions_all_methods_of_that_name():
-    graph = call_graph(
-        {
-            "repro.core.a": """
-            class A:
-                def run(self):
-                    return 1
-            """,
-            "repro.core.b": """
-            class B:
-                def run(self):
-                    return 2
-            """,
-            "repro.core.use": """
-            def call(obj):
-                return obj.run()
-            """,
-        }
+    rejected_by_the_pickle_guard(
+        lambda e: e.submit(lambda: 3), make_engine=TracedEngine
     )
-    targets = sorted(
-        t for t, _ in graph.callees("repro.core.use.call")
-    )
-    assert targets == ["repro.core.a.A.run", "repro.core.b.B.run"]
 
 
 def test_nested_def_gets_locals_qualname_and_resolves():
-    graph = call_graph(
-        {
-            "repro.core.nest": """
-            def outer():
-                def inner():
-                    return 3
-                return inner()
-            """,
-        }
-    )
-    assert (
-        "repro.core.nest.outer.<locals>.inner" in graph.functions
-    )
-    targets = [t for t, _ in graph.callees("repro.core.nest.outer")]
-    assert targets == ["repro.core.nest.outer.<locals>.inner"]
+    inner = nested_def()
+    assert inner.__qualname__ == "nested_def.<locals>.inner"
+    rejected_by_the_pickle_guard(lambda e: e.submit(inner))
 
 
 def test_external_call_has_no_edge():
-    graph = call_graph(
-        {
-            "repro.core.ext": """
-            import time
-
-            def now():
-                return time.time()
-            """,
-        }
-    )
-    node = graph.functions["repro.core.ext.now"]
-    assert [site.targets for site in node.calls] == [()]
+    # A callable from outside the project pickles by reference.
+    assert passed_by_the_pickle_guard(lambda e: e.submit(abs, -3)) == 3
 
 
 def test_nested_scope_shadows_module_level_def():
-    graph = call_graph(
-        {
-            "repro.core.shadow": """
-            def helper():
-                return "module"
+    def task(x):  # shadows the module-level task, which pickles
+        return x
 
-            def outer():
-                def helper():
-                    return "local"
-                return helper()
-            """,
-        }
-    )
-    targets = [
-        t for t, _ in graph.callees("repro.core.shadow.outer")
-    ]
-    assert targets == ["repro.core.shadow.outer.<locals>.helper"]
+    rejected_by_the_pickle_guard(lambda e: e.submit(task, 1))

@@ -2,7 +2,7 @@
 
 from .helpers import lint_snippet, rules_of
 
-KER = ["KER001", "KER002", "KER003", "KER004", "KER005"]
+KER = ["KER001", "KER002", "KER003", "KER005"]
 
 
 class TestNarrowDtype:
@@ -130,34 +130,6 @@ class TestMutableDefault:
                 bucket = [] if bucket is None else bucket
                 bucket.append(item)
                 return bucket
-            """,
-            select=KER,
-        )
-        assert findings == []
-
-
-class TestBareExcept:
-    def test_flags_bare_except(self):
-        findings = lint_snippet(
-            """
-            def load(path):
-                try:
-                    return open(path).read()
-                except:
-                    return None
-            """,
-            select=KER,
-        )
-        assert rules_of(findings) == ["KER004"]
-
-    def test_typed_except_passes(self):
-        findings = lint_snippet(
-            """
-            def load(path):
-                try:
-                    return open(path).read()
-                except OSError:
-                    return None
             """,
             select=KER,
         )

@@ -1,4 +1,8 @@
-"""The three equivalent lint entry points and their exit codes."""
+"""The three equivalent lint entry points and their exit codes.
+
+Only ``test_repro_lint_subcommand`` lints the real tree; the other
+checks run on a one-file tree, or exit before linting anything.
+"""
 
 import json
 from pathlib import Path
@@ -12,11 +16,17 @@ from repro.cli import main as cli_main
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def test_module_entry_point_clean_tree(capsys):
-    code = analysis_main([str(SRC)])
+@pytest.fixture
+def clean_tree(tmp_path):
+    (tmp_path / "clean.py").write_text("def double(x):\n    return 2 * x\n")
+    return tmp_path
+
+
+def test_module_entry_point_clean_tree(clean_tree, capsys):
+    code = analysis_main([str(clean_tree)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "0 finding(s)" in out
+    assert "0 finding(s) in 1 file(s)" in out
 
 
 def test_repro_lint_subcommand(capsys):
@@ -26,11 +36,12 @@ def test_repro_lint_subcommand(capsys):
     assert "0 finding(s)" in out
 
 
-def test_json_format(capsys):
-    code = analysis_main([str(SRC), "--format", "json"])
+def test_json_format(clean_tree, capsys):
+    code = analysis_main([str(clean_tree), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["ok"] is True
+    assert payload["files"] == 1
 
 
 def test_list_rules(capsys):
@@ -38,12 +49,12 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     assert code == 0
     for rule_id in (
-        "DET001", "DET004", "LAY001", "LAY002", "KER001", "KER005",
-        "PAR003", "SUP001",
+        "DET001", "DET004", "FLOW002", "KER001", "KER005", "PAR003",
+        "SUP001",
     ):
         assert rule_id in out
-    # One header line plus one line per id.
-    assert len(out.strip().splitlines()) == 1 + 22
+    # One header line, 12 rules and the 3 engine ids.
+    assert len(out.strip().splitlines()) == 1 + 12 + 3
 
 
 def test_dirty_file_fails_with_exit_one(tmp_path, capsys):
@@ -86,13 +97,12 @@ def test_syntax_error_reports_parse_finding(tmp_path, capsys):
 
 
 def test_list_rules_includes_flow_rules(capsys):
-    # The flow rules are ordinary registered rules, listed under their
-    # real scope; the retired ids are gone from the table.
+    # FLOW002 is an ordinary registered rule; the retired ids (FLOW003
+    # among them) are gone from the table.
     code = analysis_main(["--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "FLOW002 module" in out
-    assert "FLOW003 project" in out
+    assert "FLOW002 error" in out
     for retired in RETIRED_RULES:
         assert retired not in out
 

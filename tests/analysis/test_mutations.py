@@ -6,13 +6,27 @@ rule named in the row.  This is the evidence each rule's place in
 ``repro.analysis`` rests on: a rule no row needs is a candidate for
 deletion, and a row no rule catches is a gap.  The true negatives pin
 the idioms production code actually uses, which must stay silent.
+
+A class a test holds better names that test instead of a rule: the
+row must lint clean and fail the test.  ``LAYERS`` is the layer DAG of
+``tests/test_layers.py``; ``PICKLE_GUARD`` is the fixture in
+``tests/conftest.py``, run on the row's ``run(engine)``.  A bare
+``except:`` is ruff's ``E722``, which runs in CI.
 """
+
+import sys
+import textwrap
+import types
 
 import pytest
 
-from .helpers import lint_tree
+from ..test_layers import layer_violations
+from .helpers import lint_tree, rejected_by_the_pickle_guard
 
-#: (row id, expected rule, {modname: source}).
+LAYERS = "tests/test_layers.py"
+PICKLE_GUARD = "tests/conftest.py"
+
+#: (row id, expected rule or test, {modname: source}).
 MUTATIONS = [
     (
         "wall-clock-direct",
@@ -159,20 +173,20 @@ MUTATIONS = [
     ),
     (
         "lambda-callable-to-submit",
-        "FLOW003",
+        PICKLE_GUARD,
         {
             "repro.core.pipeline": """
-            def run(engine, item):
+            def run(engine, item=3):
                 return engine.submit(lambda x: x * 2, item)
             """,
         },
     ),
     (
         "nested-def-callable-to-submit",
-        "FLOW003",
+        PICKLE_GUARD,
         {
             "repro.core.pipeline": """
-            def run(engine, item, scale):
+            def run(engine, item=3, scale=2):
                 def task(x):
                     return x * scale
                 return engine.submit(task, item)
@@ -181,10 +195,10 @@ MUTATIONS = [
     ),
     (
         "lambda-callable-to-dispatch",
-        "FLOW003",
+        PICKLE_GUARD,
         {
             "repro.core.stream": """
-            def run(engine, batch, n):
+            def run(engine, batch=(1, 2), n=0):
                 return engine.dispatch(
                     lambda: len(batch), key=f"extend:{n}"
                 )
@@ -193,10 +207,10 @@ MUTATIONS = [
     ),
     (
         "nested-def-callable-to-dispatch",
-        "FLOW003",
+        PICKLE_GUARD,
         {
             "repro.core.stream": """
-            def run(engine, batch, n):
+            def run(engine, batch=(1, 2), n=0):
                 def extend():
                     return len(batch)
                 return engine.dispatch(extend, key=f"extend:{n}")
@@ -205,13 +219,13 @@ MUTATIONS = [
     ),
     (
         "lambda-argument-to-dispatch",
-        "FLOW003",
+        PICKLE_GUARD,
         {
             "repro.core.stream": """
             def extend_batch_task(batch, score):
                 return [score(a) for a in batch]
 
-            def run(engine, batch):
+            def run(engine, batch=(1, 2)):
                 return engine.dispatch(
                     extend_batch_task, tuple(batch), lambda a: a.score
                 )
@@ -220,34 +234,33 @@ MUTATIONS = [
     ),
     (
         "lambda-through-forwarding-helper-into-dispatch",
-        "FLOW003",
+        PICKLE_GUARD,
         {
             "repro.core.stream": """
             def _fan_out(engine, fn, payload):
                 return engine.dispatch(fn, payload, key="k")
-            """,
-            "repro.core.pipeline": """
-            from .stream import _fan_out
 
             def unit_task(make_unit):
                 return make_unit()
 
-            def run(engine, unit):
+            def run(engine, unit=1):
                 return _fan_out(engine, unit_task, lambda: unit)
             """,
         },
     ),
     (
         "open-handle-as-argument",
-        "FLOW003",
+        PICKLE_GUARD,
         {
             "repro.core.pipeline": """
+            import os
+
             def write_task(handle, block):
                 handle.write(block)
 
-            def run(engine, path, block):
-                out = open(path, "w")
-                return engine.dispatch(write_task, out, block)
+            def run(engine, block="b"):
+                with open(os.devnull, "w") as out:
+                    return engine.dispatch(write_task, out, block)
             """,
         },
     ),
@@ -275,6 +288,22 @@ MUTATIONS = [
                 ticket = engine.dispatch(extend_batch_task, batch)
                 batch.append(anchor)
                 return ticket
+            """,
+        },
+    ),
+    (
+        "list-mutated-then-rebound-after-dispatch",
+        "FLOW002",
+        {
+            "repro.core.stream": """
+            def extend_batch_task(batch):
+                return batch
+
+            def run(engine, batch, anchor):
+                ticket = engine.dispatch(extend_batch_task, batch)
+                batch.append(anchor)
+                batch = []
+                return ticket, batch
             """,
         },
     ),
@@ -316,7 +345,7 @@ MUTATIONS = [
     ),
     (
         "core-imports-parallel-at-module-level",
-        "LAY001",
+        LAYERS,
         {
             "repro.core.pipeline": (
                 "from ..parallel.engine import ExecutionEngine\n"
@@ -332,19 +361,6 @@ MUTATIONS = [
             def collect(hit, bucket=[]):
                 bucket.append(hit)
                 return bucket
-            """,
-        },
-    ),
-    (
-        "bare-except",
-        "KER004",
-        {
-            "repro.genome.io": """
-            def load(path):
-                try:
-                    return open(path).read()
-                except:
-                    return None
             """,
         },
     ),
@@ -365,12 +381,37 @@ MUTATIONS = [
 ]
 
 
+def fails_the_layer_dag(tree):
+    assert [kind for kind, _ in layer_violations(tree)] == ["upward"]
+
+
+def fails_the_pickle_guard(tree):
+    ((_, source),) = tree.items()
+    module = types.ModuleType("mutation_row")
+    sys.modules[module.__name__] = module  # module-level tasks must pickle
+    try:
+        exec(textwrap.dedent(source), module.__dict__)
+        rejected_by_the_pickle_guard(module.run)
+    finally:
+        del sys.modules[module.__name__]
+
+
+CAUGHT_BY_TESTS = {
+    LAYERS: fails_the_layer_dag,
+    PICKLE_GUARD: fails_the_pickle_guard,
+}
+
+
 @pytest.mark.parametrize(
     "expected, tree",
     [pytest.param(rule, tree, id=name) for name, rule, tree in MUTATIONS],
 )
 def test_mutation_is_caught_by_exactly_its_rule(expected, tree):
     findings = lint_tree(tree)
+    if expected in CAUGHT_BY_TESTS:
+        assert findings == [], "a retired rule's class is a test's alone"
+        CAUGHT_BY_TESTS[expected](tree)
+        return
     assert findings, f"no rule catches this mutation (expected {expected})"
     assert {f.rule for f in findings} == {expected}
 

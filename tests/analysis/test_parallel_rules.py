@@ -1,69 +1,48 @@
-"""Good/bad fixtures for the parallel-safety rules.
+"""Good/bad fixtures for the parallel-safety rule PAR003.
 
-The task-callable snippets were written for PAR001/PAR002 (retired);
-they now run against FLOW003, which absorbed both.
+The task-callable cases (PAR001/PAR002, then FLOW003, all retired) run
+real engines under the pickle guard in ``tests/conftest.py``.
 """
 
-from .helpers import lint_snippet, rules_of
+from .helpers import (
+    lint_snippet,
+    passed_by_the_pickle_guard,
+    rejected_by_the_pickle_guard,
+    rules_of,
+)
 
-PAR = ["FLOW003"]
+
+def double_task(x):
+    return x * 2
 
 
 class TestLambdaTask:
     def test_flags_lambda_submitted_to_pool(self):
-        findings = lint_snippet(
-            """
-            def fan_out(engine, items):
-                return [engine.submit(lambda x: x * 2, item)
-                        for item in items]
-            """,
-            select=PAR,
-        )
-        assert rules_of(findings) == ["FLOW003"]
-        assert "a lambda is submitted as the task callable" in (
-            findings[0].message
+        rejected_by_the_pickle_guard(
+            lambda engine: [
+                engine.submit(lambda x: x * 2, item) for item in (1, 2)
+            ]
         )
 
 
 class TestNestedTask:
     def test_flags_closure_submitted_to_pool(self):
-        findings = lint_snippet(
-            """
-            def fan_out(engine, items, scale):
-                def task(x):
-                    return x * scale
-                return [engine.submit(task, item) for item in items]
-            """,
-            select=PAR,
-        )
-        assert rules_of(findings) == ["FLOW003"]
-        assert "nested function task" in findings[0].message
+        scale = 3
+
+        def task(x):
+            return x * scale
+
+        rejected_by_the_pickle_guard(lambda engine: engine.submit(task, 1))
 
     def test_flags_lambda_assigned_then_submitted(self):
-        findings = lint_snippet(
-            """
-            def fan_out(engine, items):
-                task = lambda x: x * 2
-                return [engine.submit(task, item) for item in items]
-            """,
-            select=PAR,
-        )
-        assert rules_of(findings) == ["FLOW003"]
-        assert "nested function task" in findings[0].message
+        task = lambda x: x * 2  # noqa: E731 - the shape under test
+        rejected_by_the_pickle_guard(lambda engine: engine.submit(task, 1))
 
     def test_module_level_task_passes(self):
-        findings = lint_snippet(
-            """
-            def double_task(x):
-                return x * 2
-
-            def fan_out(engine, items):
-                return [engine.submit(double_task, item)
-                        for item in items]
-            """,
-            select=PAR,
+        value = passed_by_the_pickle_guard(
+            lambda engine: engine.submit(double_task, 4)
         )
-        assert findings == []
+        assert value == 8
 
 
 class TestUnboundedStageBuffer:

@@ -1,10 +1,33 @@
 """Shared fixtures for the test suite."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.align.matrices import lastz_default, unit
 from repro.genome import Sequence, make_species_pair
+
+
+@pytest.fixture(autouse=True, scope="session")
+def tasks_pickle_at_the_pool_boundary():
+    """Pickle each task and its arguments before the engine hands them on.
+    A pool pickles them later, in a thread, and the supervisor's retries
+    and serial fallback hide the error: a lambda still gives 42."""
+    from repro.parallel.engine import ExecutionEngine
+
+    def pickled_first(delegate):
+        def checked(self, fn, /, *args, **kwargs):
+            pickle.dumps((fn, args, kwargs))
+            return delegate(self, fn, *args, **kwargs)
+
+        return checked
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("submit", "dispatch"):
+            delegate = getattr(ExecutionEngine, name)
+            patch.setattr(ExecutionEngine, name, pickled_first(delegate))
+        yield
 
 
 @pytest.fixture
