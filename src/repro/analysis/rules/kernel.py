@@ -206,7 +206,7 @@ def check_stray_print(module) -> Iterator[Finding]:
             message=(
                 f"{what} in library code — return/log data instead; "
                 "user-facing output belongs to the CLI layer, and "
-                "worker processes talk to the terminal only through "
-                "the telemetry bus (the parent owns it)"
+                "worker processes report only through their results "
+                "(the parent owns the terminal)"
             ),
         )

@@ -1,7 +1,7 @@
 """Observability rules.
 
-The repro.obs v2 telemetry bus gives every process exactly one sampling
-substrate: resource/CPU sampling lives in :mod:`repro.obs.resource`.
+Every process has exactly one sampling substrate: resource/CPU
+sampling lives in :mod:`repro.obs.resource`.
 This rule keeps ad-hoc probes from growing back.  (Its one-output-
 channel twin — workers never write to the terminal — is ``KER005``,
 which bans terminal writes from all library code.)

@@ -214,19 +214,6 @@ def _progress_from_args(args):
     return renderer if renderer.enabled else NO_PROGRESS
 
 
-def _print_telemetry(summary) -> None:
-    bus = summary.get("bus") if summary else None
-    if not bus:
-        return
-    print(
-        f"telemetry: {bus['events']:,} events from "
-        f"{bus['workers']} workers; "
-        f"{bus['dropped_events']} dropped, "
-        f"{bus['lost_events']} lost, "
-        f"{bus['gap_events']} gaps"
-    )
-
-
 def _load_records(path: Path):
     from .genome.fasta import read_fasta
 
@@ -374,8 +361,6 @@ def _cmd_align(args) -> int:
                 result = aligner.align(targets[0], queries[0])
             progress.advance(units=1)
             _print_stream(aligner.last_stream)
-    telemetry_summary = telemetry.finish()
-    telemetry.close()
     progress.close()
     workload = result.workload
     print(
@@ -386,7 +371,6 @@ def _cmd_align(args) -> int:
         f"{workload.extension_tiles:,} extension tiles"
     )
     _print_recovery(resilience.stats)
-    _print_telemetry(telemetry_summary)
     if args.profile is not None:
         print(f"wrote profiles to {args.profile}")
     if args.out is not None:
@@ -407,7 +391,7 @@ def _cmd_align(args) -> int:
                 "query": str(args.query),
                 "resilience": resilience.stats.as_dict(),
             },
-            telemetry=telemetry_summary,
+            telemetry=telemetry.summary(),
         )
         print(f"wrote trace {args.trace_out}")
     return 0

@@ -24,6 +24,7 @@ from ..align.alignment import Alignment, AnchorHit
 from ..genome.sequence import Sequence
 from ..obs.export import graft_span_dicts
 from ..obs.progress import NO_PROGRESS
+from ..obs.resource import observe_receipt
 from ..obs.session import TelemetryOptions
 from ..obs.tracer import NULL_TRACER
 from ..resilience.checkpoint import (
@@ -71,23 +72,6 @@ def _make_engine(
     return ExecutionEngine(
         workers, resilience=resilience, telemetry=telemetry
     )
-
-
-def _bind_telemetry(
-    telemetry: Optional[TelemetryOptions], tracer
-) -> None:
-    """Stand the telemetry bus up for a traced run and attach it.
-
-    Must happen before the engine's pool runs its first task — the bus
-    queue only reaches workers through the pool initializer.  Untraced
-    runs skip the bus entirely (workers would have no spans to stream),
-    so NullTracer benchmarks pay nothing.
-    """
-    if telemetry is None:
-        return
-    if tracer.enabled:
-        telemetry.ensure_bus()
-    telemetry.attach(tracer)
 
 
 def _resolve_cache(
@@ -163,10 +147,9 @@ class SeedFilterExtendAligner:
     ``index_cache`` (a directory path or
     :class:`~repro.seed.cache.SeedIndexCache`) persists seed indexes
     across runs.  ``telemetry`` (a
-    :class:`~repro.obs.session.TelemetryOptions`) adds live progress,
-    metric collection and — for traced parallel runs — the
-    cross-process telemetry bus.  Aligners that own their engine should
-    be closed (:meth:`close` or a ``with`` block) when ``workers > 1``.
+    :class:`~repro.obs.session.TelemetryOptions`) adds live progress
+    and metric collection.  Aligners that own their engine should be
+    closed (:meth:`close` or a ``with`` block) when ``workers > 1``.
     """
 
     #: Configuration dataclass; ``config_class()`` is the default config.
@@ -210,7 +193,6 @@ class SeedFilterExtendAligner:
     def engine(self) -> Optional[ExecutionEngine]:
         """The execution engine, created lazily when ``workers > 1``."""
         if self._engine is None and self.workers > 1:
-            _bind_telemetry(self.telemetry, self.tracer)
             self._engine = _make_engine(
                 self.workers, self.resilience, self.telemetry
             )
@@ -451,11 +433,10 @@ def align_assemblies(
     supervised parallel dispatch.
 
     ``telemetry`` adds live progress reporting and metric collection;
-    for traced parallel runs it also stands up the cross-process
-    telemetry bus, over which workers stream their span trees, funnel
-    counters and resource samples as each unit completes.  None of it
-    changes the result: telemetry rides alongside the dispatch/gather
-    order, never in it.
+    on traced parallel runs each unit's span tree and receipt come back
+    with its result and are recorded where the result is collected.
+    None of it changes the result: telemetry rides alongside the
+    dispatch/gather order, never in it.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     cache = _resolve_cache(index_cache, resilience)
@@ -477,15 +458,14 @@ def align_assemblies(
     pool = engine
     owns_engine = False
     if pool is None and workers > 1:
-        _bind_telemetry(telemetry, tracer)
         pool = _make_engine(workers, resilience, telemetry)
         owns_engine = True
     elif pool is not None and telemetry is not None:
         # An externally owned engine adopts the telemetry bundle only
-        # while its pool is still unbuilt (the bus must ride the pool
-        # initializer); otherwise progress still works parent-side.
-        if pool.adopt_telemetry(telemetry):
-            _bind_telemetry(telemetry, tracer)
+        # while its pool is still unbuilt (heartbeats and profiling
+        # ride the pool initializer); otherwise progress still works
+        # parent-side.
+        pool.adopt_telemetry(telemetry)
     try:
         if pool is not None and pool.active:
             return _align_assemblies_parallel(
@@ -584,7 +564,6 @@ def _align_assemblies_parallel(
     cache_dir = str(cache.directory) if cache is not None else None
     telemetry = engine.telemetry
     registry = telemetry.registry if telemetry is not None else None
-    bus = engine.bus
     progress = engine.progress
     stream = stream or StreamParams()
     window = stream.unit_window_for(engine.workers)
@@ -621,11 +600,6 @@ def _align_assemblies_parallel(
                     )
                 target_handles[ti] = engine.share(target)
             base = tracer.now()
-            if bus is not None:
-                # Workers stream this unit's spans with relative
-                # timestamps; the bus grafts them onto the parent
-                # timeline at the unit's dispatch offset.
-                bus.register_unit(key, base)
             ticket = engine.dispatch(
                 align_unit_task,
                 aligner_class,
@@ -634,7 +608,6 @@ def _align_assemblies_parallel(
                 engine.share(query),
                 cache_dir,
                 traced,
-                key,
                 key=key,
             )
             queue.offer((key, ticket, base))
@@ -660,29 +633,22 @@ def _align_assemblies_parallel(
                     stats.resumed_units += 1
             else:
                 _stall_if_planned(resilience, key)
-                result, span_dicts, ack = engine.result(
+                result, span_dicts, receipt = engine.result(
                     ticket, tracer=tracer
                 )
                 outstanding -= 1
                 occupancy.collected()
-                collected = tracer.now()
                 if registry is not None:
                     registry.histogram("queue_depth").observe(outstanding)
-                    if ack is not None:
-                        latency = collected - base - ack.get("busy", 0.0)
-                        registry.histogram(
-                            "dispatch_latency_seconds"
-                        ).observe(max(0.0, latency))
-                if bus is not None and ack is not None:
-                    bus.record_ack(ack, done_at=collected)
-                if traced and span_dicts is not None:
-                    # Bus-less engine: spans came back inline; tag them
-                    # the way the bus would so trace consumers see one
-                    # shape.
-                    for grafted in graft_span_dicts(
-                        tracer, span_dicts, base=base
-                    ):
-                        grafted.attrs.setdefault("unit", key)
+                observe_receipt(registry, receipt, tracer.now() - base)
+                if span_dicts is not None:
+                    graft_span_dicts(
+                        tracer,
+                        span_dicts,
+                        base=base,
+                        unit=key,
+                        worker=receipt["pid"],
+                    )
                 if manifest is not None:
                     manifest.record(key, result)
                     if stats is not None:
@@ -699,6 +665,7 @@ def _align_assemblies_parallel(
         occupancy.close()
         span.set(
             occupancy=round(occupancy.occupancy(), 6),
+            idle_tail_seconds=round(occupancy.idle_tail_seconds(), 6),
             backpressure_stalls=occupancy.backpressure_stalls,
             peak_in_flight=occupancy.peak_in_flight,
         )
@@ -707,17 +674,11 @@ def _align_assemblies_parallel(
                 occupancy.backpressure_stalls
             )
             registry.gauge("stream_occupancy").set(occupancy.occupancy())
+            registry.gauge("idle_tail_seconds").set(
+                occupancy.idle_tail_seconds()
+            )
             registry.gauge("stream_peak_in_flight").set(
                 occupancy.peak_in_flight
             )
-        if bus is not None:
-            missing = bus.drain()
-            idle_tail = bus.idle_tail_seconds(tracer.now())
-            span.set(
-                idle_tail_seconds=round(idle_tail, 6),
-                undelivered_events=missing,
-            )
-            if registry is not None:
-                registry.gauge("idle_tail_seconds").set(idle_tail)
     alignments.sort(key=lambda a: -a.score)
     return WGAResult(alignments=alignments, workload=workload)

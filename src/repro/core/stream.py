@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 from ..align.alignment import Alignment
 from ..obs.export import graft_span_dicts
 from ..obs.occupancy import StreamStats
+from ..obs.resource import observe_receipt
 from ..obs.tracer import NULL_TRACER
 from .extension import _commit
 from .worker import extend_batch_task
@@ -240,7 +241,6 @@ def stream_extension(
     traced = tracer.enabled
     telemetry = engine.telemetry
     registry = telemetry.registry if telemetry is not None else None
-    bus = engine.bus
     progress = engine.progress
     stats = StreamStats(slots=engine.workers)
 
@@ -360,20 +360,14 @@ def stream_extension(
         """Collect the oldest in-flight batch and replay it in order."""
         nonlocal in_flight_anchors
         state, batch, ticket, base, number = in_flight.popleft()
-        _stall_if_planned(resilience, f"extend:{number}")
-        results, span_dicts, ack = engine.result(ticket, tracer=tracer)
+        key = f"extend:{number}"
+        _stall_if_planned(resilience, key)
+        results, span_dicts, receipt = engine.result(ticket, tracer=tracer)
         in_flight_anchors -= len(batch)
         depth = stats.collected()
-        now = tracer.now()
         if registry is not None:
             registry.histogram("stream_queue_depth").observe(depth)
-            if ack is not None:
-                latency = now - base - ack.get("busy", 0.0)
-                registry.histogram("dispatch_latency_seconds").observe(
-                    max(0.0, latency)
-                )
-        if bus is not None and ack is not None:
-            bus.record_ack(ack, done_at=now)
+        observe_receipt(registry, receipt, tracer.now() - base)
         committed_cells = 0
         for slot, (anchor, extension) in enumerate(zip(batch, results)):
             # Strict in-order replay: re-check absorption against the
@@ -382,8 +376,14 @@ def stream_extension(
             if state.grid.absorbs(anchor):
                 state.workload.absorbed_anchors += 1
                 continue
-            if traced and span_dicts is not None:
-                graft_span_dicts(tracer, [span_dicts[slot]], base=base)
+            if span_dicts is not None:
+                graft_span_dicts(
+                    tracer,
+                    [span_dicts[slot]],
+                    base=base,
+                    unit=key,
+                    worker=receipt["pid"],
+                )
             committed_cells += extension.cells
             _commit(
                 extension,

@@ -6,18 +6,17 @@ of sequences, attaches the shared-memory blocks once per process, and —
 when the parent is tracing — records its work on a worker-local
 :class:`~repro.obs.tracer.Tracer`.
 
-Telemetry travels one of two ways.  With a bus publisher installed in
-this process (the engine's pool initializer did it), span trees, funnel
-counters and resource samples **stream** over the bus as each task
-finishes, and the task returns a small delivery ack instead of the
-span payload.  Without a publisher — workers of a bus-less engine, or
-the parent process running a serial fallback — spans return inline with
-the result exactly as before.  Either way every task returns the same
-``(value, span_dicts_or_None, ack_or_None)`` shape.
+A task's telemetry comes home in its result.  Every task returns
+``(value, span_dicts, receipt)``: on a traced run ``span_dicts`` is its
+serialized span tree and ``receipt`` its
+:func:`~repro.obs.resource.task_receipt` (``{pid, busy, rss_bytes}``);
+untraced, both are None.  The parent grafts the spans where it collects
+the value, so only the attempt the supervisor accepted is recorded —
+whether it ran in a worker or as the parent's serial fallback.
 
 Worker output discipline: tasks never write to stdout (the parent owns
-the terminal); anything a worker wants seen goes through the bus.  Rule
-KER005 in :mod:`repro.analysis` enforces this.
+the terminal); anything a worker wants seen goes back in its result.
+Rule KER005 in :mod:`repro.analysis` enforces this.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..genome.sequence import Sequence
-from ..obs.bus import current_publisher
 from ..obs.export import serialize_spans
 from ..obs.profiling import flush_worker_profile, worker_profile_active
-from ..obs.resource import sample_resources
+from ..obs.resource import task_receipt
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..seed.cache import SeedIndexCache
 from .gact_x import gact_x_extend
@@ -90,34 +88,16 @@ def _worker_tracer(traced: bool) -> Tracer:
     return Tracer() if traced else NULL_TRACER
 
 
-def _task_busy(tracer) -> float:
-    """Wall seconds this task spent, from its own root spans."""
-    if not getattr(tracer, "enabled", False):
-        return 0.0
-    return sum(span.duration for span in tracer.roots)
+def _finish_task(tracer, traced: bool):
+    """Common task epilogue: flush profiling, then ``(span_dicts, receipt)``.
 
-
-def _finish_task(tracer, traced: bool, unit: str = "", funnel=None):
-    """Common task epilogue: stream or return spans, flush profiling.
-
-    Returns ``(span_dicts_or_None, ack_or_None)``.  When a bus
-    publisher is installed the span payload streams over the bus (the
-    return slot is None) and the ack carries the delivery receipt the
-    parent's drain step verifies against.
+    Both are None on an untraced run.
     """
     if worker_profile_active():
         flush_worker_profile()
-    publisher = current_publisher()
-    span_dicts = serialize_spans(tracer) if traced else None
-    if publisher is None:
-        return span_dicts, None
-    if funnel:
-        publisher.emit_funnel(unit, funnel)
-    publisher.emit_resource(sample_resources())
-    if span_dicts is not None:
-        publisher.emit_spans(span_dicts, unit=unit)
-        span_dicts = None
-    return span_dicts, publisher.ack(busy=_task_busy(tracer))
+    if not traced:
+        return None, None
+    return serialize_spans(tracer), task_receipt(tracer)
 
 
 def extend_batch_task(
@@ -127,7 +107,6 @@ def extend_batch_task(
     scoring,
     params,
     traced: bool,
-    unit: str = "",
 ) -> Tuple[list, Optional[List[dict]], Optional[dict]]:
     """Speculatively extend a batch of anchors.
 
@@ -135,9 +114,6 @@ def extend_batch_task(
     list plus (when ``traced``) one serialized ``extend_anchor`` span
     dict per anchor, parallel to the results, so the parent can graft
     exactly the spans of anchors that survive the absorption replay.
-    Span dicts always travel in the return value here — never over the
-    bus — because the parent must drop the spans of absorbed anchors;
-    the bus carries only the resource sample and the ack.
     """
     target = resolve_sequence(target_handle)
     query = resolve_sequence(query_handle)
@@ -146,15 +122,7 @@ def extend_batch_task(
         gact_x_extend(target, query, anchor, scoring, params, tracer=tracer)
         for anchor in anchors
     ]
-    if worker_profile_active():
-        flush_worker_profile()
-    span_dicts = serialize_spans(tracer) if traced else None
-    publisher = current_publisher()
-    ack = None
-    if publisher is not None:
-        publisher.emit_resource(sample_resources())
-        ack = publisher.ack(busy=_task_busy(tracer))
-    return results, span_dicts, ack
+    return (results, *_finish_task(tracer, traced))
 
 
 def align_unit_task(
@@ -164,36 +132,23 @@ def align_unit_task(
     query_handle: SequenceHandle,
     index_cache_dir: Optional[str],
     traced: bool,
-    unit: str = "",
 ) -> Tuple[object, Optional[List[dict]], Optional[dict]]:
     """Align one (target chromosome, query chromosome) unit serially.
 
     Both strands run inside the worker; with an index-cache directory
     the worker loads the target's seed index from disk (the parent warms
     the cache first, so this is a hit) instead of rebuilding it.  The
-    unit's funnel counters and span tree stream over the telemetry bus
-    when one is installed (see :func:`_finish_task`).
+    load happens inside the ``align`` span, so a unit's span tree has
+    one root.
     """
     target = resolve_sequence(target_handle)
     query = resolve_sequence(query_handle)
     tracer = _worker_tracer(traced)
-    aligner = aligner_class(config, tracer=tracer)
-    index = None
-    if index_cache_dir is not None:
-        index = SeedIndexCache(index_cache_dir).get_or_build(
-            target, aligner.config.seed, tracer=tracer
-        )
-    result = aligner.align(target, query, index=index)
-    workload = result.workload
-    funnel = {
-        "seed_hits": workload.seed_hits,
-        "filter_tiles": workload.filter_tiles,
-        "anchors": workload.anchors,
-        "anchors_extended": workload.anchors - workload.absorbed_anchors,
-        "absorbed_anchors": workload.absorbed_anchors,
-        "alignments": len(result.alignments),
-    }
-    span_dicts, ack = _finish_task(
-        tracer, traced, unit=unit, funnel=funnel
+    cache = (
+        SeedIndexCache(index_cache_dir)
+        if index_cache_dir is not None
+        else None
     )
-    return result, span_dicts, ack
+    aligner = aligner_class(config, tracer=tracer, index_cache=cache)
+    result = aligner.align(target, query)
+    return (result, *_finish_task(tracer, traced))

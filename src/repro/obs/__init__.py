@@ -16,16 +16,16 @@ the repository hangs those numbers on:
 
 v2 adds the cross-process pieces:
 
-* :mod:`repro.obs.bus` — the worker→parent telemetry bus
-  (sequence-numbered, loss-counting event delivery over an mp.Queue,
-  with a parent-side aggregator that grafts spans live and merges
-  per-worker funnels and resource samples) and the heartbeat sentinel;
+* :mod:`repro.obs.bus` — the worker→parent heartbeat channel and the
+  hang sentinel that reads it.  It carries beats only: a task's spans
+  and its receipt come home in its return value;
 * :mod:`repro.obs.occupancy` — worker-slot occupancy and idle-tail
-  accounting for the streamed schedule (the CLI's ``stream:`` line);
+  accounting for both parallel schedules (the CLI's ``stream:`` line);
 * :mod:`repro.obs.progress` — TTY-aware live status line (units
   done/in-flight/retried, cells/s, ETA) fed by the pipelines and by
   the resilient dispatcher's recovery actions;
-* :mod:`repro.obs.resource` — per-worker RSS sampling;
+* :mod:`repro.obs.resource` — RSS sampling and the receipt
+  (``{pid, busy, rss_bytes}``) a traced task returns;
 * :mod:`repro.obs.profiling` — opt-in cProfile capture for the parent
   and every worker;
 * :mod:`repro.obs.session` — :class:`TelemetryOptions`, the single

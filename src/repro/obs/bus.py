@@ -1,50 +1,27 @@
-"""Cross-process telemetry bus: workers stream events, parent merges.
+"""Worker liveness channel: heartbeats from pool workers to the parent.
 
-Before this module, worker observability was end-of-run only: a worker
-task serialized its span tree and returned it *with the result*, so the
-parent learned nothing until the future resolved.  The bus inverts
-that: workers publish small events (spans, funnels, resource
-readings) onto a bounded ``multiprocessing.Queue`` as they happen, and
-the parent-side :class:`TelemetryBus` routes them into the live run —
-spans grafted onto the parent tracer, funnels summed globally and per
-worker, resource readings observed into a
-:class:`~repro.obs.metrics.MetricRegistry`, and per-worker busy time
-accumulated for dispatch-latency / idle-tail accounting.
+A task's own telemetry — its span tree and a receipt of pid, busy time
+and RSS — comes home in its return value (:mod:`repro.core.worker`),
+so it is recorded for exactly the attempt the supervisor accepted.  The
+one thing a return value cannot carry is the pulse of a worker that
+will never return; that is all this bus carries.
 
-Delivery is **sequence-numbered and loss-counting**, never blocking:
-
-* each :class:`BusPublisher` stamps events ``(pid, seq, kind, payload)``
-  with a per-process contiguous sequence number;
-* publishing uses ``put_nowait`` — a full queue drops the event and
-  increments the publisher's local ``lost`` counter instead of stalling
-  the pipeline (telemetry must never add backpressure to alignment);
-* every task returns a tiny **ack** ``{pid, sent, lost, busy}``
-  alongside its result.  Because a ``multiprocessing.Queue`` flushes
-  through a background feeder thread, events can lawfully arrive
-  *after* the task's future resolves; :meth:`TelemetryBus.drain` uses
-  the acks to wait until every acknowledged event is in, so "zero
-  dropped events" is a provable claim, not an absence of evidence.
+When the pool initializer is given a heartbeat interval, every worker
+starts a daemon thread that puts its pid on a bounded
+``multiprocessing.Queue`` every interval.  Publishing uses
+``put_nowait``: a full queue drops the beat instead of stalling the
+worker.  The parent stamps each beat with *its own* monotonic clock on
+receipt (skew-free across processes); :meth:`TelemetryBus.stale_workers`
+then answers "which workers have gone silent past the deadline", which
+is how a SIGSTOP'd or infinitely-looping worker (threads frozen → beats
+stop) is detected even though its process is still technically alive.
+:class:`HeartbeatMonitor` packages that check for the resilient
+dispatcher; the clock stays inside ``repro.obs`` where it belongs.
 
 The queue travels to pool workers through the executor's
 ``initializer`` (the only pickling context in which an mp.Queue may
-cross a process boundary); :func:`worker_init` installs a module-global
-publisher that :func:`current_publisher` exposes to task functions.  In
-the parent process :func:`current_publisher` returns None, which is
-exactly what the serial-fallback path needs: a task re-run in-process
-falls back to returning its spans inline.
-
-Liveness: when the pool initializer is given a heartbeat interval,
-every worker starts a daemon thread publishing **beat** events.  Beats
-are deliberately out-of-band — they carry no sequence number, never
-count toward ``sent``/``lost``, and so can never perturb the zero-loss
-delivery accounting.  The parent stamps each beat with *its own*
-monotonic clock on receipt (skew-free across processes);
-:meth:`TelemetryBus.stale_workers` then answers "which workers have
-gone silent past the deadline", which is how a SIGSTOP'd or
-infinitely-looping worker (threads frozen → beats stop) is detected
-even though its process is still technically alive.
-:class:`HeartbeatMonitor` packages that check for the resilient
-dispatcher; the clock stays inside ``repro.obs`` where it belongs.
+cross a process boundary): :func:`worker_init` installs this process's
+publisher and starts its beat thread.
 """
 
 from __future__ import annotations
@@ -54,9 +31,7 @@ import os
 import queue as queue_module
 import threading
 from time import monotonic
-from typing import Callable, Dict, List, Optional, Tuple
-
-from .metrics import MetricRegistry
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "BusEndpoint",
@@ -64,7 +39,6 @@ __all__ = [
     "HeartbeatMonitor",
     "TelemetryBus",
     "clear_publisher",
-    "current_publisher",
     "install_publisher",
     "start_heartbeat",
     "stop_heartbeat",
@@ -73,7 +47,7 @@ __all__ = [
 ]
 
 
-#: Bound of the event queue; a full queue drops (and counts) events.
+#: Bound of the beat queue; a full queue drops beats.
 _QUEUE_SIZE = 8192
 
 
@@ -96,64 +70,21 @@ class BusEndpoint:
 
 
 class BusPublisher:
-    """Per-process event source with contiguous sequence numbers.
+    """Per-process beat source."""
 
-    ``sent`` counts successfully enqueued events (the next sequence
-    number); ``lost`` counts events dropped locally because the queue
-    was full.  A dropped event does *not* consume a sequence number, so
-    the receiver's per-pid ordering check stays gap-free under loss.
-    """
-
-    __slots__ = ("queue", "pid", "sent", "lost")
+    __slots__ = ("queue", "pid")
 
     def __init__(self, events_queue, pid: Optional[int] = None) -> None:
         self.queue = events_queue
         self.pid = os.getpid() if pid is None else pid
-        self.sent = 0
-        self.lost = 0
-
-    def emit(self, kind: str, payload) -> bool:
-        try:
-            self.queue.put_nowait((self.pid, self.sent, kind, payload))
-        except queue_module.Full:
-            self.lost += 1
-            return False
-        self.sent += 1
-        return True
-
-    # -- typed convenience emitters ----------------------------------
-    def emit_spans(self, span_dicts: List[Dict], unit: str = "") -> bool:
-        return self.emit("spans", {"unit": unit, "spans": span_dicts})
-
-    def emit_funnel(self, unit: str, counters: Dict[str, float]) -> bool:
-        return self.emit("funnel", {"unit": unit, "counters": counters})
-
-    def emit_resource(self, sample: Dict[str, int]) -> bool:
-        return self.emit("resource", sample)
 
     def emit_beat(self) -> bool:
-        """Publish an out-of-band liveness beat.
-
-        Beats bypass the sequence/loss accounting entirely (sentinel
-        sequence number ``-1``): they are emitted from a separate
-        daemon thread, so sharing the ``sent`` counter would race the
-        task thread, and a beat dropped by a full queue must not count
-        as a lost telemetry event.
-        """
+        """Publish one liveness beat; False when the full queue dropped it."""
         try:
-            self.queue.put_nowait((self.pid, -1, "beat", None))
+            self.queue.put_nowait(self.pid)
         except queue_module.Full:
             return False
         return True
-
-    def ack(self, busy: float = 0.0) -> Dict[str, float]:
-        """Delivery receipt a task returns beside its result."""
-        return {
-            "pid": self.pid,
-            "sent": self.sent,
-            "lost": self.lost,
-            "busy": busy,
-        }
 
 
 #: This process's installed publisher (workers only; None in the parent).
@@ -163,10 +94,6 @@ _PUBLISHER: Optional[BusPublisher] = None
 def install_publisher(endpoint: BusEndpoint) -> BusPublisher:
     global _PUBLISHER
     _PUBLISHER = BusPublisher(endpoint.queue)
-    return _PUBLISHER
-
-
-def current_publisher() -> Optional[BusPublisher]:
     return _PUBLISHER
 
 
@@ -188,7 +115,7 @@ def start_heartbeat(interval: float) -> bool:
     the signal — beats stopping — the parent's sentinel watches for.
     """
     global _HEARTBEAT_STOP, _HEARTBEAT_THREAD
-    publisher = current_publisher()
+    publisher = _PUBLISHER
     if publisher is None or interval <= 0 or _HEARTBEAT_THREAD is not None:
         return False
     stop = threading.Event()
@@ -235,7 +162,7 @@ def worker_init(
     profile_dir: Optional[str],
     heartbeat_interval: Optional[float] = None,
 ) -> None:
-    """Process-pool initializer: telemetry publisher + optional profiler."""
+    """Process-pool initializer: heartbeat publisher + optional profiler."""
     if endpoint is not None:
         install_publisher(endpoint)
         if heartbeat_interval:
@@ -247,188 +174,46 @@ def worker_init(
 
 
 class TelemetryBus:
-    """Parent-side aggregator for worker telemetry events.
+    """Parent-side receiver of worker beats.
 
-    Wire-up: :meth:`attach` a tracer and registry, hand
-    :meth:`endpoint` to the pool initializer, and :meth:`register_unit`
-    each dispatched unit's parent-timeline base offset.  During the run
-    :meth:`poll` (cheap, non-blocking) routes queued events; funnels
-    and resource samples merge immediately, while span payloads buffer
-    until the poll's graft step so the tracer is only ever touched from
-    the thread that owns it.
-
-    Accounting: per-pid received counts are checked against the acked
-    ``sent`` totals by :meth:`drain`, yielding an exact
-    ``dropped_events`` figure (in transit) next to the workers' own
-    ``lost_events`` (publisher-side overflow) in :meth:`summary`.
+    Hand :meth:`endpoint` to the pool initializer; :meth:`stale_workers`
+    and :meth:`beat_counts` drain whatever beats are queued before they
+    answer, so a beat in transit never reads as silence.
     """
 
     def __init__(self) -> None:
         self._queue = _bus_context().Queue(_QUEUE_SIZE)
         self._lock = threading.Lock()
-        self._tracer = None
-        self._registry: Optional[MetricRegistry] = None
-        self.events_received = 0
-        self.gap_events = 0
-        self._received: Dict[int, int] = {}
-        self._next_seq: Dict[int, int] = {}
-        self._acked_sent: Dict[int, int] = {}
-        self._acked_lost: Dict[int, int] = {}
-        self._busy_seconds: Dict[int, float] = {}
-        self._last_done: Dict[int, float] = {}
-        self._funnel: Dict[str, float] = {}
-        self._worker_funnels: Dict[int, Dict[str, float]] = {}
         #: pid -> parent-clock receipt time of the latest beat.
         self._beat_at: Dict[int, float] = {}
         self._beat_counts: Dict[int, int] = {}
         self._clock: Callable[[], float] = monotonic
-        self._pending_spans: List[Tuple[int, int, Dict]] = []
-        self._unit_base: Dict[str, float] = {}
         self._closed = False
 
-    # -- wiring ------------------------------------------------------
     def endpoint(self) -> BusEndpoint:
         return BusEndpoint(self._queue)
 
-    def attach(
-        self,
-        tracer=None,
-        registry: Optional[MetricRegistry] = None,
-    ) -> "TelemetryBus":
-        with self._lock:
-            if tracer is not None:
-                self._tracer = tracer
-            if registry is not None:
-                self._registry = registry
-        return self
-
-    def register_unit(self, unit: str, base: float) -> None:
-        """Record a unit's dispatch-time offset on the parent timeline."""
-        with self._lock:
-            self._unit_base[unit] = base
-
-    # -- event intake ------------------------------------------------
-    def _route(self, event) -> None:
-        pid, seq, kind, payload = event
-        if kind == "beat":
-            # Out-of-band: beats carry no sequence number and must not
-            # disturb the received/gap/zero-loss accounting.
+    def _drain_nowait(self) -> None:
+        while True:
+            try:
+                pid = self._queue.get_nowait()
+            except (queue_module.Empty, OSError, ValueError):
+                return
             with self._lock:
                 self._beat_at[pid] = self._clock()
                 self._beat_counts[pid] = self._beat_counts.get(pid, 0) + 1
-            return
-        with self._lock:
-            self.events_received += 1
-            self._received[pid] = self._received.get(pid, 0) + 1
-            if seq != self._next_seq.get(pid, 0):
-                self.gap_events += 1
-            self._next_seq[pid] = seq + 1
-            if kind == "spans":
-                self._pending_spans.append((pid, seq, payload))
-                return
-            registry = self._registry
-            if kind == "funnel":
-                worker = self._worker_funnels.setdefault(pid, {})
-                for name, value in payload.get("counters", {}).items():
-                    self._funnel[name] = self._funnel.get(name, 0) + value
-                    worker[name] = worker.get(name, 0) + value
-            elif kind == "resource" and registry is not None:
-                registry.histogram("worker_rss_bytes").observe(
-                    payload.get("rss_bytes", 0)
-                )
 
-    def _drain_nowait(self) -> int:
-        drained = 0
-        while True:
-            try:
-                event = self._queue.get_nowait()
-            except (queue_module.Empty, OSError, ValueError):
-                return drained
-            self._route(event)
-            drained += 1
-
-    def _graft_pending(self) -> int:
-        """Graft buffered span payloads (owner-thread only)."""
-        with self._lock:
-            pending, self._pending_spans = self._pending_spans, []
-            tracer = self._tracer
-            bases = dict(self._unit_base)
-        if tracer is None or not pending:
-            return 0
-        from .export import graft_span_dicts
-
-        pending.sort(key=lambda item: (item[0], item[1]))
-        grafted = 0
-        for pid, _seq, payload in pending:
-            unit = payload.get("unit", "")
-            spans = graft_span_dicts(
-                tracer, payload.get("spans", []), base=bases.get(unit)
-            )
-            for root in spans:
-                root.attrs.setdefault("unit", unit)
-                root.attrs.setdefault("worker", pid)
-            grafted += len(spans)
-        return grafted
-
-    def poll(self) -> int:
-        """Drain queued events and graft spans; returns events routed.
-
-        Call from the thread that owns the attached tracer (grafting
-        mutates the span tree under the currently open span).
-        """
-        drained = self._drain_nowait()
-        self._graft_pending()
-        return drained
-
-    # -- acks and derived accounting ---------------------------------
-    def record_ack(
-        self, ack: Optional[Dict], done_at: Optional[float] = None
-    ) -> None:
-        """Merge a task's delivery receipt (None acks are ignored)."""
-        if not ack:
-            return
-        with self._lock:
-            pid = int(ack["pid"])
-            self._acked_sent[pid] = max(
-                self._acked_sent.get(pid, 0), int(ack["sent"])
-            )
-            self._acked_lost[pid] = max(
-                self._acked_lost.get(pid, 0), int(ack.get("lost", 0))
-            )
-            busy = float(ack.get("busy", 0.0))
-            self._busy_seconds[pid] = (
-                self._busy_seconds.get(pid, 0.0) + busy
-            )
-            if done_at is not None:
-                self._last_done[pid] = max(
-                    self._last_done.get(pid, 0.0), done_at
-                )
-
-    def idle_tail_seconds(self, end: float) -> float:
-        """Sum over workers of (phase end − last completed task).
-
-        ``end`` is on the same timeline as the ``done_at`` values passed
-        to :meth:`record_ack` (parent ``tracer.now()``).  This is the
-        straggler signal: time each worker sat idle after its last unit
-        while the slowest worker finished the phase.
-        """
-        with self._lock:
-            return sum(
-                max(0.0, end - done) for done in self._last_done.values()
-            )
-
-    # -- liveness ----------------------------------------------------
     def beat_counts(self) -> Dict[int, int]:
+        self._drain_nowait()
         with self._lock:
             return dict(self._beat_counts)
 
     def stale_workers(self, deadline: float) -> List[int]:
         """Workers whose last beat is older than ``deadline`` seconds.
 
-        Drains the queue first so a beat sitting in transit never reads
-        as silence.  Only workers that have beaten at least once are
-        considered: absence of any beat means the worker has not
-        finished initialising (or beats are off), not that it hung.
+        Only workers that have beaten at least once are considered:
+        absence of any beat means the worker has not finished
+        initialising (or beats are off), not that it hung.
         """
         self._drain_nowait()
         now = self._clock()
@@ -443,69 +228,6 @@ class TelemetryBus:
         """Forget all beat history (pool rebuilt / escalation re-arm)."""
         with self._lock:
             self._beat_at.clear()
-
-    # -- completion --------------------------------------------------
-    def _missing(self) -> int:
-        with self._lock:
-            return sum(
-                max(0, sent - self._received.get(pid, 0))
-                for pid, sent in self._acked_sent.items()
-            )
-
-    def drain(
-        self,
-        timeout: float = 5.0,
-        clock: Callable[[], float] = monotonic,
-    ) -> int:
-        """Wait (bounded) until every acked event arrived; graft spans.
-
-        Returns the number of events still missing at the deadline —
-        0 is the "zero dropped events" acceptance signal.  Needed
-        because the queue's feeder thread may still be flushing when
-        the last future resolves.
-        """
-        deadline = clock() + timeout
-        while self._missing() > 0 and clock() < deadline:
-            if self._drain_nowait() == 0:
-                try:
-                    event = self._queue.get(timeout=0.02)
-                except (queue_module.Empty, OSError, ValueError):
-                    continue
-                self._route(event)
-        self._drain_nowait()
-        self._graft_pending()
-        return self._missing()
-
-    def summary(self) -> Dict:
-        """JSON-ready delivery and funnel accounting."""
-        with self._lock:
-            workers = sorted(
-                set(self._received) | set(self._acked_sent)
-            )
-            dropped = sum(
-                max(0, sent - self._received.get(pid, 0))
-                for pid, sent in self._acked_sent.items()
-            )
-            return {
-                "events": self.events_received,
-                "workers": len(workers),
-                "dropped_events": dropped,
-                "lost_events": sum(self._acked_lost.values()),
-                "gap_events": self.gap_events,
-                "funnel": dict(self._funnel),
-                "worker_funnels": {
-                    str(pid): dict(counters)
-                    for pid, counters in sorted(
-                        self._worker_funnels.items()
-                    )
-                },
-                "busy_seconds": {
-                    str(pid): seconds
-                    for pid, seconds in sorted(
-                        self._busy_seconds.items()
-                    )
-                },
-            }
 
     def close(self) -> None:
         if self._closed:

@@ -86,20 +86,23 @@ def graft_span_dicts(
     tracer: Tracer,
     span_dicts: List[Dict],
     base: Optional[float] = None,
+    **tags,
 ) -> List[Span]:
     """Attach serialized worker spans to a parent tracer.
 
     ``base`` is the parent-timeline offset (seconds since the parent
     tracer's epoch, i.e. a :meth:`~repro.obs.tracer.Tracer.now` value
     captured when the remote work was dispatched) added to every span's
-    relative start.  The reconstructed spans are appended under the
-    parent's currently open span (or as new roots outside any span) and
-    returned in order.
+    relative start.  ``tags`` are set as attributes on every grafted
+    root (the pipelines tag ``unit`` and ``worker``).  The
+    reconstructed spans are appended under the parent's currently open
+    span (or as new roots outside any span) and returned in order.
     """
     spans = [_span_from_dict(d, tracer) for d in span_dicts]
     offset = tracer.epoch + (0.0 if base is None else base)
     for span in spans:
         _shift_span(span, offset)
+        span.attrs.update(tags)
     parent = tracer.current()
     if parent is not None:
         parent.children.extend(spans)
@@ -121,9 +124,9 @@ def run_report(
     Table V columns) and the derived funnel metrics, so the numbers in
     the trace can be checked against the pipeline's own accounting.
     ``telemetry`` is an optional
-    :meth:`~repro.obs.session.TelemetryOptions.summary` dict (bus
-    delivery accounting plus merged registry metrics); it is embedded
-    verbatim under a ``telemetry`` key.
+    :meth:`~repro.obs.session.TelemetryOptions.summary` dict (the
+    run's registry metrics); it is embedded verbatim under a
+    ``telemetry`` key.
     """
     report: Dict = {
         "version": REPORT_VERSION,
@@ -230,8 +233,8 @@ def _collect_units(span_dicts: List[Dict]) -> Dict[str, int]:
     Worker spans arrive (and are grafted) in completion order, which
     varies run to run; keying lanes by the *unit name* instead of the
     arrival index makes the pid/tid mapping of two identical runs
-    identical.  Units are collected from every depth — the bus grafts
-    worker spans as children of the open parent span.
+    identical.  Units are collected from every depth — the pipelines
+    graft a task's returned spans as children of the open parent span.
     """
 
     def walk(spans):

@@ -4,15 +4,14 @@
 :class:`~repro.resilience.policy.ResilienceOptions`: a single object
 carrying the progress sink, the shared metric registry, the optional
 worker-profiling directory and (once :meth:`ensure_bus` runs) the
-cross-process telemetry bus.  The pipelines accept it as one optional
-parameter; passing nothing keeps every hot path on the allocation-free
-null objects.
+heartbeat bus.  The pipelines accept it as one optional parameter;
+passing nothing keeps every hot path on the allocation-free null
+objects.
 
-Lifecycle: the owner (CLI command, test) creates the options, the
-pipeline calls :meth:`ensure_bus`/:meth:`attach` when a traced parallel
-run actually starts, and the owner calls :meth:`finish` afterwards to
-drain the bus and collect the delivery/metric summary for the run
-report.
+Lifecycle: the owner (CLI command, daemon, test) creates the options,
+calls :meth:`ensure_bus` before the pool is built if workers should
+beat, and afterwards takes :meth:`summary` for the run report and
+calls :meth:`close`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ __all__ = ["TelemetryOptions"]
 
 @dataclass
 class TelemetryOptions:
-    """Progress + metrics + bus + profiling knobs for one run.
+    """Progress + metrics + heartbeat bus + profiling knobs for one run.
 
     ``profile_dir`` turns on cProfile capture in every worker via the
     pool initializer.  ``heartbeat_interval`` (seconds) makes every
@@ -51,22 +50,8 @@ class TelemetryOptions:
             self.bus = TelemetryBus()
         return self.bus
 
-    def attach(self, tracer=None) -> None:
-        """Point the bus at this run's tracer and registry."""
-        if self.bus is not None:
-            self.bus.attach(tracer=tracer, registry=self.registry)
-
-    def finish(self, timeout: float = 5.0) -> Dict:
-        """Drain the bus and return the run's telemetry summary."""
-        if self.bus is not None:
-            self.bus.drain(timeout=timeout)
-        return self.summary()
-
     def summary(self) -> Dict:
-        return {
-            "bus": self.bus.summary() if self.bus is not None else None,
-            "metrics": self.registry.as_dict(),
-        }
+        return {"metrics": self.registry.as_dict()}
 
     def close(self) -> None:
         if self.bus is not None:

@@ -143,10 +143,10 @@ class ExecutionEngine:
     ``resilience`` carries the retry policy, optional fault-injection
     plan and recovery counters used by :meth:`dispatch`/:meth:`result`.
     ``telemetry`` (a :class:`~repro.obs.session.TelemetryOptions`)
-    carries the progress sink, metric registry, optional telemetry bus
+    carries the progress sink, metric registry, optional heartbeat bus
     and worker-profiling directory; when it holds a bus or a profile
     directory the pool's workers are initialized with the matching
-    publisher/profiler.  It must be configured before the pool's first
+    heartbeat/profiler.  It must be configured before the pool's first
     task (the executor is built lazily, so before the first
     ``submit``/``dispatch``).
     """
@@ -184,13 +184,6 @@ class ExecutionEngine:
         return self.workers > 1 and not self._closed
 
     @property
-    def bus(self):
-        """The telemetry bus, or None when not configured."""
-        return (
-            self.telemetry.bus if self.telemetry is not None else None
-        )
-
-    @property
     def progress(self):
         """The progress sink (never None; defaults to the no-op one)."""
         return (
@@ -203,9 +196,9 @@ class ExecutionEngine:
         """Install ``telemetry`` on an engine that has none yet.
 
         Returns True on success.  Refused (False) once the executor is
-        built — its workers were initialized without a bus publisher,
-        so adopting one then would silently miss their events — or when
-        a different telemetry bundle is already installed.
+        built — its workers were initialized without a heartbeat or
+        profiler, so adopting a bundle then would leave them silent —
+        or when a different telemetry bundle is already installed.
         """
         if self.telemetry is telemetry:
             return True
@@ -217,8 +210,8 @@ class ExecutionEngine:
     def _worker_initializer(self):
         """(initializer, initargs) wiring telemetry into new workers.
 
-        The bus queue can only cross a process boundary while the pool
-        is constructing its workers, which is exactly what the
+        The heartbeat queue can only cross a process boundary while the
+        pool is constructing its workers, which is exactly what the
         ``initializer`` mechanism provides (under fork *and* spawn);
         passing the queue as a task argument would raise.
         """
@@ -368,15 +361,9 @@ class ExecutionEngine:
     def result(self, ticket, tracer=NULL_TRACER):
         """Collect a dispatched ticket's result (see ``dispatch``).
 
-        Collection points double as telemetry poll points: any events
-        workers streamed while we waited are routed (and their spans
-        grafted onto ``tracer``) before the value is returned.
+        Recovery actions are recorded as spans on ``tracer``.
         """
-        value = self._dispatcher().result(ticket, tracer=tracer)
-        bus = self.bus
-        if bus is not None:
-            bus.poll()
-        return value
+        return self._dispatcher().result(ticket, tracer=tracer)
 
     def poll(self, ticket) -> bool:
         """Whether ``ticket`` has settled, without blocking.

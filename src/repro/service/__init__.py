@@ -23,7 +23,7 @@ daemon:
   :class:`~repro.parallel.engine.ExecutionEngine` pool with warm
   genome and seed-index caches shared across jobs;
 * :mod:`repro.service.daemon` — ties it together and supervises:
-  workers publish heartbeat beats over the telemetry bus, a
+  workers publish beats over the heartbeat bus, a
   :class:`~repro.obs.bus.HeartbeatMonitor` sentinel detects hung (not
   just crashed) workers past a deadline and escalates through the
   resilience ladder (terminate-and-rebuild → serial fallback);

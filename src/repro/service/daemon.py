@@ -10,8 +10,9 @@
   :class:`~repro.parallel.engine.ExecutionEngine` pool with warm
   genome/seed-index caches; per-job deadlines are enforced at pick-up
   so an expired job never consumes engine capacity;
-* **supervision**: pool workers publish liveness beats over the
-  telemetry bus; a :class:`~repro.obs.bus.HeartbeatMonitor` is wired
+* **supervision**: with a heartbeat interval, pool workers publish
+  liveness beats over the heartbeat bus (the only thing it carries);
+  a :class:`~repro.obs.bus.HeartbeatMonitor` is wired
   into :class:`~repro.resilience.policy.ResilienceOptions` as the
   dispatcher's liveness sentinel, so a hung (not just crashed) worker
   is detected past its deadline, SIGKILLed with its pool, and the
@@ -104,16 +105,15 @@ class ServeDaemon:
             if config.inject_faults
             else None
         )
-        if config.workers > 1:
+        if config.workers > 1 and config.heartbeat_interval:
             # The bus must exist before the pool initializer runs —
             # beats and the hang sentinel both ride it.
-            bus = self.telemetry.ensure_bus()
-            if config.heartbeat_interval:
-                deadline = (
-                    config.heartbeat_deadline
-                    or 4.0 * config.heartbeat_interval
-                )
-                self.monitor = HeartbeatMonitor(bus, deadline=deadline)
+            deadline = (
+                config.heartbeat_deadline or 4.0 * config.heartbeat_interval
+            )
+            self.monitor = HeartbeatMonitor(
+                self.telemetry.ensure_bus(), deadline=deadline
+            )
         self.resilience = ResilienceOptions(
             policy=RetryPolicy(
                 max_retries=config.max_retries,

@@ -139,7 +139,8 @@ class HttpJsonServer:
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii"))
         writer.write(body)
         try:
-            await writer.drain()
+            # close() flushes the buffered response before the socket
+            # shuts; wait_closed() returns once it has.
             writer.close()
             await writer.wait_closed()
         except (ConnectionError, BrokenPipeError):

@@ -24,6 +24,7 @@ from repro.core import stream as stream_module
 from repro.genome import Assembly, Sequence, make_species_pair
 from repro.lastz import LastzAligner
 from repro.obs import TelemetryOptions, Tracer
+from repro.obs.export import run_report, to_chrome_trace
 from repro.resilience import (
     FaultPlan,
     ResilienceOptions,
@@ -284,3 +285,43 @@ class TestStreamTelemetry:
             s for s in extend.walk() if s.name == "strand"
         ]
         assert len(strand_spans) == 2
+
+    def test_chrome_lanes_hold_only_nested_events(self):
+        """Concurrent extension batches get a Chrome lane each.
+
+        Grafted untagged, every ``extend_anchor`` landed on the parent's
+        lane, where two batches in flight at once overlap without
+        nesting; tagged with their dispatch key, each batch has its own.
+        """
+        pair = make_species_pair(
+            30000,
+            0.5,
+            np.random.default_rng(5),
+            exon_count=20,
+            alignable_fraction=0.35,
+        )
+        tracer = Tracer()
+        with DarwinWGA(workers=2, tracer=tracer) as aligner:
+            aligner.align(pair.target.genome, pair.query.genome)
+        assert aligner.last_stream["peak_in_flight"] == 2
+        trace = to_chrome_trace(run_report(tracer))
+        lanes = {}
+        for event in trace["traceEvents"]:
+            if event["ph"] == "X":
+                lane = lanes.setdefault((event["pid"], event["tid"]), [])
+                lane.append((event["ts"], event["ts"] + event["dur"]))
+        slack = 0.01  # microseconds: ts and dur are rounded separately
+        for lane, spans in lanes.items():
+            open_ends = []
+            for start, end in sorted(spans, key=lambda s: (s[0], -s[1])):
+                while open_ends and open_ends[-1] <= start + slack:
+                    open_ends.pop()
+                assert not open_ends or end <= open_ends[-1] + slack, lane
+                open_ends.append(end)
+        anchor_lanes = {
+            (event["pid"], event["tid"])
+            for event in trace["traceEvents"]
+            if event["name"] == "extend_anchor"
+        }
+        assert len(anchor_lanes) > 1
+        assert all(pid == 1 for pid, _ in anchor_lanes)  # worker lanes

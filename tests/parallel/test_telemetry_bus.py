@@ -1,14 +1,16 @@
-"""End-to-end telemetry bus: real workers, real queue, exact accounting.
+"""End-to-end return-value telemetry: real workers, exact accounting.
 
-The acceptance contract for the cross-process bus, proven on a live
+A task's spans and receipt come home in its result, so on a live
 2-worker pool:
 
-* zero dropped / lost / gap events (ack-based drain makes this exact);
-* the global funnel equals the sum of the per-worker funnels AND the
-  serial run's workload counters;
+* exactly one worker-tagged span subtree is grafted per unit, tagged
+  with its dispatch key and the pid that ran it — also when a unit was
+  retried after a timeout (the abandoned attempt's telemetry is never
+  recorded);
+* the grafted units' counters sum to the run's workload, which equals
+  the serial run's;
 * telemetry never perturbs results — identical alignments at any
-  worker count, with or without the bus;
-* worker spans arrive tagged with their unit and worker pid.
+  worker count, traced or not.
 """
 
 import numpy as np
@@ -18,8 +20,10 @@ from repro.core.pipeline import align_assemblies
 from repro.genome import Assembly, Sequence, make_species_pair
 from repro.obs import TelemetryOptions, Tracer
 from repro.parallel import ExecutionEngine
+from repro.resilience import FaultPlan, ResilienceOptions
 
 WORKERS = 2
+UNITS = 4  # 2 target x 2 query chromosomes
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +49,41 @@ def assemblies():
 
 
 @pytest.fixture(scope="module")
-def bus_run(assemblies):
-    """One traced 2-worker run with the bus on; shared by the tests."""
+def serial_run(assemblies):
+    return align_assemblies(*assemblies, workers=1)
+
+
+def traced_run(assemblies, resilience=None, **options):
     target, query = assemblies
     telemetry = TelemetryOptions()
-    telemetry.ensure_bus()
     tracer = Tracer()
-    with ExecutionEngine(WORKERS, telemetry=telemetry) as engine:
+    with ExecutionEngine(
+        WORKERS, resilience=resilience, telemetry=telemetry
+    ) as engine:
         result = align_assemblies(
-            target, query, engine=engine, tracer=tracer, telemetry=telemetry
+            target,
+            query,
+            engine=engine,
+            tracer=tracer,
+            telemetry=telemetry,
+            **options,
         )
-    summary = telemetry.finish()
-    telemetry.close()
-    return result, tracer, summary
+    return result, tracer, telemetry.summary()
+
+
+@pytest.fixture(scope="module")
+def bus_run(assemblies):
+    """One traced 2-worker run; shared by the tests."""
+    return traced_run(assemblies)
+
+
+def worker_subtrees(tracer):
+    return [
+        span
+        for root in tracer.roots
+        for span in root.walk()
+        if "worker" in span.attrs
+    ]
 
 
 def alignment_key(result):
@@ -77,37 +103,24 @@ def alignment_key(result):
 
 
 class TestZeroLoss:
-    def test_no_dropped_lost_or_gap_events(self, bus_run):
-        _, _, summary = bus_run
-        bus = summary["bus"]
-        assert bus["events"] > 0
-        assert bus["dropped_events"] == 0
-        assert bus["lost_events"] == 0
-        assert bus["gap_events"] == 0
-        assert bus["workers"] >= 1
-
-    def test_funnels_balance_exactly(self, bus_run, assemblies):
-        """Global funnel == sum of worker funnels == serial workload."""
-        result, _, summary = bus_run
-        bus = summary["bus"]
+    def test_funnels_balance_exactly(self, bus_run, serial_run):
+        """Grafted unit counters == run workload == serial workload."""
+        result, tracer, _ = bus_run
         merged = {}
-        for counters in bus["worker_funnels"].values():
-            for name, value in counters.items():
+        for span in worker_subtrees(tracer):
+            for name, value in span.counters.items():
                 merged[name] = merged.get(name, 0) + value
-        assert merged == bus["funnel"]
         workload = result.workload
-        assert bus["funnel"]["seed_hits"] == workload.seed_hits
-        assert bus["funnel"]["filter_tiles"] == workload.filter_tiles
-        assert bus["funnel"]["anchors"] == workload.anchors
+        assert workload == serial_run.workload
+        for name in ("seed_hits", "filter_tiles", "anchors"):
+            assert merged[name] == getattr(workload, name), name
 
 
 class TestIdenticalOutput:
-    def test_bus_run_matches_serial_run(self, bus_run, assemblies):
-        target, query = assemblies
+    def test_bus_run_matches_serial_run(self, bus_run, serial_run):
         result, _, _ = bus_run
-        serial = align_assemblies(target, query, workers=1)
-        assert alignment_key(result) == alignment_key(serial)
-        assert result.workload == serial.workload
+        assert alignment_key(result) == alignment_key(serial_run)
+        assert result.workload == serial_run.workload
 
     def test_untraced_telemetry_run_matches_too(self, bus_run, assemblies):
         """Telemetry attached but tracer off: no bus, same output."""
@@ -125,25 +138,50 @@ class TestIdenticalOutput:
 class TestWorkerSpans:
     def test_worker_spans_grafted_with_unit_and_pid(self, bus_run):
         _, tracer, _ = bus_run
-        tagged = [
-            span
-            for root in tracer.roots
-            for span in root.walk()
-            if "worker" in span.attrs
-        ]
-        assert tagged, "no worker spans were streamed over the bus"
-        units = {span.attrs["unit"] for span in tagged}
-        assert len(units) == 4  # 2 target x 2 query chromosomes
+        tagged = worker_subtrees(tracer)
+        assert len(tagged) == UNITS
+        assert len({span.attrs["unit"] for span in tagged}) == UNITS
         for span in tagged:
             assert span.attrs["worker"] > 0
             assert span.closed
 
     def test_registry_metrics_recorded(self, bus_run):
         _, _, summary = bus_run
+        assert set(summary) == {"metrics"}
         metrics = summary["metrics"]
-        assert metrics["queue_depth"]["count"] > 0
-        assert metrics["dispatch_latency_seconds"]["count"] > 0
+        assert metrics["queue_depth"]["count"] == UNITS
+        assert metrics["dispatch_latency_seconds"]["count"] == UNITS
+        assert metrics["worker_rss_bytes"]["count"] == UNITS
+        assert metrics["worker_rss_bytes"]["max"] > 0
         assert "idle_tail_seconds" in metrics
+
+
+class TestRetriedUnit:
+    def test_timed_out_unit_is_grafted_once(self, assemblies, serial_run):
+        """A unit retried after a timeout reports only the accepted
+        attempt: the abandoned one still finishes in its worker, but its
+        spans never reach the parent."""
+        options = ResilienceOptions(
+            fault_plan=FaultPlan(seed=1, rates={"timeout": 0.5})
+        )
+        result, tracer, _ = traced_run(assemblies, resilience=options)
+        assert options.stats.timeouts >= 1
+        tagged = worker_subtrees(tracer)
+        units = [span.attrs["unit"] for span in tagged]
+        assert len(units) == len(set(units)) == UNITS
+        assert all(span.attrs["worker"] > 0 for span in tagged)
+        assert alignment_key(result) == alignment_key(serial_run)
+        assert result.workload == serial_run.workload
+
+    def test_cached_index_load_stays_in_the_unit_subtree(
+        self, assemblies, tmp_path
+    ):
+        _, tracer, _ = traced_run(assemblies, index_cache=tmp_path)
+        tagged = worker_subtrees(tracer)
+        assert len(tagged) == UNITS
+        for span in tagged:
+            loads = [s for s in span.walk() if s.name == "build_index"]
+            assert [s.attrs["cache"] for s in loads] == ["hit"]
 
 
 class TestAdoptTelemetry:
@@ -158,8 +196,8 @@ class TestAdoptTelemetry:
             engine.close()
 
     def test_engine_refuses_after_pool_build(self, assemblies):
-        """Workers are initialized without a publisher; adopting a bus
-        afterwards would silently lose every event."""
+        """Workers are initialized without a heartbeat; adopting a bus
+        afterwards would leave every one of them silent."""
         target, query = assemblies
         engine = ExecutionEngine(WORKERS)
         try:
