@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from ..align.alignment import Alignment, AnchorHit
 from ..genome.sequence import Sequence
@@ -41,7 +41,7 @@ from .anchors import CoverageGrid
 from .config import DarwinWGAConfig
 from .extension import extend_anchors
 from .gact_x import TileTrace
-from .gapped_filter import gapped_filter
+from .gapped_filter import gapped_filter_stream
 from .stream import (
     BoundedQueue,
     StrandStream,
@@ -141,9 +141,9 @@ class SeedFilterExtendAligner:
     (deterministically — output is byte-identical to ``workers=1``);
     an externally owned :class:`~repro.parallel.engine.ExecutionEngine`
     may be passed instead to share one pool across aligners.  Parallel
-    runs use the streamed dataflow: seeding/filtering of later strands
-    overlaps in-flight extensions under a bounded in-flight watermark
-    (tunable through ``stream_params``).
+    runs use the streamed dataflow: the seed+filter work a later strand
+    still needs overlaps in-flight extensions under a bounded in-flight
+    watermark (tunable through ``stream_params``).
     ``index_cache`` (a directory path or
     :class:`~repro.seed.cache.SeedIndexCache`) persists seed indexes
     across runs.  ``telemetry`` (a
@@ -223,11 +223,19 @@ class SeedFilterExtendAligner:
             return SeedIndex.build(target, self.config.seed)
 
     def _seed_filter(
-        self, target: Sequence, query: Sequence, index: SeedIndex, strand: int
-    ) -> Tuple[int, int, int, List[AnchorHit]]:
-        """The swappable stage: seed one strand and filter its hits.
+        self,
+        target: Sequence,
+        queries: List[Sequence],
+        index: SeedIndex,
+        strands: Tuple[int, ...],
+    ) -> Iterator[Tuple[int, int, int, List[AnchorHit]]]:
+        """The swappable stage: seed and filter every strand of a unit.
 
-        Returns ``(seed_hits, filter_tiles, filter_cells, anchors)``.
+        ``queries[i]`` is the query oriented to ``strands[i]``.  Yields
+        ``(seed_hits, filter_tiles, filter_cells, anchors)`` once per
+        strand, lazily and in strand order: each ``next()`` does only
+        the work that strand's result still needs, so the streamed
+        schedule can extend one strand while the next is filtered.
         """
         raise NotImplementedError
 
@@ -257,12 +265,19 @@ class SeedFilterExtendAligner:
             if index is None:
                 index = self._build_index(target)
             strands = (1, -1) if config.both_strands else (1,)
+            queries = [
+                query if strand == 1 else query.reverse_complement()
+                for strand in strands
+            ]
+            stage = self._seed_filter(target, queries, index, strands)
             engine = self.engine
             streamed = engine is not None and engine.active
 
             def strand_stage(i: int) -> StrandStream:
-                """Strand ``i``: seed, filter, order anchors — and, on
-                the serial schedule, extend them inside the same span.
+                """Strand ``i``: advance the seed+filter stage to its
+                anchors, order them — and, on the serial schedule,
+                extend them inside the same span.  Called once per
+                strand, in strand order.
 
                 The sort by filter score is a deliberate per-strand
                 ordering barrier: extension priority determines
@@ -271,13 +286,11 @@ class SeedFilterExtendAligner:
                 part of the byte-identical-output contract.
                 """
                 strand = strands[i]
-                oriented = query if strand == 1 else query.reverse_complement()
+                oriented = queries[i]
                 with tracer.span(
                     "strand", strand="+" if strand == 1 else "-"
                 ):
-                    hits, tiles, cells, anchors = self._seed_filter(
-                        target, oriented, index, strand
-                    )
+                    hits, tiles, cells, anchors = next(stage)
                     state = StrandStream(
                         oriented,
                         sorted(anchors, key=lambda a: -a.filter_score),
@@ -354,22 +367,37 @@ class DarwinWGA(SeedFilterExtendAligner):
     label = "darwin"
     keep_tile_traces = True
 
-    def _seed_filter(self, target, query, index, strand):
+    def _seed_filter(self, target, queries, index, strands):
+        """Seed every strand, then filter all their candidates as one
+        tile stream (:func:`.gapped_filter.gapped_filter_stream`).
+
+        A strand's anchors are yielded once its last slab is scored; a
+        strand with few candidates shares a slab with its neighbour
+        instead of paying a whole BSW sweep of its own.
+        """
         config = self.config
-        seeding = dsoft_seed(index, query, config.dsoft, tracer=self.tracer)
-        result = gapped_filter(
+        seedings = [
+            dsoft_seed(index, query, config.dsoft, tracer=self.tracer)
+            for query in queries
+        ]
+        candidates = [
+            (query, seeding.target_positions, seeding.query_positions, strand)
+            for query, seeding, strand in zip(queries, seedings, strands)
+        ]
+        filtered = gapped_filter_stream(
             target,
-            query,
-            seeding.target_positions,
-            seeding.query_positions,
+            candidates,
             config.scoring,
             config.filtering,
-            strand=strand,
             tracer=self.tracer,
         )
-        return (
-            seeding.raw_hit_count, result.tiles, result.cells, result.anchors
-        )
+        for seeding, result in zip(seedings, filtered):
+            yield (
+                seeding.raw_hit_count,
+                result.tiles,
+                result.cells,
+                result.anchors,
+            )
 
 
 def aligner_named(label: str) -> type:

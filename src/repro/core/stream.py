@@ -7,10 +7,11 @@ at every drain (measured slower than serial here: EXPERIMENTS.md,
 stage overlap).  This module is a cooperative single-threaded stage
 graph instead:
 
-* the **producer** stage runs one strand's seeding + gapped filtering
-  and emits its priority-ordered anchors into a bounded strand queue
-  (:class:`BoundedQueue`) — at most ``STRAND_QUEUE_CAPACITY`` strands'
-  anchors are ever materialized, so memory stays flat;
+* the **producer** stage advances the unit's seed+filter stage to the
+  next strand's result and emits its priority-ordered anchors into a
+  bounded strand queue (:class:`BoundedQueue`) — at most
+  ``STRAND_QUEUE_CAPACITY`` strands' anchors are ever materialized, so
+  memory stays flat;
 * the **extension frontier** forms small anchor batches in strict
   serial order and dispatches them to the
   :class:`~repro.parallel.engine.ExecutionEngine` as soon as the
@@ -168,9 +169,11 @@ DEFAULT_STREAM = StreamParams()
 class StrandStream:
     """One strand's anchors flowing through the extension frontier.
 
-    Produced whole by the seed+filter stage (the per-strand sort by
-    filter score is a deliberate ordering barrier — extension priority
-    is a determinism invariant), then drained anchor by anchor with
+    Built when the unit's seed+filter stage yields this strand's
+    anchors — the stage scores all strands as one tile stream and
+    yields a strand once its last tile is scored — and sorted by filter
+    score (a deliberate ordering barrier: extension priority is a
+    determinism invariant).  Then drained anchor by anchor with
     per-strand replay state so commits evolve exactly as the serial
     per-strand loop.
     """
@@ -223,11 +226,13 @@ def stream_extension(
 ) -> Tuple[List[StrandStream], StreamStats]:
     """Drive ``strand_count`` strands through the streamed frontier.
 
-    ``produce(i)`` runs strand ``i``'s seed+filter stage and returns a
-    :class:`StrandStream`; it is called lazily, under backpressure —
-    only when the extension frontier is starved and the bounded strand
-    queue has room — so later strands' seeding overlaps earlier
-    strands' in-flight extensions instead of waiting for a drain.
+    ``produce(i)`` advances the unit's seed+filter stage to strand
+    ``i``'s anchors (``next()`` on its per-strand iterator) and returns
+    a :class:`StrandStream`; it is called in strand order and lazily,
+    under backpressure — only when the extension frontier is starved
+    and the bounded strand queue has room — so the filter slabs a later
+    strand still needs overlap earlier strands' in-flight extensions
+    instead of waiting for a drain.
 
     Returns the per-strand streams (in serial strand order, each with
     its committed alignments and workload) plus the schedule's

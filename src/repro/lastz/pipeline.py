@@ -57,24 +57,33 @@ class LastzAligner(SeedFilterExtendAligner):
     #: LASTZ runs never feed the hardware model.
     keep_tile_traces = False
 
-    def _seed_filter(self, target, query, index, strand):
+    def _seed_filter(self, target, queries, index, strands):
+        """Seed and filter one strand per step.
+
+        The ungapped filter is about 1 % of a LASTZ run, so the strands'
+        hits are not merged into one batch.
+        """
         config = self.config
-        seeding = all_seed_hits(
-            index, query, seed_limit=config.seed_limit, tracer=self.tracer
-        )
-        with self.tracer.span("ungapped_filter") as filter_span:
-            result = ungapped_filter(
-                target,
-                query,
-                seeding.target_positions,
-                seeding.query_positions,
-                config.scoring,
-                config.filtering,
-                strand=strand,
+        for query, strand in zip(queries, strands):
+            seeding = all_seed_hits(
+                index, query, seed_limit=config.seed_limit, tracer=self.tracer
             )
-            filter_span.inc("filter_tiles", result.hits)
-            filter_span.inc("filter_cells", result.cells)
-            filter_span.inc("anchors", len(result.anchors))
-        return (
-            seeding.raw_hit_count, result.hits, result.cells, result.anchors
-        )
+            with self.tracer.span("ungapped_filter") as filter_span:
+                result = ungapped_filter(
+                    target,
+                    query,
+                    seeding.target_positions,
+                    seeding.query_positions,
+                    config.scoring,
+                    config.filtering,
+                    strand=strand,
+                )
+                filter_span.inc("filter_tiles", result.hits)
+                filter_span.inc("filter_cells", result.cells)
+                filter_span.inc("anchors", len(result.anchors))
+            yield (
+                seeding.raw_hit_count,
+                result.hits,
+                result.cells,
+                result.anchors,
+            )

@@ -31,6 +31,8 @@ from repro.align import (
 from repro.align import _reference as ref
 from repro.align.matrices import hoxd70, lastz_default, unit
 from repro.align.smith_waterman import score_matrix
+from repro.core import FilterParams, gapped_filter
+from repro.core.gapped_filter import gapped_filter_stream
 from repro.genome import Sequence
 
 CASES = int(os.environ.get("REPRO_DIFF_CASES", "400"))
@@ -196,3 +198,54 @@ def test_bsw_tile_matches_oracle(case_seed):
     assert bsw_tile(target, query, scoring, band) == (
         ref.bsw_tile_reference(target, query, scoring, band)
     ), note
+
+
+@pytest.mark.parametrize(
+    "case_seed", range(BSW_CASES), ids=_case_ids("bsws")[:BSW_CASES]
+)
+def test_tile_stream_matches_per_strand_calls(case_seed):
+    """Strands sharing BSW slabs score every tile as a call of its own
+    strand would: random strand splits (empty strands included), slab
+    sizes, tile geometry and thresholds, with candidates reaching past
+    both sequence ends so N-padded tiles straddle slabs too."""
+    scheme_name = SCHEME_NAMES[case_seed % len(SCHEME_NAMES)]
+    scoring = SCHEMES[scheme_name]
+    rng = np.random.default_rng(30_000 + case_seed)
+    tile = int(rng.integers(1, 48))
+    params = FilterParams(
+        tile_size=tile,
+        band=BANDS[(case_seed // 2) % len(BANDS)],
+        threshold=int(rng.choice([0, 1, 40, 400])),
+    )
+    batch_size = int(rng.integers(1, 12))
+    target = Sequence(
+        rng.integers(0, 5, int(rng.integers(1, 200))).astype(np.uint8), "t"
+    )
+    strands = []
+    for number in range(int(rng.integers(1, 4))):
+        query = Sequence(
+            rng.integers(0, 5, int(rng.integers(1, 200))).astype(np.uint8),
+            "q",
+        )
+        count = int(rng.integers(0, 3 * batch_size))
+        if count and rng.random() < 0.3:  # a planted copy: tiles score
+            query = Sequence(target.codes.copy(), "q")
+        t_pos = rng.integers(-tile, len(target) + tile, count)
+        q_pos = t_pos + rng.integers(-2, 3, count)
+        strand = 1 if number % 2 == 0 else -1
+        strands.append((query, t_pos, q_pos, strand))
+    note = _repro(
+        "gapped_filter_stream", case_seed, scheme_name, params=params,
+        batch_size=batch_size, counts=[len(s[1]) for s in strands],
+    )
+
+    got = list(
+        gapped_filter_stream(
+            target, strands, scoring, params, batch_size=batch_size
+        )
+    )
+    want = [
+        gapped_filter(target, query, t_pos, q_pos, scoring, params, strand)
+        for query, t_pos, q_pos, strand in strands
+    ]
+    assert got == want, note

@@ -5,7 +5,9 @@ import pytest
 
 from repro.align.matrices import lastz_default
 from repro.core import FilterParams, gapped_filter
+from repro.core.gapped_filter import gapped_filter_stream
 from repro.genome import Sequence
+from repro.obs import Tracer
 
 
 @pytest.fixture
@@ -136,3 +138,101 @@ class TestFilter:
             params,
         )
         assert len(result.anchors) == 1
+
+
+def _planted_query(rng, target, t_at, length=4000, insert_len=300):
+    """A random query holding ``target[t_at : t_at + insert_len]``."""
+    codes = rng.integers(0, 4, length).astype(np.uint8)
+    q_at = int(rng.integers(0, length - insert_len))
+    codes[q_at : q_at + insert_len] = target.codes[t_at : t_at + insert_len]
+    return Sequence(codes, "q"), q_at
+
+
+def _strands(rng, target, counts):
+    """One candidate set per strand: even candidates sit on the planted
+    diagonal (they pass), odd ones are random (they fail)."""
+    strands = []
+    for number, count in enumerate(counts):
+        t_at = int(rng.integers(0, len(target) - 300))
+        query, q_at = _planted_query(rng, target, t_at)
+        offsets = rng.integers(0, 300, count)
+        t_pos = np.where(
+            np.arange(count) % 2 == 0,
+            t_at + offsets,
+            rng.integers(0, len(target), count),
+        ).astype(np.int64)
+        q_pos = np.where(
+            np.arange(count) % 2 == 0,
+            q_at + offsets,
+            rng.integers(0, len(query), count),
+        ).astype(np.int64)
+        strands.append((query, t_pos, q_pos, 1 if number % 2 == 0 else -1))
+    return strands
+
+
+class TestTileStream:
+    """All strands of a unit as one tile stream vs per-strand calls."""
+
+    PARAMS = FilterParams(tile_size=64, band=8, threshold=3000)
+
+    @pytest.mark.parametrize("batch_size", [3, 7, 2048])
+    @pytest.mark.parametrize(
+        "counts", [(9, 0), (0, 9), (1, 8), (8, 1), (5, 1, 6), (0, 0)]
+    )
+    def test_stream_equals_per_strand_calls(self, scoring, counts, batch_size):
+        rng = np.random.default_rng(sum(counts) * 100 + batch_size)
+        target = Sequence(rng.integers(0, 4, 3000).astype(np.uint8), "t")
+        strands = _strands(rng, target, counts)
+        streamed = list(
+            gapped_filter_stream(
+                target, strands, scoring, self.PARAMS, batch_size=batch_size
+            )
+        )
+        assert streamed == [
+            gapped_filter(
+                target, query, t_pos, q_pos, scoring, self.PARAMS,
+                strand=strand,
+            )
+            for query, t_pos, q_pos, strand in strands
+        ]
+        for result, (query, t_pos, q_pos, strand) in zip(streamed, strands):
+            assert result.tiles == len(t_pos)
+            # Strand tag and candidate order: the anchors are exactly
+            # what one candidate at a time yields, concatenated.
+            one_by_one = [
+                anchor
+                for t, q in zip(t_pos, q_pos)
+                for anchor in gapped_filter(
+                    target, query, np.array([t]), np.array([q]), scoring,
+                    self.PARAMS, strand=strand,
+                ).anchors
+            ]
+            assert result.anchors == one_by_one
+            assert all(a.strand == strand for a in result.anchors)
+        if sum(counts[::2]):
+            assert any(r.anchors for r in streamed)  # the planted hits pass
+
+    def test_strand_is_yielded_once_its_last_slab_is_scored(self, scoring):
+        rng = np.random.default_rng(3)
+        target = Sequence(rng.integers(0, 4, 3000).astype(np.uint8), "t")
+        strands = _strands(rng, target, (5, 12))
+        tracer = Tracer()
+        stream = gapped_filter_stream(
+            target, strands, scoring, self.PARAMS, batch_size=4, tracer=tracer
+        )
+
+        def scored_tiles():
+            return sum(
+                s.counters["filter_tiles"]
+                for s in tracer.walk()
+                if s.name == "bsw_batch"
+            )
+
+        assert next(stream).tiles == 5
+        assert scored_tiles() == 8  # slab 2 straddles into strand -
+        assert next(stream).tiles == 12
+        assert scored_tiles() == 17
+        assert next(stream, None) is None
+        filter_spans = [s for s in tracer.walk() if s.name == "gapped_filter"]
+        assert [s.counters["filter_tiles"] for s in filter_spans] == [5, 12]
+        assert [len(s.children) for s in filter_spans] == [2, 3]

@@ -14,6 +14,8 @@ The streaming contract has three legs, each pinned here:
    ``extend`` span.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from repro.core import DarwinWGA
 from repro.core.pipeline import align_assemblies
 from repro.core.stream import BoundedQueue, StreamParams
 from repro.core import stream as stream_module
+
+# By path: ``repro.core.gapped_filter`` the attribute is the function.
+gapped_filter_module = importlib.import_module("repro.core.gapped_filter")
 from repro.genome import Assembly, Sequence, make_species_pair
 from repro.lastz import LastzAligner
 from repro.obs import TelemetryOptions, Tracer
@@ -119,6 +124,26 @@ class TestStreamedIdentity:
         with LastzAligner(workers=2) as aligner:
             result = aligner.align(*pair)
         assert_same_result(serial_lastz, result)
+
+    def test_strand_ending_mid_slab_matches_serial(
+        self, pair, serial_darwin, monkeypatch
+    ):
+        """Both strands share BSW slabs; strand + is released while the
+        slab it ends in still holds strand -'s head."""
+        monkeypatch.setattr(gapped_filter_module, "SLAB_TILES", 64)
+        tracer = Tracer()
+        with DarwinWGA(workers=2, tracer=tracer) as aligner:
+            result = aligner.align(*pair)
+        assert_same_result(serial_darwin, result)
+        plus = next(s for s in tracer.walk() if s.name == "gapped_filter")
+        assert plus.counters["filter_tiles"] % 64  # ends mid-slab
+        slabs = [
+            s.counters["filter_tiles"]
+            for s in tracer.walk()
+            if s.name == "bsw_batch"
+        ]
+        assert max(slabs) == 64
+        assert sum(slabs) == serial_darwin.workload.filter_tiles
 
     def test_tight_watermark_matches_serial(self, pair, serial_darwin):
         params = StreamParams(max_in_flight_anchors=1)
