@@ -237,12 +237,25 @@ def _load_single(path: Path):
     return records[0]
 
 
+def _check_resilience_flags(args) -> None:
+    """One-line exits for resilience flags no run could honour.
+
+    Shared by ``align`` and ``serve``; flags a command lacks are skipped.
+    A zero or negative deadline would time out every dispatch, and a
+    non-positive heartbeat would kill the daemon with a traceback.
+    """
+    if args.max_retries < 0:
+        raise SystemExit("--max-retries must be >= 0")
+    for flag in ("task_timeout", "heartbeat_interval", "heartbeat_deadline"):
+        value = getattr(args, flag, None)
+        if value is not None and value <= 0:
+            raise SystemExit(f"--{flag.replace('_', '-')} must be positive")
+
+
 def _resilience_from_args(args):
     from .resilience.faults import FaultPlan
     from .resilience.policy import ResilienceOptions, RetryPolicy
 
-    if args.max_retries < 0:
-        raise SystemExit("--max-retries must be >= 0")
     plan = None
     if args.inject_faults is not None:
         try:
@@ -303,6 +316,7 @@ def _cmd_align(args) -> int:
 
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
+    _check_resilience_flags(args)
     if args.resume and args.checkpoint is None:
         raise SystemExit("--resume requires --checkpoint")
     targets = _load_records(args.target)
@@ -814,6 +828,7 @@ def _cmd_serve(args) -> int:
         raise SystemExit("--workers must be at least 1")
     if args.max_queued < 1:
         raise SystemExit("--max-queued must be at least 1")
+    _check_resilience_flags(args)
     if args.inject_faults is not None:
         try:
             FaultPlan.parse(args.inject_faults)

@@ -27,7 +27,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "align_assemblies": "pipeline",
         "BoundedQueue": "stream",
         "StrandStream": "stream",
-        "StreamParams": "stream",
         "alignment_detail": "report",
         "chain_table": "report",
         "dotplot": "report",

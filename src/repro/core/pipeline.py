@@ -22,9 +22,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from ..align.alignment import Alignment, AnchorHit
 from ..genome.sequence import Sequence
-from ..obs.export import graft_span_dicts
 from ..obs.progress import NO_PROGRESS
-from ..obs.resource import observe_receipt
 from ..obs.session import TelemetryOptions
 from ..obs.tracer import NULL_TRACER
 from ..resilience.checkpoint import (
@@ -32,7 +30,6 @@ from ..resilience.checkpoint import (
     config_digest,
     sequences_digest,
 )
-from ..obs.occupancy import StreamStats
 from ..resilience.policy import ResilienceOptions
 from ..seed.cache import SeedIndexCache
 from ..seed.dsoft import dsoft_seed
@@ -42,36 +39,11 @@ from .config import DarwinWGAConfig
 from .extension import extend_anchors
 from .gact_x import TileTrace
 from .gapped_filter import gapped_filter_stream
-from .stream import (
-    BoundedQueue,
-    StrandStream,
-    StreamParams,
-    _stall_if_planned,
-    stream_extension,
-)
+from .stream import OrderedWindow, StrandStream, stream_extension
 from .worker import align_unit_task
 
 if TYPE_CHECKING:  # repro.parallel sits above core in the layer DAG
     from ..parallel.engine import ExecutionEngine
-
-
-def _make_engine(
-    workers: int,
-    resilience: Optional[ResilienceOptions] = None,
-    telemetry: Optional[TelemetryOptions] = None,
-) -> "ExecutionEngine":
-    """Construct the multiprocess engine.
-
-    Deferred import: ``repro.parallel`` is a higher layer than
-    ``core``, so the pipelines only reach up at call time, when the
-    caller actually asked for workers (``tests/test_layers.py`` holds
-    module-level imports to the layer DAG).
-    """
-    from ..parallel.engine import ExecutionEngine
-
-    return ExecutionEngine(
-        workers, resilience=resilience, telemetry=telemetry
-    )
 
 
 def _resolve_cache(
@@ -142,9 +114,8 @@ class SeedFilterExtendAligner:
     an externally owned :class:`~repro.parallel.engine.ExecutionEngine`
     may be passed instead to share one pool across aligners.  Parallel
     runs use the streamed dataflow: the seed+filter work a later strand
-    still needs overlaps in-flight extensions under a bounded in-flight
-    watermark (tunable through ``stream_params``).
-    ``index_cache`` (a directory path or
+    still needs overlaps in-flight extensions, one anchor per worker in
+    flight.  ``index_cache`` (a directory path or
     :class:`~repro.seed.cache.SeedIndexCache`) persists seed indexes
     across runs.  ``telemetry`` (a
     :class:`~repro.obs.session.TelemetryOptions`) adds live progress
@@ -169,10 +140,8 @@ class SeedFilterExtendAligner:
         index_cache: Union[SeedIndexCache, str, Path, None] = None,
         resilience: Optional[ResilienceOptions] = None,
         telemetry: Optional[TelemetryOptions] = None,
-        stream_params: Optional[StreamParams] = None,
     ) -> None:
         self.config = config or self.config_class()
-        self.stream_params = stream_params
         #: Occupancy/backpressure summary of the last parallel align()
         #: (a :meth:`repro.obs.occupancy.StreamStats.summary` dict), or
         #: None for serial runs.
@@ -187,16 +156,25 @@ class SeedFilterExtendAligner:
             engine.adopt_telemetry(telemetry)
         self.telemetry = telemetry
         self._engine = engine
-        self._owns_engine = False
+        self._owns_engine = engine is None
 
     @property
     def engine(self) -> Optional[ExecutionEngine]:
-        """The execution engine, created lazily when ``workers > 1``."""
+        """The execution engine, created lazily when ``workers > 1``.
+
+        Deferred import: ``repro.parallel`` is a higher layer than
+        ``core``, so the pipelines only reach up at call time, when the
+        caller actually asked for workers (``tests/test_layers.py``
+        holds module-level imports to the layer DAG).
+        """
         if self._engine is None and self.workers > 1:
-            self._engine = _make_engine(
-                self.workers, self.resilience, self.telemetry
+            from ..parallel.engine import ExecutionEngine
+
+            self._engine = ExecutionEngine(
+                self.workers,
+                resilience=self.resilience,
+                telemetry=self.telemetry,
             )
-            self._owns_engine = True
         return self._engine
 
     def close(self) -> None:
@@ -204,7 +182,6 @@ class SeedFilterExtendAligner:
         if self._owns_engine and self._engine is not None:
             self._engine.close()
             self._engine = None
-            self._owns_engine = False
 
     def __enter__(self):
         return self
@@ -325,9 +302,7 @@ class SeedFilterExtendAligner:
                     config.extension,
                     engine,
                     tracer=tracer,
-                    stream=self.stream_params,
                     keep_tile_traces=self.keep_tile_traces,
-                    resilience=self.resilience,
                 )
                 self.last_stream = stats.summary()
             else:
@@ -417,6 +392,16 @@ def _unit_key(ti: int, target: Sequence, qi: int, query: Sequence) -> str:
     return f"{ti}:{target.name or 'target'}|{qi}:{query.name or 'query'}"
 
 
+def unit_window(workers: int) -> int:
+    """Assembly units in the window at once: ``max(2w, w + 2)``.
+
+    Enough that a collection never starves the workers of a next unit,
+    while pending pickled results — and journaled units replayed in
+    place — stay bounded, so memory is flat at any assembly size.
+    """
+    return max(2 * workers, workers + 2)
+
+
 def align_assemblies(
     target_assembly,
     query_assembly,
@@ -430,7 +415,6 @@ def align_assemblies(
     resume: bool = False,
     resilience: Optional[ResilienceOptions] = None,
     telemetry: Optional[TelemetryOptions] = None,
-    stream: Optional[StreamParams] = None,
 ) -> WGAResult:
     """Whole-assembly WGA: every target chromosome vs every query
     chromosome (the paper's actual task — its species have multiple
@@ -445,8 +429,9 @@ def align_assemblies(
 
     ``workers > 1`` (or an external ``engine``) distributes whole
     (target chromosome, query chromosome) units across worker processes
-    — units are gathered in submission order and the final sort is
-    stable, so the result is byte-identical to the serial run.  With an
+    through an :class:`~repro.core.stream.OrderedWindow` — units are
+    gathered in submission order and the final sort is stable, so the
+    result is byte-identical to the serial run.  With an
     ``index_cache`` the parent warms each target's seed index once and
     workers load it from disk instead of rebuilding per unit.
 
@@ -467,221 +452,49 @@ def align_assemblies(
     dispatch/gather order, never in it.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    cache = _resolve_cache(index_cache, resilience)
-    resolved_config = (
-        config if config is not None else aligner_class.config_class()
-    )
+    config = config if config is not None else aligner_class.config_class()
     manifest = None
     if checkpoint is not None:
         manifest = RunManifest.attach(
             checkpoint,
             aligner=aligner_class.__name__,
-            config=config_digest(resolved_config),
+            config=config_digest(config),
             target=sequences_digest(target_assembly),
             query=sequences_digest(query_assembly),
             resume=resume,
         )
-    stats = resilience.stats if resilience is not None else None
     progress = telemetry.progress if telemetry is not None else NO_PROGRESS
-    pool = engine
-    owns_engine = False
-    if pool is None and workers > 1:
-        pool = _make_engine(workers, resilience, telemetry)
-        owns_engine = True
-    elif pool is not None and telemetry is not None:
-        # An externally owned engine adopts the telemetry bundle only
-        # while its pool is still unbuilt (heartbeats and profiling
-        # ride the pool initializer); otherwise progress still works
-        # parent-side.
-        pool.adopt_telemetry(telemetry)
-    try:
-        if pool is not None and pool.active:
-            return _align_assemblies_parallel(
-                target_assembly,
-                query_assembly,
-                resolved_config,
-                aligner_class,
-                tracer,
-                pool,
-                cache,
-                manifest,
-                stats,
-                resilience,
-                stream,
-            )
-        aligner = aligner_class(
-            resolved_config,
-            tracer=tracer,
-            index_cache=cache,
-            resilience=resilience,
-        )
-        alignments: List[Alignment] = []
-        workload = Workload()
-        with tracer.span("align_assemblies") as span:
-            for ti, target in enumerate(target_assembly):
-                # Built on first non-journaled unit: a fully resumed
-                # target never pays for index construction.
-                index = None
-                for qi, query in enumerate(query_assembly):
-                    key = _unit_key(ti, target, qi, query)
-                    if manifest is not None and key in manifest:
-                        result = manifest.result_for(key)
-                        span.inc("resumed_units")
-                        if stats is not None:
-                            stats.resumed_units += 1
-                    else:
-                        if index is None:
-                            index = aligner._build_index(target)
-                        result = aligner.align(target, query, index=index)
-                        if manifest is not None:
-                            manifest.record(key, result)
-                            if stats is not None:
-                                stats.journaled_units += 1
-                    alignments.extend(result.alignments)
-                    workload.merge(result.workload)
-                    span.inc("chromosome_pairs")
-                    progress.advance(
-                        units=1,
-                        cells=result.workload.filter_cells
-                        + result.workload.extension_cells,
-                    )
-        alignments.sort(key=lambda a: -a.score)
-        return WGAResult(alignments=alignments, workload=workload)
-    finally:
-        if owns_engine:
-            pool.close()
-
-
-def _assembly_units(target_assembly, query_assembly):
-    """Lazy serial-order unit stream (the producer stage)."""
-    for ti, target in enumerate(target_assembly):
-        for qi, query in enumerate(query_assembly):
-            yield ti, target, qi, query
-
-
-def _align_assemblies_parallel(
-    target_assembly,
-    query_assembly,
-    resolved_config,
-    aligner_class,
-    tracer,
-    engine: ExecutionEngine,
-    cache: Optional[SeedIndexCache],
-    manifest: Optional[RunManifest],
-    stats,
-    resilience: Optional[ResilienceOptions] = None,
-    stream: Optional[StreamParams] = None,
-) -> WGAResult:
-    """Stream (target chromosome, query chromosome) units over the engine.
-
-    Units flow through a bounded in-flight window (a
-    :class:`~repro.core.stream.BoundedQueue` of ``unit_window`` slots)
-    instead of being dispatched wholesale up front: the producer shares
-    sequences and dispatches lazily, throttled whenever the window is
-    full, so pending pickled results stay bounded and memory flat at
-    any assembly size.  Submission and result gathering both follow the
-    serial iteration order, and each unit is internally serial, so
-    alignments, workload counters and the final stable sort reproduce
-    the serial run exactly — including under supervised recovery
-    (retries, pool rebuilds and serial fallbacks change where a unit
-    runs, never its value or its position in the gather order) and
-    under resume (journaled units are replayed at their original
-    positions, passing through the window without occupying a slot).
-    """
-    traced = tracer.enabled
-    cache_dir = str(cache.directory) if cache is not None else None
-    telemetry = engine.telemetry
-    registry = telemetry.registry if telemetry is not None else None
-    progress = engine.progress
-    stream = stream or StreamParams()
-    window = stream.unit_window_for(engine.workers)
-    occupancy = StreamStats(slots=engine.workers)
     alignments: List[Alignment] = []
     workload = Workload()
-    with tracer.span("align_assemblies") as span:
-        units = _assembly_units(target_assembly, query_assembly)
-        queue = BoundedQueue("assembly_units", capacity=window)
-        target_handles: dict = {}
-        outstanding = 0
-        exhausted = False
-
-        def _dispatch_next() -> bool:
-            """Produce + dispatch one unit; False when none remain."""
-            nonlocal exhausted, outstanding
-            entry = next(units, None)
-            if entry is None:
-                exhausted = True
-                return False
-            ti, target, qi, query = entry
-            key = _unit_key(ti, target, qi, query)
-            if manifest is not None and key in manifest:
-                # Journaled units cost no worker: they ride the queue
-                # as markers so they merge at their original position.
-                queue.offer((key, None, None))
-                return True
-            if ti not in target_handles:
-                if cache is not None:
-                    # Warm the on-disk index once per target so every
-                    # worker unit loads it as a cache hit.
-                    cache.get_or_build(
-                        target, resolved_config.seed, tracer=tracer
-                    )
-                target_handles[ti] = engine.share(target)
-            base = tracer.now()
-            ticket = engine.dispatch(
-                align_unit_task,
-                aligner_class,
-                resolved_config,
-                target_handles[ti],
-                engine.share(query),
-                cache_dir,
-                traced,
-                key=key,
+    with aligner_class(
+        config,
+        tracer=tracer,
+        workers=workers,
+        engine=engine,
+        index_cache=index_cache,
+        resilience=resilience,
+        telemetry=telemetry,
+    ) as aligner, tracer.span("align_assemblies") as span:
+        recovery = aligner.resilience
+        stats = recovery.stats if recovery is not None else None
+        pool = aligner.engine
+        if pool is not None and pool.active:
+            units = _windowed_units(
+                aligner, pool, target_assembly, query_assembly, manifest, span
             )
-            queue.offer((key, ticket, base))
-            outstanding += 1
-            occupancy.dispatched()
-            progress.set_in_flight(outstanding)
-            return True
-
-        while True:
-            # Fill the window; stop at capacity (backpressure) or when
-            # the producer runs dry.
-            while not exhausted and outstanding < window and not queue.full:
-                _dispatch_next()
-            if not exhausted and outstanding >= window:
-                occupancy.stalled()
-            if not len(queue):
-                break
-            key, ticket, base = queue.take()
-            if ticket is None:
-                result = manifest.result_for(key)
+        else:
+            units = _serial_units(
+                aligner, target_assembly, query_assembly, manifest
+            )
+        for key, result, fresh in units:
+            if not fresh:
                 span.inc("resumed_units")
                 if stats is not None:
                     stats.resumed_units += 1
-            else:
-                _stall_if_planned(resilience, key)
-                result, span_dicts, receipt = engine.result(
-                    ticket, tracer=tracer
-                )
-                outstanding -= 1
-                occupancy.collected()
-                if registry is not None:
-                    registry.histogram("queue_depth").observe(outstanding)
-                observe_receipt(registry, receipt, tracer.now() - base)
-                if span_dicts is not None:
-                    graft_span_dicts(
-                        tracer,
-                        span_dicts,
-                        base=base,
-                        unit=key,
-                        worker=receipt["pid"],
-                    )
-                if manifest is not None:
-                    manifest.record(key, result)
-                    if stats is not None:
-                        stats.journaled_units += 1
-                progress.set_in_flight(outstanding)
+            elif manifest is not None:
+                manifest.record(key, result)
+                if stats is not None:
+                    stats.journaled_units += 1
             alignments.extend(result.alignments)
             workload.merge(result.workload)
             span.inc("chromosome_pairs")
@@ -690,23 +503,72 @@ def _align_assemblies_parallel(
                 cells=result.workload.filter_cells
                 + result.workload.extension_cells,
             )
-        occupancy.close()
-        span.set(
-            occupancy=round(occupancy.occupancy(), 6),
-            idle_tail_seconds=round(occupancy.idle_tail_seconds(), 6),
-            backpressure_stalls=occupancy.backpressure_stalls,
-            peak_in_flight=occupancy.peak_in_flight,
-        )
-        if registry is not None:
-            registry.counter("stream_backpressure_stalls").inc(
-                occupancy.backpressure_stalls
-            )
-            registry.gauge("stream_occupancy").set(occupancy.occupancy())
-            registry.gauge("idle_tail_seconds").set(
-                occupancy.idle_tail_seconds()
-            )
-            registry.gauge("stream_peak_in_flight").set(
-                occupancy.peak_in_flight
-            )
     alignments.sort(key=lambda a: -a.score)
     return WGAResult(alignments=alignments, workload=workload)
+
+
+def _serial_units(aligner, target_assembly, query_assembly, manifest):
+    """``(key, result, fresh)`` per unit in serial order, fresh units
+    aligned in this process."""
+    for ti, target in enumerate(target_assembly):
+        # Built on first non-journaled unit: a fully resumed target
+        # never pays for index construction.
+        index = None
+        for qi, query in enumerate(query_assembly):
+            key = _unit_key(ti, target, qi, query)
+            if manifest is not None and key in manifest:
+                yield key, manifest.result_for(key), False
+                continue
+            if index is None:
+                index = aligner._build_index(target)
+            yield key, aligner.align(target, query, index=index), True
+
+
+def _windowed_units(
+    aligner, engine, target_assembly, query_assembly, manifest, span
+):
+    """``(key, result, fresh)`` per unit in serial order, fresh units
+    run as worker tasks through an :class:`OrderedWindow`.
+
+    The producer shares sequences and dispatches lazily, collecting the
+    oldest unit whenever the window is full.  Each unit is internally
+    serial, so values never depend on where a unit ran — including under
+    supervised recovery (retries, pool rebuilds and serial fallbacks)
+    and under resume: a journaled unit enters the window as a settled
+    value and keeps its place in the order without occupying a worker.
+    """
+    tracer = aligner.tracer
+    cache = aligner.index_cache
+    cache_dir = str(cache.directory) if cache is not None else None
+    window = OrderedWindow(engine, unit_window(engine.workers), tracer)
+    for ti, target in enumerate(target_assembly):
+        target_handle = None
+        for qi, query in enumerate(query_assembly):
+            while window.full:
+                window.stats.stalled()
+                yield window.collect()
+            key = _unit_key(ti, target, qi, query)
+            if manifest is not None and key in manifest:
+                window.settle(key, manifest.result_for(key))
+                continue
+            if target_handle is None:
+                if cache is not None:
+                    # Warm the on-disk index once per target so every
+                    # worker unit loads it as a cache hit.
+                    cache.get_or_build(
+                        target, aligner.config.seed, tracer=tracer
+                    )
+                target_handle = engine.share(target)
+            window.dispatch(
+                align_unit_task,
+                type(aligner),
+                aligner.config,
+                target_handle,
+                engine.share(query),
+                cache_dir,
+                tracer.enabled,
+                key=key,
+            )
+    while window:
+        yield window.collect()
+    window.close(span)

@@ -1,49 +1,40 @@
-"""Streaming seed->filter->extend dataflow with bounded queues.
+"""One in-order window under both parallel schedules.
 
-The parallel schedule of the pipeline.  A naive port would run barrier
-phases — all seeding, then all filtering, then all extension, per
-strand, with a full worker drain between phases — and pay an idle tail
-at every drain (measured slower than serial here: EXPERIMENTS.md,
-stage overlap).  This module is a cooperative single-threaded stage
-graph instead:
+Anchors streamed within one unit and whole (target chromosome, query
+chromosome) units across an assembly follow one pattern: dispatch in
+serial order, collect in that order.  :class:`OrderedWindow` writes it
+once — the bounded FIFO, the ``stall`` fault (a sleep before a
+collection, modelling a slow consumer), the supervised ``result``, the
+receipt and span graft, and the :class:`repro.obs.occupancy.StreamStats`
+both schedules report under the same ``stream_*`` names.
 
-* the **producer** stage advances the unit's seed+filter stage to the
-  next strand's result and emits its priority-ordered anchors into a
-  bounded strand queue (:class:`BoundedQueue`) — at most
-  ``STRAND_QUEUE_CAPACITY`` strands' anchors are ever materialized, so
-  memory stays flat;
-* the **extension frontier** forms small anchor batches in strict
-  serial order and dispatches them to the
-  :class:`~repro.parallel.engine.ExecutionEngine` as soon as the
-  in-flight watermark (``max_in_flight_anchors``) has room — no
-  end-of-strand barrier: the next strand's producer step runs while the
-  previous strand's last batches are still in flight;
-* the **sink** collects results strictly in dispatch order and replays
-  the serial commit loop (`grid.absorbs` re-check, dedup, coverage
-  update), so the output is byte-identical to serial at any worker
-  count — the speculative-dispatch/in-order-replay argument spelled out
-  in :mod:`repro.core.extension`, with the speculation window bounded
-  by the watermark.
+The anchor schedule (:func:`stream_extension`) is a cooperative
+single-threaded stage graph on top of it, instead of barrier phases
+that drain the workers between seeding, filtering and extension (slower
+than serial here: EXPERIMENTS.md, stage overlap):
 
-Backpressure is explicit and observable: the producer only runs when
-the frontier is starved and the strand queue has room; every refusal is
-counted (``backpressure_stalls``) and the whole schedule is integrated
-by :class:`repro.obs.occupancy.StreamStats` into per-stage occupancy
-and ``idle_tail_seconds``.
+* the **producer** advances the unit's seed+filter stage to the next
+  strand and queues its priority-ordered anchors in a bounded strand
+  queue (:class:`BoundedQueue`), so memory stays flat;
+* the **extension frontier** dispatches one anchor per task, in strict
+  serial order, while the window has room — the next strand's producer
+  step runs while the previous strand's last anchors are in flight;
+* the **sink** collects in dispatch order and replays the serial commit
+  loop (``grid.absorbs`` re-check, dedup, coverage update), so output
+  is byte-identical to serial at any worker count — the
+  speculative-dispatch/in-order-replay argument of
+  :mod:`repro.core.extension`, bounded by the window.
 
-Fault injection understands streams: a ``stall`` fault
-(:data:`repro.resilience.faults.FAULT_KINDS`) sleeps before a
-collection, modelling a slow consumer; crashes/timeouts ride the
-normal :class:`~repro.parallel.supervise.ResilientDispatcher` ladder,
-and checkpoint/resume journals whole units exactly as before.
+Every refusal of a full queue or window is counted
+(``backpressure_stalls``).
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from itertools import count
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from ..align.alignment import Alignment
 from ..obs.export import graft_span_dicts
@@ -51,29 +42,47 @@ from ..obs.occupancy import StreamStats
 from ..obs.resource import observe_receipt
 from ..obs.tracer import NULL_TRACER
 from .extension import _commit
-from .worker import extend_batch_task
+from .worker import extend_anchor_task
 
 if TYPE_CHECKING:  # repro.parallel sits above core in the layer DAG
     from ..parallel.engine import ExecutionEngine
 
 __all__ = [
     "BoundedQueue",
+    "OrderedWindow",
     "StrandStream",
-    "StreamParams",
     "stream_extension",
 ]
 
 #: Injectable sleep used by the ``stall`` fault kind (tests patch it).
 _sleep = time.sleep
 
-#: Anchors per dispatched extension task.
-ANCHOR_BATCH = 1
-
 #: Strands whose filtered anchors may be materialized at once.
 STRAND_QUEUE_CAPACITY = 2
 
 #: How long an injected ``stall`` fault holds a collection back.
 STALL_SECONDS = 0.02
+
+#: Diagonal-dependence band (bp).  An in-flight anchor's alignment runs
+#: along its diagonal ``target_pos - query_pos``, so a later same-strand
+#: anchor within this band is the one most likely to be absorbed once
+#: the in-flight result commits.  Its dispatch waits for that commit
+#: (never reordering — the frontier simply pauses), which turns
+#: near-certain wasted speculation into a short wait; anchors on
+#: distant diagonals still dispatch freely.  Scheduling only: any value
+#: gives the same output.  Zero disables deferral.
+DEFER_DIAGONAL_BP = 256
+
+
+def anchor_window(workers: int) -> int:
+    """Anchors in flight at once: one per worker.
+
+    An anchor dispatched against a stale coverage grid may be absorbed
+    at replay and its work discarded.  Eager replay refills a freed slot
+    as soon as its result settles, so slack beyond one per worker mostly
+    buys wasted speculation.
+    """
+    return max(1, workers)
 
 
 class BoundedQueue:
@@ -96,8 +105,8 @@ class BoundedQueue:
         self.capacity = capacity
         self.stalls = 0
         self.peak = 0
-        # Bounded by `capacity` via the offer() guard below.
-        self._items: deque = deque()  # repro: allow[PAR003] offer() enforces capacity
+        # maxlen never drops an item: offer() refuses at capacity first.
+        self._items: deque = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -125,45 +134,143 @@ class BoundedQueue:
         return self._items[0] if self._items else None
 
 
-@dataclass(frozen=True)
-class StreamParams:
-    """Tuning knobs for the streaming dataflow (zero means "derive").
+def _stall_if_planned(resilience, key: str) -> None:
+    """Sleep before a collection when the fault plan schedules a stall."""
+    plan = resilience.fault_plan
+    if plan is not None and plan.decide("stall", key):
+        resilience.stats.inject("stall")
+        _sleep(STALL_SECONDS)
 
-    ``max_in_flight_anchors`` is the speculation watermark: how many
-    anchors may be dispatched ahead of the committed coverage grid.
-    Smaller windows waste fewer speculative extensions (an anchor
-    dispatched against a stale grid may be absorbed at replay and its
-    work discarded); larger windows keep more workers fed.  The default
-    is one anchor per worker: eager replay refills a freed slot as soon
-    as its result settles, so extra slack mostly buys wasted
-    speculation.
 
-    ``defer_diagonal_bp`` is a dependence heuristic, not a correctness
-    knob: an in-flight anchor's alignment runs along its diagonal
-    ``target_pos - query_pos``, so a later anchor within that band is
-    the one most likely to be absorbed once the in-flight result
-    commits.  Deferring its dispatch until then (never reordering —
-    the frontier simply pauses) converts near-certain wasted
-    speculation into a short wait; anchors on distant diagonals still
-    dispatch freely.  Zero disables deferral.
+class OrderedWindow:
+    """Dispatch in serial order; collect in that order.
+
+    A bounded FIFO of ``(key, tag, ticket, base)`` entries.  ``ticket``
+    is the engine's supervised-dispatch ticket and ``base`` the parent
+    clock at dispatch, where the task's spans are grafted.  A *settled*
+    entry has no ticket and carries its value in ``base``'s place: a
+    unit replayed from a journal keeps its place in the order without
+    occupying a worker.  ``tag`` is the caller's context for the entry
+    (the key unless given).
+
+    The window never buffers past ``capacity``: callers check
+    :attr:`full` and collect before adding more, and count that refusal
+    with ``stats.stalled()``.  Every dispatch and every collection is
+    recorded in :attr:`stats` and the ``stream_queue_depth`` histogram;
+    :meth:`close` writes the schedule's summary on a span and under the
+    same ``stream_*`` registry names for every schedule.
     """
 
-    max_in_flight_anchors: int = 0  # 0 -> one per worker
-    unit_window: int = 0  # 0 -> max(2 * workers, workers + 2)
-    defer_diagonal_bp: int = 256
+    def __init__(
+        self,
+        engine: "ExecutionEngine",
+        capacity: int,
+        tracer=NULL_TRACER,
+    ) -> None:
+        if capacity < 1:
+            raise ValueError("window capacity must be at least 1")
+        self.engine = engine
+        self.capacity = capacity
+        self.tracer = tracer
+        telemetry = engine.telemetry
+        self.registry = telemetry.registry if telemetry is not None else None
+        self.progress = engine.progress
+        self.stats = StreamStats(slots=engine.workers)
+        self._entries: deque = deque(maxlen=capacity)
 
-    def in_flight_limit(self, workers: int) -> int:
-        if self.max_in_flight_anchors > 0:
-            return self.max_in_flight_anchors
-        return max(1, workers)
+    def __len__(self) -> int:
+        return len(self._entries)
 
-    def unit_window_for(self, workers: int) -> int:
-        if self.unit_window > 0:
-            return self.unit_window
-        return max(2 * workers, workers + 2)
+    @property
+    def full(self) -> bool:
+        return len(self._entries) >= self.capacity
 
+    @property
+    def oldest(self):
+        """The oldest entry's tag."""
+        return self._entries[0][1]
 
-DEFAULT_STREAM = StreamParams()
+    def tags(self):
+        """Every entry's tag, oldest first."""
+        return (entry[1] for entry in self._entries)
+
+    def _append(self, entry) -> None:
+        if self.full:
+            raise RuntimeError("ordered window overflow")
+        self._entries.append(entry)
+
+    def _depth(self, depth: int) -> None:
+        if self.registry is not None:
+            self.registry.histogram("stream_queue_depth").observe(depth)
+        self.progress.set_in_flight(depth)
+
+    def dispatch(self, fn, /, *args, key: str, tag=None) -> None:
+        """Dispatch ``fn(*args)`` behind every entry already queued."""
+        base = self.tracer.now()
+        ticket = self.engine.dispatch(fn, *args, key=key)
+        self._append((key, key if tag is None else tag, ticket, base))
+        self._depth(self.stats.dispatched())
+
+    def settle(self, key: str, value, tag=None) -> None:
+        """Queue an already-known ``value`` behind every queued entry."""
+        self._append((key, key if tag is None else tag, None, value))
+
+    def ready(self) -> bool:
+        """Whether the oldest entry can be collected without blocking."""
+        ticket = self._entries[0][2]
+        return ticket is None or self.engine.poll(ticket)
+
+    def collect(self, graft: bool = True):
+        """Collect the oldest entry as ``(key, value, fresh)``.
+
+        ``fresh`` is False for a settled entry, which is returned as
+        queued.  A dispatched result passes the ``stall`` fault, the
+        supervised ``result`` (recovery spans land on the tracer) and
+        the receipt histograms; its worker spans are grafted tagged
+        ``unit`` = key and ``worker`` = pid, unless ``graft`` is False
+        (a result the caller discards leaves no spans).
+        """
+        key, _tag, ticket, base = self._entries.popleft()
+        if ticket is None:
+            return key, base, False
+        _stall_if_planned(self.engine.resilience, key)
+        value, span_dicts, receipt = self.engine.result(
+            ticket, tracer=self.tracer
+        )
+        self._depth(self.stats.collected())
+        observe_receipt(self.registry, receipt, self.tracer.now() - base)
+        if graft and span_dicts is not None:
+            graft_span_dicts(
+                self.tracer,
+                span_dicts,
+                base=base,
+                unit=key,
+                worker=receipt["pid"],
+            )
+        return key, value, True
+
+    def close(self, span) -> StreamStats:
+        """End the schedule: its summary on ``span`` and in the registry."""
+        stats = self.stats
+        stats.close()
+        span.set(
+            occupancy=round(stats.occupancy(), 6),
+            idle_tail_seconds=round(stats.idle_tail_seconds(), 6),
+            backpressure_stalls=stats.backpressure_stalls,
+            peak_in_flight=stats.peak_in_flight,
+        )
+        if self.registry is not None:
+            self.registry.counter("stream_backpressure_stalls").inc(
+                stats.backpressure_stalls
+            )
+            self.registry.gauge("stream_occupancy").set(stats.occupancy())
+            self.registry.gauge("stream_idle_tail_seconds").set(
+                stats.idle_tail_seconds()
+            )
+            self.registry.gauge("stream_peak_in_flight").set(
+                stats.peak_in_flight
+            )
+        return stats
 
 
 class StrandStream:
@@ -179,12 +286,7 @@ class StrandStream:
     """
 
     __slots__ = (
-        "query",
-        "anchors",
-        "grid",
-        "workload",
-        "position",
-        "alignments",
+        "query", "anchors", "grid", "workload", "position", "alignments",
         "seen_spans",
     )
 
@@ -202,16 +304,6 @@ class StrandStream:
         return self.position >= len(self.anchors)
 
 
-def _stall_if_planned(resilience, key: str) -> None:
-    """Sleep before a collection when the fault plan schedules a stall."""
-    if resilience is None or resilience.fault_plan is None:
-        return
-    plan = resilience.fault_plan
-    if plan.decide("stall", key):
-        resilience.stats.inject("stall")
-        _sleep(STALL_SECONDS)
-
-
 def stream_extension(
     target,
     strand_count: int,
@@ -220,9 +312,7 @@ def stream_extension(
     params,
     engine: "ExecutionEngine",
     tracer=NULL_TRACER,
-    stream: Optional[StreamParams] = None,
     keep_tile_traces: bool = True,
-    resilience=None,
 ) -> Tuple[List[StrandStream], StreamStats]:
     """Drive ``strand_count`` strands through the streamed frontier.
 
@@ -241,24 +331,14 @@ def stream_extension(
     and — like it — recorded as one ``extend`` span carrying the
     extension counters (plus this schedule's occupancy figures).
     """
-    stream = stream or DEFAULT_STREAM
-    limit = stream.in_flight_limit(engine.workers)
     traced = tracer.enabled
-    telemetry = engine.telemetry
-    registry = telemetry.registry if telemetry is not None else None
-    progress = engine.progress
-    stats = StreamStats(slots=engine.workers)
-
+    window = OrderedWindow(engine, anchor_window(engine.workers), tracer)
     target_handle = engine.share(target)
     strand_queue = BoundedQueue("strand_anchors", STRAND_QUEUE_CAPACITY)
     states: List[StrandStream] = []
-    # Oldest-first dispatch ledger; bounded by `limit` anchors via the
-    # watermark checks in _try_dispatch.
-    in_flight: deque = deque()  # repro: allow[PAR003] bounded by the in-flight anchor watermark
-    in_flight_anchors = 0
     head = 0  # index of the state the frontier is currently draining
-    batch_number = 0
     produced = 0
+    numbers = count()
 
     def _produce_next() -> None:
         nonlocal produced
@@ -270,154 +350,97 @@ def stream_extension(
             raise RuntimeError("strand queue overflow")
         states.append(state)
 
-    def _deferred(state, anchor, batch) -> bool:
-        """Whether to pause speculation on ``anchor`` (scheduling only).
-
-        True when a same-strand anchor already in flight (or in the
-        batch being formed) sits within ``defer_diagonal_bp`` of this
-        anchor's diagonal — its alignment will likely absorb this one,
-        so dispatching now is near-certain waste.  Deferring never
-        reorders: the frontier stops forming and resumes after the
-        blocking result commits.
-        """
-        band = stream.defer_diagonal_bp
+    def _deferred(state, anchor) -> bool:
+        """Whether a same-strand anchor in flight sits within
+        ``DEFER_DIAGONAL_BP`` of ``anchor``'s diagonal (scheduling only:
+        the frontier stops and resumes after the blocking result
+        commits)."""
+        band = DEFER_DIAGONAL_BP
         if band <= 0:
             return False
-        diag = anchor.target_pos - anchor.query_pos
-        for pending in batch:
-            if abs(pending.target_pos - pending.query_pos - diag) <= band:
-                return True
-        for other, flying, _ticket, _base, _number in in_flight:
-            if other is not state:
-                continue
-            for pending in flying:
-                pd = pending.target_pos - pending.query_pos
-                if abs(pd - diag) <= band:
-                    return True
-        return False
+        return any(
+            other is state and abs(pending.diagonal - anchor.diagonal) <= band
+            for other, pending in window.tags()
+        )
 
     def _try_dispatch() -> bool:
-        """Form and dispatch batches in serial order up to the watermark.
+        """Dispatch anchors in serial order while the window has room.
 
         Returns True when the frontier paused on a diagonal-dependence
         deferral (anchors remain but speculating them now would be
         waste) — the caller may use the pause to run the producer.
         """
-        nonlocal head, in_flight_anchors, batch_number
-        deferred = False
-        while head < len(states) and in_flight_anchors < limit:
+        nonlocal head
+        while head < len(states) and not window.full:
             state = states[head]
-            batch = []
-            while (
-                not state.exhausted
-                and len(batch) < ANCHOR_BATCH
-                and in_flight_anchors + len(batch) < limit
-            ):
-                anchor = state.anchors[state.position]
-                # The grid only grows, so an anchor it already absorbs
-                # would also be absorbed at its serial turn: skipping at
-                # formation time is always correct.
-                if state.grid.absorbs(anchor):
-                    state.position += 1
-                    state.workload.absorbed_anchors += 1
-                    continue
-                if _deferred(state, anchor, batch):
-                    deferred = True
-                    break
-                state.position += 1
-                batch.append(anchor)
-            if batch:
-                base = tracer.now()
-                ticket = engine.dispatch(
-                    extend_batch_task,
-                    target_handle,
-                    engine.share(state.query),
-                    tuple(batch),
-                    scoring,
-                    params,
-                    traced,
-                    key=f"extend:{batch_number}",
-                )
-                in_flight.append(
-                    (state, tuple(batch), ticket, base, batch_number)
-                )
-                in_flight_anchors += len(batch)
-                batch_number += 1
-                depth = stats.dispatched()
-                if registry is not None:
-                    registry.histogram("stream_queue_depth").observe(depth)
-                continue
             if state.exhausted:
                 # Fully dispatched: free this strand's queue slot so the
                 # producer may run again.
                 strand_queue.take()
                 head += 1
                 continue
-            break  # watermark or deferral reached mid-strand
-        progress.set_in_flight(len(in_flight))
-        return deferred
-
-    def _starved() -> bool:
-        """No produced anchors left to dispatch."""
-        return head >= len(states)
-
-    def _collect_one() -> None:
-        """Collect the oldest in-flight batch and replay it in order."""
-        nonlocal in_flight_anchors
-        state, batch, ticket, base, number = in_flight.popleft()
-        key = f"extend:{number}"
-        _stall_if_planned(resilience, key)
-        results, span_dicts, receipt = engine.result(ticket, tracer=tracer)
-        in_flight_anchors -= len(batch)
-        depth = stats.collected()
-        if registry is not None:
-            registry.histogram("stream_queue_depth").observe(depth)
-        observe_receipt(registry, receipt, tracer.now() - base)
-        committed_cells = 0
-        for slot, (anchor, extension) in enumerate(zip(batch, results)):
-            # Strict in-order replay: re-check absorption against the
-            # now-complete grid; drop absorbed results with their spans
-            # and counters so accounting matches the serial run exactly.
+            anchor = state.anchors[state.position]
+            # The grid only grows, so an anchor it already absorbs would
+            # also be absorbed at its serial turn: skipping at dispatch
+            # time is always correct.
             if state.grid.absorbs(anchor):
+                state.position += 1
                 state.workload.absorbed_anchors += 1
                 continue
-            if span_dicts is not None:
-                graft_span_dicts(
-                    tracer,
-                    [span_dicts[slot]],
-                    base=base,
-                    unit=key,
-                    worker=receipt["pid"],
-                )
-            committed_cells += extension.cells
-            _commit(
-                extension,
-                state.grid,
-                state.workload,
-                state.alignments,
-                state.seen_spans,
-                keep_tile_traces,
+            if _deferred(state, anchor):
+                return True
+            state.position += 1
+            window.dispatch(
+                extend_anchor_task,
+                target_handle,
+                engine.share(state.query),
+                anchor,
+                scoring,
+                params,
+                traced,
+                key=f"extend:{next(numbers)}",
+                tag=(state, anchor),
             )
-        progress.advance(cells=committed_cells)
-        progress.set_in_flight(len(in_flight))
+        return False
+
+    def _collect_one() -> None:
+        """Collect the oldest in-flight anchor and replay it in order."""
+        state, anchor = window.oldest
+        # Strict in-order replay: re-check absorption against the
+        # now-complete grid; an absorbed result is dropped with its
+        # spans and counters so accounting matches the serial run.
+        if state.grid.absorbs(anchor):
+            window.collect(graft=False)
+            state.workload.absorbed_anchors += 1
+            return
+        _, extension, _ = window.collect()
+        _commit(
+            extension,
+            state.grid,
+            state.workload,
+            state.alignments,
+            state.seen_spans,
+            keep_tile_traces,
+        )
+        window.progress.advance(cells=extension.cells)
 
     # The producer's spans nest under this one: the overlap of later
     # strands' seeding with in-flight extensions is real, so the trace
     # reflects it.
     with tracer.span("extend") as extend_span:
         while True:
-            # Eager replay: commit every already-settled head batch before
-            # forming new speculation.  Costs nothing (poll never blocks),
-            # and keeps the coverage grid fresh so fewer dispatched anchors
-            # turn out absorbed at replay — the dominant waste term when
-            # cores are scarce.  Order is still strictly FIFO.
-            while in_flight and engine.poll(in_flight[0][2]):
+            # Eager replay: commit every already-settled head result
+            # before forming new speculation.  Costs nothing (poll never
+            # blocks), and keeps the coverage grid fresh so fewer
+            # dispatched anchors turn out absorbed at replay — the
+            # dominant waste term when cores are scarce.  Order is still
+            # strictly FIFO.
+            while window and window.ready():
                 _collect_one()
             deferred = _try_dispatch()
-            saturated = in_flight_anchors >= limit
-            if produced < strand_count and (
-                _starved() or saturated or deferred
-            ):
+            saturated = window.full
+            starved = head >= len(states)  # no produced anchor left
+            if produced < strand_count and (starved or saturated or deferred):
                 # The frontier is either starved (needs the next strand's
                 # anchors) or saturated (the producer can prefetch while
                 # workers chew) — run the producer, unless the bounded
@@ -426,18 +449,18 @@ def stream_extension(
                     _produce_next()
                     continue
                 strand_queue.stalls += 1
-                stats.stalled()
-            if not in_flight:
+                window.stats.stalled()
+            if not window:
                 if produced < strand_count:
                     continue  # a queue slot freed; produce on the next pass
                 break
-            if not _starved() and saturated:
-                # Watermark holds the frontier back while anchors are
+            if not starved and saturated:
+                # The window holds the frontier back while anchors are
                 # pending: producer throttling, counted as backpressure.
-                stats.stalled()
+                window.stats.stalled()
             _collect_one()
 
-        stats.close()
+        stats = window.close(extend_span)
         for counter in (
             "extension_tiles", "extension_cells", "absorbed_anchors"
         ):
@@ -447,19 +470,4 @@ def stream_extension(
         extend_span.inc(
             "alignments", sum(len(s.alignments) for s in states)
         )
-        extend_span.set(
-            occupancy=round(stats.occupancy(), 6),
-            idle_tail_seconds=round(stats.idle_tail_seconds(), 6),
-            backpressure_stalls=stats.backpressure_stalls,
-            peak_in_flight=stats.peak_in_flight,
-        )
-    if registry is not None:
-        registry.counter("stream_backpressure_stalls").inc(
-            stats.backpressure_stalls
-        )
-        registry.gauge("stream_occupancy").set(stats.occupancy())
-        registry.gauge("stream_idle_tail_seconds").set(
-            stats.idle_tail_seconds()
-        )
-        registry.gauge("stream_peak_in_flight").set(stats.peak_in_flight)
     return states, stats

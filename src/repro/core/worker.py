@@ -38,11 +38,11 @@ from .gact_x import gact_x_extend
 if TYPE_CHECKING:  # repro.parallel sits above core in the layer DAG
     from ..parallel.engine import SequenceHandle
 
-__all__ = ["align_unit_task", "extend_batch_task", "resolve_sequence"]
+__all__ = ["align_unit_task", "extend_anchor_task", "resolve_sequence"]
 
 #: Shared-memory attachments held for the worker's lifetime, keyed by
 #: block name.  Attaching once per process (not per task) keeps the
-#: per-batch dispatch cost at a dictionary lookup.
+#: per-task dispatch cost at a dictionary lookup.
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 
 
@@ -100,29 +100,27 @@ def _finish_task(tracer, traced: bool):
     return serialize_spans(tracer), task_receipt(tracer)
 
 
-def extend_batch_task(
+def extend_anchor_task(
     target_handle: SequenceHandle,
     query_handle: SequenceHandle,
-    anchors: tuple,
+    anchor,
     scoring,
     params,
     traced: bool,
-) -> Tuple[list, Optional[List[dict]], Optional[dict]]:
-    """Speculatively extend a batch of anchors.
+) -> Tuple[object, Optional[List[dict]], Optional[dict]]:
+    """Speculatively extend one anchor.
 
-    Returns the per-anchor :class:`~repro.core.gact_x.ExtensionResult`
-    list plus (when ``traced``) one serialized ``extend_anchor`` span
-    dict per anchor, parallel to the results, so the parent can graft
-    exactly the spans of anchors that survive the absorption replay.
+    Returns its :class:`~repro.core.gact_x.ExtensionResult`; the parent
+    drops it, spans included, when the anchor turns out absorbed at its
+    serial turn.
     """
     target = resolve_sequence(target_handle)
     query = resolve_sequence(query_handle)
     tracer = _worker_tracer(traced)
-    results = [
-        gact_x_extend(target, query, anchor, scoring, params, tracer=tracer)
-        for anchor in anchors
-    ]
-    return (results, *_finish_task(tracer, traced))
+    result = gact_x_extend(
+        target, query, anchor, scoring, params, tracer=tracer
+    )
+    return (result, *_finish_task(tracer, traced))
 
 
 def align_unit_task(

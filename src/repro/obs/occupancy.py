@@ -24,7 +24,7 @@ first dispatch to the last collection, yielding:
   queues actually held the producer back instead of buffering
   unboundedly.
 
-Depth is counted in *dispatch units* — one task (an anchor batch or an
+Depth is counted in *dispatch units* — one task (an anchor or an
 assembly unit) occupies one worker slot, whatever its payload size — so
 ``min(in_flight, slots)`` compares like with like against the worker
 count.

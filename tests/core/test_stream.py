@@ -21,7 +21,8 @@ import pytest
 
 from repro.core import DarwinWGA
 from repro.core.pipeline import align_assemblies
-from repro.core.stream import BoundedQueue, StreamParams
+from repro.core.stream import BoundedQueue, OrderedWindow
+from repro.core import pipeline as pipeline_module
 from repro.core import stream as stream_module
 
 # By path: ``repro.core.gapped_filter`` the attribute is the function.
@@ -30,6 +31,7 @@ from repro.genome import Assembly, Sequence, make_species_pair
 from repro.lastz import LastzAligner
 from repro.obs import TelemetryOptions, Tracer
 from repro.obs.export import run_report, to_chrome_trace
+from repro.obs.progress import NO_PROGRESS
 from repro.resilience import (
     FaultPlan,
     ResilienceOptions,
@@ -107,6 +109,58 @@ class TestBoundedQueue:
             BoundedQueue("q", capacity=0)
 
 
+class FakeEngine:
+    """A dispatch surface whose tickets settle when a test says so."""
+
+    workers = 2
+    telemetry = None
+    progress = NO_PROGRESS
+
+    def __init__(self):
+        self.resilience = ResilienceOptions()
+        self.settled = set()
+        self.collected = []
+
+    def dispatch(self, fn, *args, key):
+        return key
+
+    def poll(self, ticket):
+        return ticket in self.settled
+
+    def result(self, ticket, tracer):
+        self.collected.append(ticket)
+        return f"value of {ticket}", None, None
+
+
+class TestOrderedWindow:
+    def test_collects_in_dispatch_order(self):
+        engine = FakeEngine()
+        window = OrderedWindow(engine, capacity=3)
+        window.dispatch(str, key="a")
+        window.settle("b", "journaled b")
+        window.dispatch(str, key="c", tag="tag of c")
+        assert window.full and len(window) == 3
+        with pytest.raises(RuntimeError):
+            window.dispatch(str, key="d")
+        assert list(window.tags()) == ["a", "b", "tag of c"]
+        engine.settled.add("c")  # a later ticket settles first
+        assert not window.ready()
+        assert window.collect() == ("a", "value of a", True)
+        assert window.ready()  # the settled entry kept its place
+        assert window.collect() == ("b", "journaled b", False)
+        assert window.oldest == "tag of c"
+        assert window.collect() == ("c", "value of c", True)
+        assert not window
+        assert engine.collected == ["a", "c"]
+        assert window.stats.dispatched_tasks == 2
+        assert window.stats.collected_tasks == 2
+        assert window.stats.peak_in_flight == 2
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            OrderedWindow(FakeEngine(), capacity=0)
+
+
 class TestStreamedIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_darwin_streamed_matches_serial(
@@ -145,20 +199,21 @@ class TestStreamedIdentity:
         assert max(slabs) == 64
         assert sum(slabs) == serial_darwin.workload.filter_tiles
 
-    def test_tight_watermark_matches_serial(self, pair, serial_darwin):
-        params = StreamParams(max_in_flight_anchors=1)
-        with DarwinWGA(workers=2, stream_params=params) as aligner:
+    def test_tight_watermark_matches_serial(
+        self, pair, serial_darwin, monkeypatch
+    ):
+        monkeypatch.setattr(stream_module, "anchor_window", lambda w: 1)
+        with DarwinWGA(workers=2) as aligner:
             result = aligner.align(*pair)
         assert_same_result(serial_darwin, result)
         assert aligner.last_stream["peak_in_flight"] == 1
 
 
 class TestBackpressure:
-    def test_watermark_bounds_speculation(self, pair):
-        params = StreamParams(
-            max_in_flight_anchors=2, defer_diagonal_bp=0
-        )
-        with DarwinWGA(workers=2, stream_params=params) as aligner:
+    def test_watermark_bounds_speculation(self, pair, monkeypatch):
+        monkeypatch.setattr(stream_module, "anchor_window", lambda w: 2)
+        monkeypatch.setattr(stream_module, "DEFER_DIAGONAL_BP", 0)
+        with DarwinWGA(workers=2) as aligner:
             aligner.align(*pair)
         stats = aligner.last_stream
         assert stats["peak_in_flight"] <= 2
@@ -167,10 +222,13 @@ class TestBackpressure:
         # full, and every refusal was counted.
         assert stats["backpressure_stalls"] > 0
 
-    def test_slow_consumer_blocks_producers(self, pair, serial_darwin):
+    def test_slow_consumer_blocks_producers(
+        self, pair, serial_darwin, monkeypatch
+    ):
         """Injected stalls slow every collection; the bounded window
         must hold speculation at the watermark and output must not
         change."""
+        monkeypatch.setattr(stream_module, "anchor_window", lambda w: 2)
         sleeps = []
         real_sleep = stream_module._sleep
         stream_module._sleep = sleeps.append
@@ -178,10 +236,7 @@ class TestBackpressure:
             options = ResilienceOptions(
                 fault_plan=FaultPlan(5, {"stall": 1.0})
             )
-            params = StreamParams(max_in_flight_anchors=2)
-            with DarwinWGA(
-                workers=2, stream_params=params, resilience=options
-            ) as aligner:
+            with DarwinWGA(workers=2, resilience=options) as aligner:
                 result = aligner.align(*pair)
         finally:
             stream_module._sleep = real_sleep
@@ -228,17 +283,12 @@ def assemblies():
 
 
 class TestAssemblyUnitWindow:
-    def test_unit_window_bounds_in_flight(self, assemblies):
+    def test_unit_window_bounds_in_flight(self, assemblies, monkeypatch):
         target, query = assemblies
         serial = align_assemblies(target, query)
         tracer = Tracer()
-        streamed = align_assemblies(
-            target,
-            query,
-            workers=2,
-            tracer=tracer,
-            stream=StreamParams(unit_window=1),
-        )
+        monkeypatch.setattr(pipeline_module, "unit_window", lambda w: 1)
+        streamed = align_assemblies(target, query, workers=2, tracer=tracer)
         assert streamed.alignments == serial.alignments
         span = next(
             s for s in tracer.walk() if s.name == "align_assemblies"
@@ -310,6 +360,43 @@ class TestStreamTelemetry:
             s for s in extend.walk() if s.name == "strand"
         ]
         assert len(strand_spans) == 2
+
+    @pytest.mark.parametrize("schedule", ["pair", "assembly"])
+    def test_both_schedules_report_alike(self, pair, assemblies, schedule):
+        """Anchors and assembly units share one window, so they carry
+        the same span attributes and registry names."""
+        telemetry = TelemetryOptions()
+        tracer = Tracer()
+        if schedule == "pair":
+            with DarwinWGA(
+                workers=2, tracer=tracer, telemetry=telemetry
+            ) as aligner:
+                aligner.align(*pair)
+            name = "extend"
+            dispatched = aligner.last_stream["dispatched_tasks"]
+        else:
+            align_assemblies(
+                *assemblies, workers=2, tracer=tracer, telemetry=telemetry
+            )
+            name = "align_assemblies"
+            dispatched = 4  # 2x2 chromosome pairs
+        span = next(s for s in tracer.walk() if s.name == name)
+        assert {
+            "occupancy",
+            "idle_tail_seconds",
+            "backpressure_stalls",
+            "peak_in_flight",
+        } <= set(span.attrs)
+        metrics = telemetry.registry.as_dict()
+        assert sorted(m for m in metrics if m.startswith("stream_")) == [
+            "stream_backpressure_stalls",
+            "stream_idle_tail_seconds",
+            "stream_occupancy",
+            "stream_peak_in_flight",
+            "stream_queue_depth",
+        ]
+        # One depth sample as each task enters flight, one as it leaves.
+        assert metrics["stream_queue_depth"]["count"] == 2 * dispatched
 
     def test_chrome_lanes_hold_only_nested_events(self):
         """Concurrent extension batches get a Chrome lane each.

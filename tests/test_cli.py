@@ -426,6 +426,34 @@ class TestRobustness:
         with pytest.raises(SystemExit, match="unreadable manifest header"):
             main(args + ["--resume"])
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("align", "--max-retries", "-1"),
+            ("align", "--task-timeout", "0"),
+            ("align", "--task-timeout", "-1"),
+            ("serve", "--max-retries", "-3"),
+            ("serve", "--task-timeout", "0"),
+            ("serve", "--heartbeat-interval", "-1"),
+            ("serve", "--heartbeat-deadline", "-1"),
+        ],
+    )
+    def test_unusable_resilience_flag_exits_with_one_line(
+        self, tmp_path, command, flag, value
+    ):
+        # Checked before any input is read or any state is created.
+        state = tmp_path / "state"
+        operands = {
+            "align": ["t.fa", "q.fa", "--workers", "2"],
+            "serve": [str(state), "--workers", "2"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *operands, flag, value])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"{flag} must be ")
+        assert "\n" not in message
+        assert not state.exists()
+
     def test_resume_requires_checkpoint(self, assemblies):
         with pytest.raises(SystemExit, match="checkpoint"):
             main(

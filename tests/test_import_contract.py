@@ -185,7 +185,7 @@ PARENT_ALL = {
         ExtensionResult TileTrace gact_x_extend score_cigar truncate_cigar
         GappedFilterResult gapped_filter DarwinWGA WGAResult Workload
         aligner_named align_assemblies BoundedQueue StrandStream
-        StreamParams alignment_detail chain_table dotplot workload_summary
+        alignment_detail chain_table dotplot workload_summary
     """,
     "repro.genome": """
         alphabet Assembly split_into_chromosomes MaskStats apply_soft_mask
