@@ -214,14 +214,18 @@ def _progress_from_args(args):
     return renderer if renderer.enabled else NO_PROGRESS
 
 
+def _parsed(path: Path, reader):
+    """``reader(path)``; a malformed file exits with ``PATH: message``."""
+    try:
+        return reader(path)
+    except ValueError as error:
+        raise SystemExit(f"{path}: {error}")
+
+
 def _load_records(path: Path):
     from .genome.fasta import read_fasta
 
-    try:
-        records = read_fasta(path)
-    except ValueError as error:
-        # Malformed FASTA (e.g. sequence data before the first header).
-        raise SystemExit(f"{path}: {error}")
+    records = _parsed(path, read_fasta)
     if not records:
         raise SystemExit(f"{path}: no FASTA records")
     return records
@@ -441,7 +445,7 @@ def _cmd_chain(args) -> int:
     from .obs.export import write_run_report
     from .obs.tracer import NULL_TRACER, Tracer
 
-    alignments = read_maf(args.maf)
+    alignments = _parsed(args.maf, read_maf)
     target = _load_single(args.target)
     query = _load_single(args.query)
     gap_costs = (
@@ -594,7 +598,7 @@ def _cmd_net(args) -> int:
     from .chain.nets import build_net
     from .io.maf import read_maf
 
-    alignments = read_maf(args.maf)
+    alignments = _parsed(args.maf, read_maf)
     target = _load_single(args.target)
     chains = build_chains(alignments)
     net = build_net(chains, len(target), min_span=args.min_span)

@@ -392,16 +392,6 @@ def _unit_key(ti: int, target: Sequence, qi: int, query: Sequence) -> str:
     return f"{ti}:{target.name or 'target'}|{qi}:{query.name or 'query'}"
 
 
-def unit_window(workers: int) -> int:
-    """Assembly units in the window at once: ``max(2w, w + 2)``.
-
-    Enough that a collection never starves the workers of a next unit,
-    while pending pickled results — and journaled units replayed in
-    place — stay bounded, so memory is flat at any assembly size.
-    """
-    return max(2 * workers, workers + 2)
-
-
 def align_assemblies(
     target_assembly,
     query_assembly,
@@ -429,11 +419,11 @@ def align_assemblies(
 
     ``workers > 1`` (or an external ``engine``) distributes whole
     (target chromosome, query chromosome) units across worker processes
-    through an :class:`~repro.core.stream.OrderedWindow` — units are
-    gathered in submission order and the final sort is stable, so the
-    result is byte-identical to the serial run.  With an
-    ``index_cache`` the parent warms each target's seed index once and
-    workers load it from disk instead of rebuilding per unit.
+    through an :class:`~repro.core.stream.OrderedWindow` — all are
+    dispatched up front, gathered in submission order and the final
+    sort is stable, so the result is byte-identical to the serial run.
+    With an ``index_cache`` the parent warms each target's seed index
+    once and workers load it from disk instead of rebuilding per unit.
 
     ``checkpoint`` journals every completed unit to a
     :class:`~repro.resilience.checkpoint.RunManifest`; ``resume=True``
@@ -530,23 +520,23 @@ def _windowed_units(
     """``(key, result, fresh)`` per unit in serial order, fresh units
     run as worker tasks through an :class:`OrderedWindow`.
 
-    The producer shares sequences and dispatches lazily, collecting the
-    oldest unit whenever the window is full.  Each unit is internally
-    serial, so values never depend on where a unit ran — including under
-    supervised recovery (retries, pool rebuilds and serial fallbacks)
-    and under resume: a journaled unit enters the window as a settled
-    value and keeps its place in the order without occupying a worker.
+    Every fresh unit is dispatched before the first collection, so a
+    slow unit delays only its own collection, never a worker's next
+    unit; a bound would save no memory, as results are kept to the end
+    anyway.  Each unit is internally serial, so values never depend on
+    where a unit ran — including under supervised recovery (retries,
+    pool rebuilds and serial fallbacks) and under resume: a journaled
+    unit enters the window as a settled value and keeps its place in
+    the order without occupying a worker.
     """
     tracer = aligner.tracer
     cache = aligner.index_cache
     cache_dir = str(cache.directory) if cache is not None else None
-    window = OrderedWindow(engine, unit_window(engine.workers), tracer)
+    units = len(target_assembly) * len(query_assembly)
+    window = OrderedWindow(engine, max(1, units), tracer)
     for ti, target in enumerate(target_assembly):
         target_handle = None
         for qi, query in enumerate(query_assembly):
-            while window.full:
-                window.stats.stalled()
-                yield window.collect()
             key = _unit_key(ti, target, qi, query)
             if manifest is not None and key in manifest:
                 window.settle(key, manifest.result_for(key))

@@ -6,7 +6,9 @@ serial order, collect in that order.  :class:`OrderedWindow` writes it
 once — the bounded FIFO, the ``stall`` fault (a sleep before a
 collection, modelling a slow consumer), the supervised ``result``, the
 receipt and span graft, and the :class:`repro.obs.occupancy.StreamStats`
-both schedules report under the same ``stream_*`` names.
+both schedules report under the same ``stream_*`` names.  Only the
+bound differs: units have no data dependence, so an assembly's window
+holds every unit, while anchors are bounded by :func:`anchor_window`.
 
 The anchor schedule (:func:`stream_extension`) is a cooperative
 single-threaded stage graph on top of it, instead of barrier phases

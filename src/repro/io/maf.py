@@ -143,46 +143,47 @@ def _cigar_from_texts(t_text: str, q_text: str) -> Cigar:
 
 
 def read_maf(source: _PathOrFile) -> List[Alignment]:
-    """Parse a two-species MAF back into alignments."""
+    """Parse a two-species MAF back into alignments.
+
+    A malformed line raises ``ValueError("line N: ...")``.
+    """
     with _opened(source, "r") as handle:
         alignments: List[Alignment] = []
         score = 0
         rows: List[tuple] = []
-        for line in list(handle) + [""]:
+        for number, line in enumerate(list(handle) + [""], 1):
             line = line.strip()
-            if line.startswith("a"):
-                score_field = [
-                    part for part in line.split() if part.startswith("score=")
-                ]
-                score = int(float(score_field[0][6:])) if score_field else 0
-                rows = []
-            elif line.startswith("s"):
-                parts = line.split()
-                rows.append(
-                    (
-                        parts[1],
-                        int(parts[2]),
-                        int(parts[3]),
-                        parts[4],
-                        int(parts[5]),
-                        parts[6],
+            try:
+                if line.startswith("a"):
+                    fields = dict(f.partition("=")[::2] for f in line.split())
+                    score = int(float(fields.get("score", 0)))
+                    rows = []
+                elif line.startswith("s"):
+                    parts = line.split()
+                    if len(parts) < 7:
+                        raise ValueError("'s' line needs 7 fields")
+                    name, pos, size, strand, length, text = parts[1:7]
+                    if rows and len(text) != len(rows[0][-1]):
+                        raise ValueError("MAF rows differ in length")
+                    int(length)  # unused, but must be a number
+                    rows.append((name, int(pos), int(size), strand, text))
+                elif not line and len(rows) == 2:
+                    (t_name, t_start, t_size, _, t_text) = rows[0]
+                    (q_name, q_start, q_size, q_strand, q_text) = rows[1]
+                    alignments.append(
+                        Alignment(
+                            target_name=t_name,
+                            query_name=q_name,
+                            target_start=t_start,
+                            target_end=t_start + t_size,
+                            query_start=q_start,
+                            query_end=q_start + q_size,
+                            score=score,
+                            cigar=_cigar_from_texts(t_text, q_text),
+                            strand=1 if q_strand == "+" else -1,
+                        )
                     )
-                )
-            elif not line and len(rows) == 2:
-                (t_name, t_start, t_size, _, _, t_text) = rows[0]
-                (q_name, q_start, q_size, q_strand, _, q_text) = rows[1]
-                alignments.append(
-                    Alignment(
-                        target_name=t_name,
-                        query_name=q_name,
-                        target_start=t_start,
-                        target_end=t_start + t_size,
-                        query_start=q_start,
-                        query_end=q_start + q_size,
-                        score=score,
-                        cigar=_cigar_from_texts(t_text, q_text),
-                        strand=1 if q_strand == "+" else -1,
-                    )
-                )
-                rows = []
+                    rows = []
+            except ValueError as error:
+                raise ValueError(f"line {number}: {error}") from None
         return alignments

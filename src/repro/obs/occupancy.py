@@ -27,7 +27,9 @@ first dispatch to the last collection, yielding:
 Depth is counted in *dispatch units* — one task (an anchor or an
 assembly unit) occupies one worker slot, whatever its payload size — so
 ``min(in_flight, slots)`` compares like with like against the worker
-count.
+count.  It counts *uncollected* tasks, not *unfinished* ones: a task
+that finished behind a slow head still counts as busy, so a bounded
+FIFO window can read every slot busy while a worker sits idle.
 
 The tracker is single-process and event-driven: every ``dispatched``/
 ``collected``/``stalled`` call advances the integral to "now" first, so

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.align.matrices import lastz_default, unit
-from repro.genome import Sequence, make_species_pair
+from repro.genome import Assembly, Sequence, make_species_pair
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -61,6 +61,26 @@ def small_pair():
 def close_pair():
     """A close, fully alignable pair."""
     return make_species_pair(8000, 0.1, np.random.default_rng(7))
+
+
+@pytest.fixture(scope="session")
+def nine_units():
+    """A 3x3-chromosome assembly pair (1.5 kbp each): nine units, more
+    than two workers can hold, with alignments on five of them."""
+    pair = make_species_pair(4500, 0.4, np.random.default_rng(23))
+    return tuple(
+        Assembly(
+            name=prefix,
+            chromosomes=[
+                Sequence(genome.codes[i : i + 1500], name=f"{prefix}{n}")
+                for n, i in enumerate(range(0, 4500, 1500), 1)
+            ],
+        )
+        for prefix, genome in (
+            ("t", pair.target.genome),
+            ("q", pair.query.genome),
+        )
+    )
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ import pytest
 from repro.core import DarwinWGA
 from repro.core.pipeline import align_assemblies
 from repro.core.stream import BoundedQueue, OrderedWindow
-from repro.core import pipeline as pipeline_module
 from repro.core import stream as stream_module
 
 # By path: ``repro.core.gapped_filter`` the attribute is the function.
@@ -282,21 +281,51 @@ def assemblies():
     return target, query
 
 
+def _unit_span(tracer):
+    return next(s for s in tracer.walk() if s.name == "align_assemblies")
+
+
 class TestAssemblyUnitWindow:
-    def test_unit_window_bounds_in_flight(self, assemblies, monkeypatch):
-        target, query = assemblies
+    def test_every_fresh_unit_dispatched_up_front(
+        self, nine_units, tmp_path
+    ):
+        """No unit waits on a collection to be dispatched: all nine are
+        in flight at once and the producer is never refused; journaled
+        units take no worker."""
+        target, query = nine_units
         serial = align_assemblies(target, query)
+        manifest_path = tmp_path / "run.manifest"
         tracer = Tracer()
-        monkeypatch.setattr(pipeline_module, "unit_window", lambda w: 1)
-        streamed = align_assemblies(target, query, workers=2, tracer=tracer)
-        assert streamed.alignments == serial.alignments
-        span = next(
-            s for s in tracer.walk() if s.name == "align_assemblies"
+        streamed = align_assemblies(
+            target, query, workers=2, tracer=tracer, checkpoint=manifest_path
         )
-        assert span.attrs["peak_in_flight"] == 1
-        # 2x2 units through a 1-wide window: the fill loop was refused
-        # at least once per drained unit.
-        assert span.attrs["backpressure_stalls"] >= 3
+        assert streamed.alignments == serial.alignments
+        assert _unit_span(tracer).attrs["peak_in_flight"] == 9
+        assert _unit_span(tracer).attrs["backpressure_stalls"] == 0
+
+        full = RunManifest.load(manifest_path)
+        partial_path = tmp_path / "partial.manifest"
+        partial = RunManifest.create(
+            partial_path,
+            aligner=full.header["aligner"],
+            config=full.header["config"],
+            target=full.header["target"],
+            query=full.header["query"],
+        )
+        for unit in (full.units[0], full.units[4]):
+            partial.record(unit, full.result_for(unit))
+        tracer = Tracer()
+        resumed = align_assemblies(
+            target,
+            query,
+            workers=2,
+            tracer=tracer,
+            checkpoint=partial_path,
+            resume=True,
+        )
+        assert resumed.alignments == serial.alignments
+        assert _unit_span(tracer).attrs["peak_in_flight"] == 7
+        assert _unit_span(tracer).attrs["backpressure_stalls"] == 0
 
     def test_resume_mid_stream_matches_serial(
         self, assemblies, tmp_path

@@ -131,6 +131,30 @@ class TestFormat:
         with pytest.raises(ValueError, match="differ in length"):
             read_maf(io.StringIO(bad))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "##maf\na score=abc\n",
+                "line 2: could not convert string to float: 'abc'",
+            ),
+            (
+                "##maf\na score=1\ns q 0 x + 10 ACGT\n",
+                "line 3: invalid literal for int() with base 10: 'x'",
+            ),
+            ("##maf\na score=1\ns t 0 4 +\n", "line 3: 's' line needs 7"),
+            (
+                "##maf\na score=1\ns t 0 2 + 4 AC\ns q 0 1 + 4 A\n\n",
+                "line 4: MAF rows differ in length",
+            ),
+        ],
+        ids=["score", "integer", "short_line", "unequal_rows"],
+    )
+    def test_malformed_line_is_named(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            read_maf(io.StringIO(text))
+        assert str(excinfo.value).startswith(message)
+
     def test_n_is_a_mismatch_and_case_is_ignored(self):
         assert str(_cigar_from_texts("ACNnacg-T", "acNNAG-TT")) == (
             "2=2X1=1X1D1I1="

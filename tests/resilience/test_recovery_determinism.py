@@ -248,3 +248,53 @@ class TestCheckpointResume:
             target, query, checkpoint=tmp_path / "run.manifest"
         )
         assert_same_result(serial_darwin, result)
+
+
+@pytest.fixture(scope="module")
+def serial_nine(nine_units):
+    return align_assemblies(*nine_units)
+
+
+class TestNineUnits:
+    """Nine units all in flight at once on two workers: under each
+    fault kind, and resumed from a run that died mid-way, they still
+    commit the serial result."""
+
+    @pytest.mark.parametrize(
+        "spec", ["0:crash=0.3", "0:error=0.5", "1:timeout=0.5", "2:stall=0.5"]
+    )
+    def test_fault_schedule_matches_serial(
+        self, nine_units, serial_nine, spec
+    ):
+        options = fast_options(spec)
+        recovered = align_assemblies(
+            *nine_units, workers=2, resilience=options
+        )
+        assert_same_result(serial_nine, recovered)
+        kind = spec.split(":")[1].split("=")[0]
+        assert options.stats.injected_faults.get(kind)
+        assert options.stats.recovered or kind == "stall"
+
+    def test_mid_run_resume_matches_serial(
+        self, nine_units, serial_nine, tmp_path, monkeypatch
+    ):
+        manifest_path = tmp_path / "run.manifest"
+        monkeypatch.setattr(_FlakyDarwin, "fail_at_unit", 5)
+        _FlakyDarwin._calls = 0
+        with pytest.raises(_InterruptRun):
+            align_assemblies(
+                *nine_units,
+                aligner_class=_FlakyDarwin,
+                checkpoint=manifest_path,
+            )
+        options = ResilienceOptions()
+        resumed = align_assemblies(
+            *nine_units,
+            workers=2,
+            checkpoint=manifest_path,
+            resume=True,
+            resilience=options,
+        )
+        assert_same_result(serial_nine, resumed)
+        assert options.stats.resumed_units == 4
+        assert options.stats.journaled_units == 5

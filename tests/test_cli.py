@@ -311,6 +311,33 @@ class TestMalformedFasta:
         )
 
 
+class TestMalformedMaf:
+    """A malformed MAF is one ``PATH: line N: message`` line, not a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a score=abc\n", "line 2: could not convert string to float"),
+            ("a score=1\ns q 0 x + 10 ACGT\n", "line 3: invalid literal"),
+            ("a score=1\ns t 0 4 +\n", "line 3: 's' line needs 7 fields"),
+            (
+                "a score=1\ns t 0 2 + 4 AC\ns q 0 1 + 4 A\n",
+                "line 4: MAF rows differ in length",
+            ),
+        ],
+        ids=["score", "integer", "short_line", "unequal_rows"],
+    )
+    @pytest.mark.parametrize("command", ["chain", "net"])
+    def test_exits_with_one_line(self, genomes, command, body, message):
+        bad = genomes / "bad.maf"
+        bad.write_text("##maf version=1\n" + body)
+        fasta = [str(genomes / "target.fa"), str(genomes / "query.fa")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(bad), *fasta])
+        assert str(excinfo.value.code).startswith(f"{bad}: {message}")
+
+
 @pytest.fixture
 def assemblies(tmp_path):
     code = main(
