@@ -1,23 +1,24 @@
 """Full-matrix Needleman-Wunsch global alignment with affine gaps.
 
-Used as the oracle for GACT/GACT-X tile computations (which use
-Needleman-Wunsch scoring so that values may go negative, paper section
-III-D) and by tests.
+Nothing in the pipeline calls it; it is a library entry point (exported
+by :mod:`repro.align`) that tests pin to its oracle.
 
-Runs on the vectorised sweep in :mod:`repro.align._dp` (narrow exact
-dtype, prefix-scan H, packed 4-bit traceback nibbles); the original
-row-at-a-time code is preserved as ``align_global_reference`` in
-:mod:`repro.align._reference` and fuzzed against this implementation by
-``tests/align/test_differential.py``.
+The kernel is GACT-X's lane engine (:func:`repro.align.xdrop.full_tile`)
+with no ``Y`` and no clamp: every row spans the tile, the score is
+``V(n, m)`` read back from the engine's row ring, and the traceback walk
+over the packed 4-bit flags starts at that corner and pads to the
+origin.  The original row-at-a-time code is preserved as
+``align_global_reference`` in :mod:`repro.align._reference` and fuzzed
+against this implementation by ``tests/align/test_differential.py``.
 """
 
 from __future__ import annotations
 
 from ..genome.sequence import Sequence
-from . import _dp
 from .alignment import Alignment
 from .cigar import Cigar
 from .scoring import ScoringScheme
+from .xdrop import full_tile
 
 
 def align_global(
@@ -26,47 +27,14 @@ def align_global(
     """Optimal global alignment of the two full sequences."""
     m = len(target)
     n = len(query)
-    if m == 0 and n == 0:
-        return Alignment(
-            target_name=target.name,
-            query_name=query.name,
-            target_start=0,
-            target_end=0,
-            query_start=0,
-            query_end=0,
-            score=0,
-            cigar=Cigar(()),
-        )
     if m == 0 or n == 0:
-        length = max(m, n)
-        op = "I" if m == 0 else "D"
-        return Alignment(
-            target_name=target.name,
-            query_name=query.name,
-            target_start=0,
-            target_end=m,
-            query_start=0,
-            query_end=n,
-            score=-scoring.gap_cost(length),
-            cigar=Cigar.from_runs([(op, length)]),
-        )
-
-    ws = _dp.acquire_workspace()
-    try:
-        _, _, _, score, packed = _dp.affine_sweep(
-            target,
-            query,
-            scoring,
-            local=False,
-            track_best=False,
-            keep_pointers=True,
-            ws=ws,
-        )
-        cigar, _, _ = _dp.packed_traceback(
-            packed, target, query, n, m, pad_to_origin=True
-        )
-    finally:
-        _dp.release_workspace(ws)
+        # One gap run over whichever sequence is non-empty (or nothing).
+        score = -scoring.gap_cost(max(m, n))
+        cigar = Cigar.from_runs([("I" if m == 0 else "D", max(m, n))])
+    else:
+        corner = full_tile(target, query, scoring, local=False)
+        score = corner.score
+        cigar = corner.cigar
     return Alignment(
         target_name=target.name,
         query_name=query.name,
@@ -87,17 +55,6 @@ def global_score(
     n = len(query)
     if m == 0 or n == 0:
         return -scoring.gap_cost(max(m, n))
-    ws = _dp.acquire_workspace()
-    try:
-        _, _, _, score, _ = _dp.affine_sweep(
-            target,
-            query,
-            scoring,
-            local=False,
-            track_best=False,
-            keep_pointers=False,
-            ws=ws,
-        )
-    finally:
-        _dp.release_workspace(ws)
-    return score
+    return full_tile(
+        target, query, scoring, local=False, with_traceback=False
+    ).score

@@ -3,12 +3,15 @@
 This is the reference implementation the whole library is tested against:
 banded, X-dropped, and tiled kernels must agree with it whenever their
 restrictions are inactive.  It is O(n*m) in time, so it is meant for
-tiles and tests, not genomes.
+tiles and tests, not genomes.  GACT (:mod:`repro.core.gact`) aligns each
+of its tiles with :func:`align_local`.
 
-The kernel runs on the vectorised sweep in :mod:`repro.align._dp`
-(narrow exact dtype, prefix-scan H, packed 4-bit traceback nibbles at
-two cells per byte); the original row-at-a-time code is the oracle
-``align_local_reference`` et al. in :mod:`repro.align._reference`, and
+The kernel is GACT-X's lane engine (:func:`repro.align.xdrop.full_tile`)
+in local mode with no ``Y``: every row spans the tile, ``V`` is clamped
+at zero, and the traceback walk over the packed 4-bit flags starts at
+the best cell and stops where a fifth flag plane marks ``V == 0``.  The
+original row-at-a-time code is the oracle ``align_local_reference`` et
+al. in :mod:`repro.align._reference`, and
 ``tests/align/test_differential.py`` holds the two equal.
 """
 
@@ -19,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from ..genome.sequence import Sequence
-from . import _dp
 from .alignment import Alignment
 from .scoring import ScoringScheme
+from .xdrop import full_tile
 
 
 def score_matrix(
@@ -31,22 +34,15 @@ def score_matrix(
     m = len(target)
     n = len(query)
     v = np.zeros((n + 1, m + 1), dtype=np.int64)
-    if m == 0 or n == 0:
-        return v
-    ws = _dp.acquire_workspace()
-    try:
-        _dp.affine_sweep(
+    if m and n:
+        full_tile(
             target,
             query,
             scoring,
             local=True,
-            track_best=False,
-            keep_pointers=False,
-            ws=ws,
-            matrix_out=v,
+            with_traceback=False,
+            rows_out=v,
         )
-    finally:
-        _dp.release_workspace(ws)
     return v
 
 
@@ -58,42 +54,20 @@ def align_local(
     Returns ``None`` when no cell scores above zero (e.g. empty inputs or
     all-mismatch sequences under a matrix with no positive off-diagonal).
     """
-    m = len(target)
-    n = len(query)
-    if m == 0 or n == 0:
+    if len(target) == 0 or len(query) == 0:
         return None
-
-    ws = _dp.acquire_workspace()
-    try:
-        score, end_i, end_j, _, packed = _dp.affine_sweep(
-            target,
-            query,
-            scoring,
-            local=True,
-            track_best=True,
-            keep_pointers=True,
-            ws=ws,
-        )
-        if score <= 0:
-            return None
-        cigar, start_i, start_j = _dp.packed_traceback(
-            packed,
-            target,
-            query,
-            end_i,
-            end_j,
-            pad_to_origin=False,
-        )
-    finally:
-        _dp.release_workspace(ws)
+    best = full_tile(target, query, scoring, local=True)
+    if best.score <= 0:
+        return None
+    cigar = best.cigar
     return Alignment(
         target_name=target.name,
         query_name=query.name,
-        target_start=start_j,
-        target_end=end_j,
-        query_start=start_i,
-        query_end=end_i,
-        score=score,
+        target_start=best.max_j - cigar.target_span,
+        target_end=best.max_j,
+        query_start=best.max_i - cigar.query_span,
+        query_end=best.max_i,
+        score=best.score,
         cigar=cigar,
     )
 
@@ -102,21 +76,8 @@ def best_score(
     target: Sequence, query: Sequence, scoring: ScoringScheme
 ) -> int:
     """Maximum local alignment score (no traceback, O(m) memory)."""
-    m = len(target)
-    n = len(query)
-    if m == 0 or n == 0:
+    if len(target) == 0 or len(query) == 0:
         return 0
-    ws = _dp.acquire_workspace()
-    try:
-        score, _, _, _, _ = _dp.affine_sweep(
-            target,
-            query,
-            scoring,
-            local=True,
-            track_best=True,
-            keep_pointers=False,
-            ws=ws,
-        )
-    finally:
-        _dp.release_workspace(ws)
-    return score
+    return full_tile(
+        target, query, scoring, local=True, with_traceback=False
+    ).score

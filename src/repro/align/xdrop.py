@@ -1,23 +1,36 @@
-"""X-drop extension alignment — the computation inside a GACT-X tile.
+"""One lane engine for X-drop (GACT-X), Smith-Waterman and Needleman-Wunsch.
 
-The kernel aligns a query tile against a target tile with Needleman-Wunsch
-scoring (values may go negative; paper section III-D), anchored at the tile
-origin: the path must start at cell (0, 0), with any leading gaps charged
-against the origin boundary, and ends wherever the maximum score ``V_max``
-is found.  Rows are pruned with the X-drop rule: a cell stays *live* while
-its score is at least ``V_max - Y``; each row is computed from the first
-live column of the previous row to just past its last live column plus the
-maximal reach of a surviving horizontal gap run (``Y // gap_extend``).
+One affine-gap row pipeline (paper equations 1-3) with one 4-bit-per-cell
+traceback store (GACT-X, paper section III-D and Fig. 10) serves three
+kernels, which differ only in the two parameters of the oracle
+(``row_update(local)`` and the traceback's start cell in
+:mod:`repro.align._reference`) and in whether rows are pruned:
 
-The per-row ``(j_start, j_stop)`` windows are recorded: they are exactly
-what the hardware's stripe sequencer computes, so the cycle model in
-:mod:`repro.hw.gactx_array` replays them instead of re-running the DP.
+* **X-drop extension** (:func:`xdrop_extend`, :func:`run_tile_streams`):
+  Needleman-Wunsch scoring (values may go negative), anchored at the
+  tile origin: the path starts at cell (0, 0), with any leading gaps
+  charged against the origin boundary, and ends wherever the maximum
+  score ``V_max`` is found.  Rows are pruned with the X-drop rule: a
+  cell stays *live* while its score is at least ``V_max - Y``; each row
+  is computed from the first live column of the previous row to just
+  past its last live column plus the maximal reach of a surviving
+  horizontal gap run (``Y // gap_extend``).  The per-row
+  ``(j_start, j_stop)`` windows are recorded: they are exactly what the
+  hardware's stripe sequencer computes, so the cycle model in
+  :mod:`repro.hw.gactx_array` replays them instead of re-running the DP.
+* **Smith-Waterman** (:mod:`repro.align.smith_waterman`): no ``Y``, so
+  every row spans the whole tile; a zero boundary row and column, ``V``
+  clamped at zero before the prefix scan, and the walk starts at the
+  best cell and stops where ``V == 0``, without padding.
+* **Needleman-Wunsch** (:mod:`repro.align.needleman_wunsch`): no ``Y``
+  and no clamp; the walk starts at the corner ``(n, m)``, whose ``V`` is
+  the score, and pads to the origin.
 
-Implementation notes (the row-at-a-time original is preserved as the
-oracle ``xdrop_extend_reference`` in :mod:`repro.align._reference`):
+Implementation notes (the row-at-a-time originals are preserved as the
+oracles in :mod:`repro.align._reference`):
 
-* Because each row's window depends on the previous row's live set, the
-  X-drop recurrence is row-sequential by construction; the speed comes
+* Because each X-drop row's window depends on the previous row's live
+  set, the recurrence is row-sequential by construction; the speed comes
   from a *lane-lockstep* engine instead of an anti-diagonal sweep.  Every
   DP row of up to ``L`` concurrent tiles (the two extension directions of
   a GACT-X anchor run in lockstep) becomes one batch of vector ops over a
@@ -32,23 +45,24 @@ oracle ``xdrop_extend_reference`` in :mod:`repro.align._reference`):
   the gap ``o``/``e`` charges are paid once, inside the store writes
   the recurrence needs anyway.  The diagonal term compensates with a
   ``+o``-baked substitution matrix: ``(V-o) + (W+o) = V + W``.
-* Traceback state is four bits per cell of the X-drop window, as in
-  the hardware (paper section III-D, Fig. 10), written a block of
-  ``_BLOCK`` rows at a time.  The forward pass keeps only
-  ``(_BLOCK + 1)``-row *rings* of ``V - o``, ``U - e`` and ``H - o``
-  (slot 0 carries the previous block's last row).  When a block fills,
-  or the lane finishes, ``_flush`` derives the four flags for all of
-  its rows in one bulk pass over the union of their windows —
-  ``H == V`` (horizontal move; the tie priority puts it first),
-  ``V == U`` (vertical move), ``H(i,j) == H(i,j-1) - e`` (the H run
-  extends; equal to the prefix-scan test
+* Traceback state is four bits per cell of the computed window, as in
+  the hardware, written a block of ``_BLOCK`` rows at a time.  The
+  forward pass keeps only ``(_BLOCK + 1)``-row *rings* of ``V - o``,
+  ``U - e`` and ``H - o`` (slot 0 carries the previous block's last
+  row).  When a block fills, or the lane finishes, ``_flush`` derives
+  the flags for all of its rows in one bulk pass over the union of
+  their windows — ``H == V`` (horizontal move; the tie priority puts it
+  first), ``V == U`` (vertical move), ``H(i,j) == H(i,j-1) - e`` (the H
+  run extends; equal to the prefix-scan test
   ``running[j-1] == running[j-2]``) and ``U(i-1,j) - e >= V(i-1,j) - o``
-  (the U run extends; ties side with extension, as in the oracle) —
-  and appends them, bit-packed, to one flat ``uint8`` store per lane.
-  ``_walk`` is then the reference pointer walk over those bits.
-  Deriving the flags per row inside ``_step`` instead reaches the same
-  memory but adds 14 numpy calls to a 29-call row step; deferred to
-  the block they cost 4 compares and 2 integer ops per 64 rows.
+  (the U run extends; ties side with extension, as in the oracle), plus
+  a fifth *zero plane* ``V == 0`` in local mode (where a local path
+  starts) — and appends them, bit-packed, to one flat ``uint8`` store
+  per lane.  ``_walk`` is then the reference pointer walk over those
+  bits.  Deriving the flags per row inside ``_step`` instead reaches
+  the same memory but adds 14 numpy calls to a 29-call row step;
+  deferred to the block they cost 4 compares and 2 integer ops per 64
+  rows.
 """
 
 from __future__ import annotations
@@ -82,6 +96,8 @@ class XDropExtension:
     the inclusive computed column range per row; ``cells`` is their total
     size (the traceback-memory and cycle cost unit).  ``traceback_bytes``
     is what the kernel actually wrote as packed pointer state.
+    :func:`full_tile` returns one too, for a whole Smith-Waterman or
+    Needleman-Wunsch tile.
     """
 
     score: int
@@ -140,7 +156,7 @@ class _Lane:
 
 
 class _LaneEngine:
-    """Runs tile streams through the lockstep X-drop row pipeline.
+    """Runs tile streams through the lockstep row pipeline.
 
     A *stream* yields tiles one at a time (``next_tile``) and receives
     each tile's :class:`XDropExtension` back (``consume``) before being
@@ -148,20 +164,35 @@ class _LaneEngine:
     next tile from the previous tile's maximum while the other stream's
     lane keeps advancing.  Lanes at heterogeneous rows/windows are
     batched per row into shared ``(L, W)`` buffers.
+
+    ``ydrop=None`` computes every row over the whole tile, with no
+    threshold, live set or window update; ``local`` is the oracle's
+    Smith-Waterman switch (zero boundaries, ``V`` clamped at zero, a
+    walk that stops at a zero).  With neither, the tile is
+    Needleman-Wunsch: the score is ``V(n, m)`` and the walk starts
+    there.  ``rows_out``, when set, receives every ``V`` row of a
+    single-lane run.
     """
 
     def __init__(
         self,
         scoring: ScoringScheme,
-        ydrop: int,
+        ydrop: Optional[int],
         max_tile_len: int,
         with_traceback: bool,
+        local: bool = False,
     ) -> None:
         self.scoring = scoring
         self.ydrop = ydrop
         self.with_traceback = with_traceback
-        self.gap_slack = ydrop // max(1, scoring.gap_extend) + 1
-        self.dtype = _dp.kernel_dtype(scoring, max_tile_len, slack=ydrop)
+        self.prune = ydrop is not None
+        self.local = local
+        self.corner = not (self.prune or local)
+        self.rows_out: Optional[np.ndarray] = None
+        slack = ydrop if self.prune else 0
+        self.gap_slack = slack // max(1, scoring.gap_extend) + 1
+        self.planes = 5 if local else 4
+        self.dtype = _dp.kernel_dtype(scoring, max_tile_len, slack=slack)
         self.negf = _dp.neg_inf(self.dtype)
         self.o = int(scoring.gap_open)
         self.e = int(scoring.gap_extend)
@@ -232,7 +263,7 @@ class _LaneEngine:
             lane.h_store = self.ws.array("xh" + key, ring, self.dtype)
             # Worst case: every row's block spans all m columns.
             lane.pointers = self.ws.array(
-                "xp" + key, (n * 4 * ((m + 7) // 8),), np.uint8
+                "xp" + key, (n * self.planes * ((m + 7) // 8),), np.uint8
             )
         else:
             lane.h_store = None
@@ -240,15 +271,17 @@ class _LaneEngine:
         lane.pointer_bytes = 0
         lane.blocks = []
         lane.stored = 0
-        boundary = _dp.boundary_scores(m, self.scoring, free=False)
+        boundary = _dp.boundary_scores(m, self.scoring, free=self.local)
         lane.v_store[0, : m + 1] = boundary - self.o
         lane.u_store[0, : m + 1] = self.negf
-        # Row 0 live set under the initial V_max = 0.
-        live = np.flatnonzero(boundary >= -self.ydrop)
-        last0 = int(live[-1]) if live.size else 0
         lane.i = 1
         lane.lo = 1
-        lane.hi = min(m, last0 + 1 + self.gap_slack)
+        lane.hi = m
+        if self.prune:
+            # Row 0 live set under the initial V_max = 0.
+            live = np.flatnonzero(boundary >= -self.ydrop)
+            last0 = int(live[-1]) if live.size else 0
+            lane.hi = min(m, last0 + 1 + self.gap_slack)
         lane.best = 0
         lane.best_i = 0
         lane.best_j = 0
@@ -256,15 +289,22 @@ class _LaneEngine:
         lane.cells = 0
 
     def _finish_lane(self, lane: _Lane, lanes: List[_Lane]) -> None:
-        best = lane.best
+        if self.corner:
+            # Needleman-Wunsch: the score is V(n, m), read back from the
+            # ring, and the walk starts there.
+            last = lane.v_store[(lane.n - 1) % _BLOCK + 1, lane.m]
+            lane.best = int(last) + self.o
+            lane.best_i = lane.n
+            lane.best_j = lane.m
         cigar: Optional[Cigar] = None
         if self.with_traceback:
             self._flush(lane)
-            cigar = self._walk(lane) if best > 0 else Cigar(())
+            # best_i stays 0 until a row beats the initial V_max = 0.
+            cigar = self._walk(lane) if lane.best_i else Cigar(())
         result = XDropExtension(
-            score=best,
-            max_i=lane.best_i if best > 0 else 0,
-            max_j=lane.best_j if best > 0 else 0,
+            score=lane.best,
+            max_i=lane.best_i,
+            max_j=lane.best_j,
             cigar=cigar,
             cells=lane.cells,
             row_windows=tuple(lane.row_windows),
@@ -294,12 +334,13 @@ class _LaneEngine:
         self.vv = ws.array("vv", (cap, wc), self.dtype)
         self.thr = ws.array("thr", (cap, 1), self.dtype)
         self.liveb = ws.array("liveb", (cap, wc), np.dtype(bool))
+        self.views_for = None
         if self.with_traceback:
             # One block's flag planes and integer scratch, shared by the
             # lanes (a flush runs one lane at a time).
             wide = wc + _BYTE_PAD
             self.flags = ws.array(
-                "flags", (4 * _BLOCK * wide,), np.dtype(bool)
+                "flags", (self.planes * _BLOCK * wide,), np.dtype(bool)
             )
             self.diff = ws.array(
                 "diff", ((_BLOCK + 1) * wide,), self.dtype
@@ -314,20 +355,27 @@ class _LaneEngine:
         ydrop = self.ydrop
         gap_slack = self.gap_slack
         with_traceback = self.with_traceback
+        prune, local, rows_out = self.prune, self.local, self.rows_out
         n_lanes = len(lanes)
         width = 0
         for lane in lanes:
             w = lane.hi - lane.lo + 1
             if w > width:
                 width = w
-        uu = self.uu[:n_lanes, :width]
-        dg = self.dg[:n_lanes, :width]
-        vb = self.vb[:n_lanes, :width]
-        hh = self.hh[:n_lanes, :width]
-        vv = self.vv[:n_lanes, :width]
-        acc = self.acc[:n_lanes, : width + 1]
-        thr = self.thr[:n_lanes]
-        live = self.liveb[:n_lanes, :width]
+        if (n_lanes, width) != self.views_for:
+            # A row as wide as the last one reuses its slab views.
+            self.views_for = (n_lanes, width)
+            self.views = (
+                self.uu[:n_lanes, :width],
+                self.dg[:n_lanes, :width],
+                self.vb[:n_lanes, :width],
+                self.hh[:n_lanes, :width],
+                self.vv[:n_lanes, :width],
+                self.acc[:n_lanes, : width + 1],
+                self.thr[:n_lanes],
+                self.liveb[:n_lanes, :width],
+            )
+        uu, dg, vb, hh, vv, acc, thr, live = self.views
 
         # Per-lane gathers from the stored previous row into the batch
         # slabs.  The stores hold ``V - o`` and ``U - e``, so the whole
@@ -357,37 +405,47 @@ class _LaneEngine:
             if w < width:
                 uu[idx, w:] = negf
                 dg[idx, w:] = negf
-            lane.boundary = -(o + (row - 1) * e) if lo == 1 else negf
+            if lo > 1:
+                lane.boundary = negf
+            elif local:
+                lane.boundary = 0
+            else:
+                lane.boundary = -(o + (row - 1) * e)
             acc[idx, 0] = lane.boundary
 
         # One batched affine-gap row update for every lane (same op
         # sequence as the reference row_update, minus pointer assembly).
         np.maximum(uu, dg, out=vb)
+        if local:
+            np.maximum(vb, 0, out=vb)
         np.add(vb, self.ke[1 : width + 1], out=acc[:, 1:])
         np.maximum.accumulate(acc, axis=1, out=acc)
         np.subtract(acc[:, :width], self.oke[:width], out=hh)
         np.maximum(vb, hh, out=vv)
-        amax = vv.argmax(axis=1).tolist()
 
         # Best update must precede the live threshold (the row's own
         # maximum tightens it), so the threshold compare is a second
         # batched pass.  A row whose maximum misses the threshold has no
         # live cell: the extension dies there.
-        dead = []
-        for idx, lane in enumerate(lanes):
-            j = amax[idx]
-            row_max = int(vv[idx, j])
-            if row_max > lane.best:
-                lane.best = row_max
-                lane.best_i = lane.i
-                lane.best_j = lane.lo + j
-            threshold = lane.best - ydrop
-            thr[idx, 0] = threshold
-            dead.append(row_max < threshold)
-
-        np.greater_equal(vv, thr, out=live)
-        first = live.argmax(axis=1).tolist()
-        last = live[:, ::-1].argmax(axis=1).tolist()
+        # With no Y there is no threshold, live set or window update.
+        dead = [False] * n_lanes
+        if not self.corner:
+            amax = vv.argmax(axis=1).tolist()
+            for idx, lane in enumerate(lanes):
+                j = amax[idx]
+                row_max = int(vv[idx, j])
+                if row_max > lane.best:
+                    lane.best = row_max
+                    lane.best_i = lane.i
+                    lane.best_j = lane.lo + j
+                if prune:
+                    threshold = lane.best - ydrop
+                    thr[idx, 0] = threshold
+                    dead[idx] = row_max < threshold
+        if prune:
+            np.greater_equal(vv, thr, out=live)
+            first = live.argmax(axis=1).tolist()
+            last = live[:, ::-1].argmax(axis=1).tolist()
 
         finished: List[_Lane] = []
         for idx, lane in enumerate(lanes):
@@ -412,20 +470,25 @@ class _LaneEngine:
                 np.subtract(
                     hh[idx, :w], o, out=lane.h_store[slot, lo : hi + 1]
                 )
+            if rows_out is not None:
+                rows_out[row, lo : hi + 1] = vv[idx, :w]
             lane.stored = row
             if row == lane.n:
                 finished.append(lane)
                 continue
-            next_lo = lo + first[idx]
-            next_hi = min(lane.m, lo + width - last[idx] + gap_slack)
-            if next_hi < next_lo:
-                finished.append(lane)
-                continue
-            if next_hi > hi:
-                # The next row reads past this row's written window where
-                # the reference sees NEG_INF; seed that margin.
-                vs[hi + 1 : next_hi + 1] = negf
-                us[hi + 1 : next_hi + 1] = negf
+            if prune:
+                next_lo = lo + first[idx]
+                next_hi = min(lane.m, lo + width - last[idx] + gap_slack)
+                if next_hi < next_lo:
+                    finished.append(lane)
+                    continue
+                if next_hi > hi:
+                    # The next row reads past this row's written window
+                    # where the reference sees NEG_INF; seed that margin.
+                    vs[hi + 1 : next_hi + 1] = negf
+                    us[hi + 1 : next_hi + 1] = negf
+                lane.lo = next_lo
+                lane.hi = next_hi
             if slot == _BLOCK:
                 # Block full: pack its pointers, then carry this row
                 # into slot 0 as the next block's predecessor.
@@ -433,8 +496,6 @@ class _LaneEngine:
                     self._flush(lane)
                 lane.v_store[0] = vs
                 lane.u_store[0] = us
-            lane.lo = next_lo
-            lane.hi = next_hi
             lane.i = row + 1
 
         for lane in finished:
@@ -454,8 +515,9 @@ class _LaneEngine:
         reads.  With ``D = (U - e) - (V - o)`` per stored row, "V == U"
         is ``D == o - e`` and "U extends" is ``D >= 0`` one row up, so
         both cost one subtraction.  The block is appended to
-        ``lane.pointers`` as four bit-planes of ``k`` rows and located
-        by its ``(offset, first column, row bytes, plane bytes)``.
+        ``lane.pointers`` as four bit-planes of ``k`` rows (five in local
+        mode: ``V == 0`` is ``V - o == -o``) and located by its
+        ``(offset, first column, row bytes, plane bytes)``.
         """
         first = len(lane.blocks) * _BLOCK
         k = lane.stored - first
@@ -469,7 +531,8 @@ class _LaneEngine:
         stop = lo + width  # at most _BYTE_PAD columns past the tile
         vs = lane.v_store
         h = lane.h_store[1 : k + 1, lo:stop]
-        flags = self.flags[: 4 * k * width].reshape(4, k, width)
+        planes = self.planes
+        flags = self.flags[: planes * k * width].reshape(planes, k, width)
         diff = self.diff[: (k + 1) * width].reshape(k + 1, width)
         np.equal(h, vs[1 : k + 1, lo:stop], out=flags[0])
         np.subtract(
@@ -481,6 +544,8 @@ class _LaneEngine:
             h, lane.h_store[1 : k + 1, lo - 1 : stop - 1], out=diff[:k]
         )
         np.equal(diff[:k], -self.e, out=flags[2])
+        if self.local:
+            np.equal(vs[1 : k + 1, lo:stop], -self.o, out=flags[4])
         packed = np.packbits(flags.reshape(-1), bitorder="little")
         start = lane.pointer_bytes
         lane.pointers[start : start + packed.size] = packed
@@ -493,8 +558,11 @@ class _LaneEngine:
         A cell outside its row's window reads as ``DIR_NONE`` with no
         flags, as in the oracle: the walk stops there in state V, and a
         gap run ends there.  The H-extend flag of a window's first
-        column is never set (the oracle has no ``H(i, lo - 1)``).
+        column is never set (the oracle has no ``H(i, lo - 1)``).  In
+        local mode the walk also stops, in state V, on the zero plane,
+        and it does not pad.
         """
+        local = self.local
         i = lane.best_i
         j = lane.best_j
         windows = lane.row_windows
@@ -515,6 +583,8 @@ class _LaneEngine:
                 at = start + (i - 1 - floor) * row_bytes + (col >> 3)
                 bit = 1 << (col & 7)
                 if state == "V":
+                    if local and bits[at + 4 * plane] & bit:
+                        break
                     if bits[at] & bit:
                         state = "H"
                     elif bits[at + plane] & bit:
@@ -547,9 +617,10 @@ class _LaneEngine:
                 ops.append("I")
                 state = "V"
                 i -= 1
-        # Extension mode: pad with gap columns back to the tile origin.
-        ops.extend("D" * j)
-        ops.extend("I" * i)
+        if not local:
+            # Pad with gap columns back to the tile origin.
+            ops.extend("D" * j)
+            ops.extend("I" * i)
         return Cigar.from_ops(reversed(ops))
 
 
@@ -578,7 +649,7 @@ def run_tile_streams(
 
 
 class _SingleTile:
-    """A one-tile stream backing the plain ``xdrop_extend`` API."""
+    """A one-tile stream backing ``xdrop_extend`` and ``full_tile``."""
 
     def __init__(self, target: Sequence, query: Sequence) -> None:
         self._tile: Optional[Tuple[Sequence, Sequence]] = (target, query)
@@ -621,4 +692,32 @@ def xdrop_extend(
         return _empty_extension(with_traceback)
     stream = _SingleTile(target, query)
     run_tile_streams((stream,), scoring, ydrop, max(m, n), with_traceback)
+    return stream.result
+
+
+def full_tile(
+    target: Sequence,
+    query: Sequence,
+    scoring: ScoringScheme,
+    local: bool,
+    with_traceback: bool = True,
+    rows_out: Optional[np.ndarray] = None,
+) -> XDropExtension:
+    """One whole ``target x query`` tile through the engine, unpruned.
+
+    ``local`` selects Smith-Waterman: ``score`` and ``max_i``/``max_j``
+    are the best cell, and the CIGAR ends there and starts where the
+    walk met a zero.  Otherwise the tile is Needleman-Wunsch: ``score``
+    is ``V(n, m)`` and the CIGAR spans the whole tile.  ``rows_out``, an
+    ``(n + 1, m + 1)`` array, receives every ``V`` row past row 0 and
+    column 0.  Both sequences must be non-empty.
+    """
+    stream = _SingleTile(target, query)
+    longest = max(len(target), len(query))
+    engine = _LaneEngine(scoring, None, longest, with_traceback, local)
+    engine.rows_out = rows_out
+    try:
+        engine.run((stream,))
+    finally:
+        engine.close()
     return stream.result

@@ -215,9 +215,12 @@ def _progress_from_args(args):
 
 
 def _parsed(path: Path, reader):
-    """``reader(path)``; a malformed file exits with ``PATH: message``."""
+    """``reader(path)``; a missing, unreadable or malformed file exits
+    with ``PATH: message``."""
     try:
         return reader(path)
+    except OSError as error:
+        raise SystemExit(f"{path}: {error.strerror}")
     except ValueError as error:
         raise SystemExit(f"{path}: {error}")
 
@@ -566,11 +569,14 @@ def _cmd_mask(args) -> int:
         if args.method == "entropy":
             mask = entropy_mask(record)
         else:
-            mask = frequency_mask(
-                record,
-                word_length=args.word_length,
-                threshold_multiple=args.threshold_multiple,
-            )
+            try:
+                mask = frequency_mask(
+                    record,
+                    word_length=args.word_length,
+                    threshold_multiple=args.threshold_multiple,
+                )
+            except ValueError as error:
+                raise SystemExit(f"--word-length: {error}")
         stats = mask_stats(mask)
         print(
             f"{record.name}: {stats.fraction:.2%} masked "
@@ -633,6 +639,8 @@ def _cmd_tblastx(args) -> int:
     from .annotate.tblastx import TblastxParams
     from .annotate.translated_search import translated_search
 
+    if args.max_hits < 1:
+        raise SystemExit("--max-hits must be at least 1")
     target = _load_single(args.target)
     query = _load_single(args.query)
     hits = translated_search(

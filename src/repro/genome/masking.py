@@ -107,8 +107,13 @@ def frequency_mask(
 
     A position is masked when the ``word_length``-mer starting there
     occurs more than ``threshold_multiple`` times its uniform-random
-    expectation in the sequence.
+    expectation in the sequence.  ``word_length`` must be 1..32: a word
+    is one base-4 ``int64``, and ``4 ** 32`` wraps to zero.
     """
+    if not 1 <= word_length <= 32:
+        raise ValueError(
+            f"word_length must be between 1 and 32, got {word_length}"
+        )
     codes = seq.codes.astype(np.int64)
     n = len(seq) - word_length + 1
     mask = np.zeros(len(seq), dtype=bool)

@@ -1,10 +1,12 @@
-"""X-drop kernel edges the random differential suite cannot reach.
+"""Lane-engine edges the random differential suite cannot reach.
 
-``tests/align/test_differential.py`` draws tiles of at most 160 bp: at
-most three traceback blocks and never a full GACT-X tile.  These cases
-pin the block machinery of :mod:`repro.align.xdrop` (ring wrap, bulk
-pointer flush, packed walk) to the frozen oracle at block boundaries,
-on full 1920 x 1920 tiles, and across lanes that recycle their stores.
+``tests/align/test_differential.py`` draws tiles of at most 160 bp for
+X-drop and 100 bp for Smith-Waterman and Needleman-Wunsch: at most three
+traceback blocks and never a full GACT-X tile.  These cases pin the
+block machinery of :mod:`repro.align.xdrop` (ring wrap, bulk pointer
+flush, packed walk, the local zero plane) to the frozen oracles at block
+boundaries, on full 1920 x 1920 tiles, on local paths that start past
+the second block, and across lanes that recycle their stores.
 """
 
 import tracemalloc
@@ -12,7 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.align import _dp, xdrop_extend
+from repro.align import (
+    _dp,
+    align_global,
+    align_local,
+    best_score,
+    global_score,
+    xdrop_extend,
+)
 from repro.align import _reference as ref
 from repro.align.xdrop import _BLOCK, run_tile_streams
 from repro.genome import Sequence
@@ -43,12 +52,55 @@ def assert_matches_oracle(target, query, scoring, ydrop):
     return got
 
 
+def assert_local_matches_oracle(target, query, scoring):
+    want = ref.align_local_reference(target, query, scoring)
+    assert align_local(target, query, scoring) == want
+    assert best_score(target, query, scoring) == (
+        ref.best_score_reference(target, query, scoring)
+    )
+    return want
+
+
+def assert_global_matches_oracle(target, query, scoring):
+    want = ref.align_global_reference(target, query, scoring)
+    assert align_global(target, query, scoring) == want
+    assert global_score(target, query, scoring) == want.score
+
+
+BOUNDARY_ROWS = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1]
+
+
+BOUNDARY_CASES = [
+    (kernel, n)
+    for kernel in ("xdrop", "local", "global")
+    for n in BOUNDARY_ROWS
+]
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize(
-    "n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1]
+    "kernel, n",
+    BOUNDARY_CASES,
+    # X-drop keeps its bare row-count ids.
+    ids=[
+        str(n) if kernel == "xdrop" else f"{kernel}-{n}"
+        for kernel, n in BOUNDARY_CASES
+    ],
 )
-def test_block_boundary_lengths_match_oracle(scheme, n):
+def test_block_boundary_lengths_match_oracle(scheme, kernel, n):
     scoring = SCHEMES[scheme]
+    if kernel != "xdrop":
+        check = {
+            "local": assert_local_matches_oracle,
+            "global": assert_global_matches_oracle,
+        }[kernel]
+        # Near-identical, diverged and unrelated tiles: long paths
+        # through every block, and local paths that stop on a zero.
+        for seed, identity in enumerate((0.9, 0.6, 0.25)):
+            target, query = related_tiles(100 * n + seed, n, n + 9, identity)
+            check(target, query, scoring)
+            check(query, target, scoring)
+        return
     scale = 1_000_000 if scheme == "huge" else 1
     for seed, ydrop in enumerate((0, 7, 30, 100, 1000)):
         target, query = related_tiles(100 * n + seed, n, n + 9)
@@ -56,6 +108,39 @@ def test_block_boundary_lengths_match_oracle(scheme, n):
     target, query = related_tiles(n, n, n + 9)
     full = assert_matches_oracle(target, query, scoring, BIG_Y)
     assert full.rows_computed == n  # every block boundary was crossed
+
+
+def island_tiles(seed, n):
+    """An ``n``-row query and a target whose backgrounds never match
+    (target A/C, query G/T), except for one planted island (a copy with
+    substitutions and a 2 bp deletion) that ends a few rows before the
+    query does: every scheme's best local path is the island's."""
+    rng = np.random.default_rng(seed)
+    m = n + int(rng.integers(-20, 21))
+    target = rng.integers(0, 2, size=m).astype(np.uint8)
+    query = rng.integers(2, 4, size=n).astype(np.uint8)
+    length = int(rng.integers(30, 41))
+    t0 = int(rng.integers(0, m - length - 2))
+    island = target[t0 : t0 + length + 2].copy()
+    island = np.concatenate([island[: length // 2], island[length // 2 + 2 :]])
+    edits = rng.random(length) < 0.08
+    island[edits] = (island[edits] + 1) % 4
+    q0 = n - length - int(rng.integers(0, 6))
+    query[q0 : q0 + length] = island
+    return Sequence(target, name="t"), Sequence(query, name="q")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_local_path_starting_past_the_second_block_matches_oracle(scheme):
+    scoring = SCHEMES[scheme]
+    rng = np.random.default_rng(len(scheme))
+    for seed in range(8):
+        n = int(rng.integers(2 * _BLOCK + 50, 401))
+        target, query = island_tiles(1000 * seed + n, n)
+        want = assert_local_matches_oracle(target, query, scoring)
+        # The walk starts in a block past the second and stops on that
+        # block's zero plane.
+        assert want.query_start > 2 * _BLOCK
 
 
 def test_dead_row_is_first_row_of_a_block():

@@ -59,6 +59,28 @@ class TestFrequencyMask:
         mask = frequency_mask(seq, word_length=12)
         assert not mask.any()
 
+    @pytest.mark.parametrize("word_length", [-3, 0, 33])
+    def test_word_length_outside_1_to_32_rejected(self, word_length):
+        seq = Sequence.from_string("ACGT" * 30)
+        with pytest.raises(ValueError, match="between 1 and 32"):
+            frequency_mask(seq, word_length=word_length)
+
+    def test_32mers_differing_only_in_the_leading_base_stay_apart(self, rng):
+        # Word A occurs twice and B (A with its first base changed) once:
+        # neither passes the 2-occurrence floor unless they merge.  The
+        # spacers start with distinct bases, so no later window repeats.
+        word = markov_genome(32, rng).codes
+        other = word.copy()
+        other[0] = (other[0] + 1) % 4
+        spacers = [markov_genome(40, rng).codes.copy() for _ in range(3)]
+        for base, spacer in enumerate(spacers):
+            spacer[0] = base
+        codes = np.concatenate(
+            [word, spacers[0], word, spacers[1], other, spacers[2]]
+        )
+        mask = frequency_mask(Sequence(codes), word_length=32)
+        assert not mask.any()
+
 
 class TestMaskApplication:
     def test_soft_mask_replaces_with_n(self):

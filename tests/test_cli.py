@@ -311,6 +311,61 @@ class TestMalformedFasta:
         )
 
 
+class TestMissingInput:
+    """A missing input path or a directory is one ``PATH: strerror``
+    line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "kind, strerror",
+        [("missing", "No such file or directory"), ("dir", "Is a directory")],
+    )
+    @pytest.mark.parametrize(
+        "command", ["align", "chain", "net", "mask", "tblastx"]
+    )
+    def test_exits_with_one_line(self, genomes, command, kind, strerror):
+        bad = genomes / "nope"
+        if kind == "dir":
+            bad.mkdir()
+        fasta = [str(genomes / "target.fa"), str(genomes / "query.fa")]
+        argv = {
+            "align": ["align", str(bad), fasta[1]],
+            "chain": ["chain", str(bad), *fasta],
+            "net": ["net", str(bad), *fasta],
+            "mask": ["mask", str(bad), "--out", str(genomes / "m.fa")],
+            "tblastx": ["tblastx", fasta[0], str(bad)],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code) == f"{bad}: {strerror}"
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize("word_length", ["-3", "0", "33"])
+    def test_mask_word_length(self, genomes, word_length):
+        argv = [
+            "mask",
+            str(genomes / "target.fa"),
+            "--out",
+            str(genomes / "m.fa"),
+            "--word-length",
+            word_length,
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code) == (
+            "--word-length: word_length must be between 1 and 32, "
+            f"got {word_length}"
+        )
+        assert not (genomes / "m.fa").exists()
+
+    @pytest.mark.parametrize("max_hits", ["-1", "0"])
+    def test_tblastx_max_hits(self, genomes, max_hits):
+        fasta = [str(genomes / "target.fa"), str(genomes / "query.fa")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tblastx", *fasta, "--max-hits", max_hits])
+        assert str(excinfo.value.code) == "--max-hits must be at least 1"
+
+
 class TestMalformedMaf:
     """A malformed MAF is one ``PATH: line N: message`` line, not a
     traceback."""
