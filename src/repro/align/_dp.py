@@ -23,9 +23,17 @@ traceback state, only what the sweeps share:
 * the within-row prefix-scan identity for ``H``: because ``o >= e``,
   ``H(i,j) = max_{k<j} (V'(i,k) + k*e) - o - (j-1)*e``, so one
   ``np.maximum.accumulate`` replaces the column-sequential chain;
-* narrow-dtype selection: kernels run in ``int32`` when every reachable
-  DP value (plus the minus-infinity sentinel's headroom) provably fits,
-  falling back to ``int64`` otherwise — scores are exact either way;
+* narrow-dtype selection, a ladder of exact tiers: kernels run in
+  ``int32`` when every reachable DP value (plus the minus-infinity
+  sentinel's headroom) provably fits, falling back to ``int64``
+  otherwise; the banded local kernel alone has a 16-bit tier below
+  both (:func:`banded_local_dtype`), taken when its tile's score range,
+  gap floor and sentinel all fit — the paper's 320 bp filter tile with
+  band 32 under the LASTZ matrix tops out at 32,000.  For that tier the
+  banded kernel biases its prefix-scan input by ``-(width - 1) * e``
+  (and its unbias ladder by the same), so ``V + c*e`` never exceeds the
+  tile's top score; the bias cancels, so it runs on every tier.  Scores
+  are exact on every tier;
 * grow-only scratch workspaces so hot kernels never touch fresh pages
   (first-touch page faults dominate fresh-slab allocation costs).  A
   slab is never released, so what a kernel asks for is what the process
@@ -52,6 +60,10 @@ NEG_INF = np.int64(-(2**42))
 #: strictly below every reachable real value *and* every live threshold
 #: whenever :func:`kernel_dtype` selects ``int32`` (see REAL_VALUE_CAP).
 NEG_INF32 = np.int32(-(2**28))
+
+#: The 16-bit sentinel: below every real value of a banded local tile
+#: that :func:`banded_local_dtype` admits, with room for one ``- e``.
+NEG_INF16 = -(2**14)
 
 #: ``int32`` kernels are only selected while every reachable DP value and
 #: X-drop threshold is provably below this bound; sentinel arithmetic
@@ -108,9 +120,42 @@ def kernel_dtype(
     )
 
 
+def banded_local_dtype(
+    scoring: ScoringScheme, rows: int, cols: int, band: int
+) -> np.dtype:
+    """The narrowest exact dtype for a banded local sweep.
+
+    Below :func:`kernel_dtype`'s tiers sits a 16-bit one, exact when
+    every value the sweep can hold fits (``W+``/``W-`` are the largest
+    and smallest matrix entries):
+
+    * ``V`` lies in ``[0, min(rows, cols) * W+]``; the diagonal
+      candidate ``V(i-1, j-1) + W`` obeys the same upper bound and is
+      at least ``W-``;
+    * ``U`` and ``H`` are at least ``-(o + 2B*e)``;
+    * the in-row prefix scan is biased by ``-(width - 1) * e`` with
+      ``width <= 2B + 1``, so it stays in ``[-2B*e, V+]``;
+    * the sentinel :data:`NEG_INF16` sits below every real value and
+      keeps headroom for one ``- e`` (``e <= o`` is below it too).
+
+    Otherwise the tile falls back to :func:`kernel_dtype`.
+    """
+    matrix = scoring.matrix64
+    o = int(scoring.gap_open)
+    e = int(scoring.gap_extend)
+    top = min(rows, cols) * max(int(matrix.max()), 0)
+    floor = max(o + 2 * band * e, -int(matrix.min()))
+    if top <= 2**15 - 1 and floor < -NEG_INF16:
+        # repro: allow[KER001] 0 <= V <= top < 2**15, U/H/scan >= -floor > NEG_INF16
+        return np.dtype(np.int16)
+    return kernel_dtype(scoring, max(rows, cols))
+
+
 def neg_inf(dtype: np.dtype) -> int:
     """The minus-infinity sentinel for a kernel dtype."""
-    return int(NEG_INF32) if np.dtype(dtype) == np.int32 else int(NEG_INF)
+    return {2: NEG_INF16, 4: int(NEG_INF32)}.get(
+        np.dtype(dtype).itemsize, int(NEG_INF)
+    )
 
 
 _MATRIX_CACHE: Dict[Tuple[int, str], Tuple[ScoringScheme, np.ndarray]] = {}

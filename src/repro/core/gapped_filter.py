@@ -3,7 +3,8 @@
 Each D-SOFT candidate hit gets a ``T_f``-sized tile with the seed hit at
 its centre; a banded Smith-Waterman pass (band ``B``) produces the tile
 maximum ``V_max`` and its position ``x_max``.  Candidates with
-``V_max >= H_f`` become extension anchors at ``x_max``.
+``V_max >= H_f`` and ``V_max > 0`` become extension anchors at
+``x_max`` (a tile that scored nothing has no ``x_max``).
 
 Tiles have identical geometry, so they are processed in stacked batches —
 the software mirror of the hardware's 50-64 parallel BSW arrays — with
@@ -152,7 +153,11 @@ def gapped_filter_stream(
                     )
                 scored = stop
             anchors: List[AnchorHit] = []
-            passing = np.flatnonzero(scores[begin:end] >= params.threshold)
+            # A tile that scored nothing has no x_max to anchor at
+            # (bsw_batch reports (0, 0)), whatever H_f is.
+            passing = np.flatnonzero(
+                scores[begin:end] >= max(params.threshold, 1)
+            )
             for idx in passing:
                 # x_max in genome coordinates: tile origin + offset.
                 at = begin + idx

@@ -33,6 +33,25 @@ class TestNarrowDtype:
         )
         assert rules_of(findings) == ["KER001", "KER001"]
 
+    def test_allow_covers_only_its_own_int16_line(self):
+        # The one sanctioned 16-bit site (the banded sweep's proved
+        # tier in align/_dp.py) does not excuse its neighbour.
+        findings = lint_snippet(
+            """
+            import numpy as np
+
+            def banded_local_dtype(fits):
+                if fits:
+                    # repro: allow[KER001] 0 <= V <= top < 2**15
+                    return np.dtype(np.int16)
+                return np.dtype(np.int16)
+            """,
+            modname="repro.align._dp",
+            select=KER,
+        )
+        assert rules_of(findings) == ["KER001"]
+        assert findings[0].line == 8
+
     def test_uint8_pointers_pass(self):
         findings = lint_snippet(
             """

@@ -73,6 +73,28 @@ class TestFilter:
         )
         assert len(lenient.anchors) >= len(strict.anchors)
 
+    def test_tile_that_scored_nothing_is_no_anchor_at_threshold_zero(
+        self, scoring
+    ):
+        # DarwinWGAConfig.scaled(f) gives H_f = 0 for f < 1/4000.  An
+        # all-A vs all-C tile scores 0 and has no x_max; it used to
+        # pass and anchor 161 bp off the seed at the tile's (0, 0).
+        target = Sequence(np.zeros(1000, dtype=np.uint8), "t")
+        query = Sequence(np.ones(1000, dtype=np.uint8), "q")
+        candidates = np.array([200])
+        result = gapped_filter(
+            target, query, candidates, candidates, scoring,
+            FilterParams(threshold=0),
+        )
+        assert result.anchors == []
+        assert result.tiles == 1
+        # A tile that does score still passes H_f = 0, at its x_max.
+        same = gapped_filter(
+            target, target, candidates, candidates, scoring,
+            FilterParams(threshold=0),
+        )
+        assert [a.filter_score for a in same.anchors] == [320 * 91]
+
     def test_edge_tiles_are_n_padded(self, scoring, rng):
         target = Sequence(rng.integers(0, 4, 500).astype(np.uint8), "t")
         query = Sequence(target.codes.copy(), "q")
