@@ -8,9 +8,7 @@ cache); the individual benchmarks derive their tables from those runs.
 
 Scale knob: set ``REPRO_BENCH_SCALE`` (default 1.0) to grow/shrink the
 synthetic genomes; shapes are stable across scales, absolute numbers grow
-with genome size.  ``REPRO_BENCH_WORKERS`` (default 1) runs the pair
-alignments through the parallel execution engine — the alignments are
-byte-identical by construction, only the wall-clock columns move.
+with genome size.
 
 These benchmarks reproduce the paper's tables and figures; they write
 no file.  How fast the code runs is measured by ``perf/run.py`` (see
@@ -29,7 +27,6 @@ from repro.genome import make_species_pair
 from repro.lastz import LastzAligner
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 #: Synthetic stand-ins for the paper's four species pairs, ordered from
 #: closest to most distant (Figure 8 distances in substitutions/site).
@@ -97,10 +94,8 @@ def _run_pair(name, distance, seed):
         **PAIR_MODEL,
     )
     target, query = pair.target.genome, pair.query.genome
-    with DarwinWGA(workers=WORKERS) as aligner:
-        darwin = aligner.align(target, query)
-    with LastzAligner(workers=WORKERS) as aligner:
-        lastz = aligner.align(target, query)
+    darwin = DarwinWGA().align(target, query)
+    lastz = LastzAligner().align(target, query)
     return PairRun(
         name=name,
         distance=distance,

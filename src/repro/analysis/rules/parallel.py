@@ -1,12 +1,10 @@
 """Parallel-dispatch safety rules.
 
-PAR003 pins the streaming dataflow's memory contract: every stage
-buffer must have a hard capacity.  An unbounded ``deque()`` or
-``queue.Queue()`` between stages silently absorbs any producer/consumer
-rate mismatch — memory grows with the imbalance and the explicit
-backpressure accounting (stall counters, occupancy) reads healthy while
-the buffer balloons.  Use :class:`repro.core.stream.BoundedQueue`, a
-``maxlen``/``maxsize``, or suppress with a reason stating what else
+PAR003 pins the dataflow's memory contract: every stage buffer must
+have a hard capacity.  An unbounded ``deque()`` or ``queue.Queue()``
+between stages silently absorbs any producer/consumer rate mismatch —
+memory grows with the imbalance while occupancy reads healthy.  Give it
+a ``maxlen``/``maxsize``, or suppress with a reason stating what else
 bounds the buffer.
 
 FLOW002 looks at the two pool entry points, ``ExecutionEngine.submit``
@@ -107,8 +105,8 @@ def check_unbounded_stage_buffer(module) -> Iterator[Finding]:
             col=node.col_offset,
             message=(
                 f"{name} constructed without a capacity — stage buffers "
-                "must be bounded (BoundedQueue, maxlen= or maxsize>0) so "
-                "backpressure is explicit, not absorbed by memory"
+                "must be bounded (maxlen= or maxsize>0) so a rate "
+                "mismatch is refused, not absorbed by memory"
             ),
         )
 

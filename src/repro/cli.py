@@ -134,8 +134,8 @@ def _add_align(subparsers) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the extension stage "
-        "(output is byte-identical for any value)",
+        help="worker processes for chromosome-pair units; a single "
+        "pair runs in-process",
     )
     parser.add_argument(
         "--index-cache",
@@ -299,19 +299,6 @@ def _print_recovery(stats) -> None:
     )
 
 
-def _print_stream(summary) -> None:
-    if not summary:
-        return
-    print(
-        f"stream: occupancy {summary['occupancy']:.3f}, "
-        f"idle tail {summary['idle_tail_seconds']:.3f}s, "
-        f"peak in-flight {summary['peak_in_flight']}, "
-        f"{summary['backpressure_stalls']} backpressure stalls, "
-        f"{summary['dispatched_tasks']} dispatched / "
-        f"{summary['collected_tasks']} collected tasks"
-    )
-
-
 def _cmd_align(args) -> int:
     from .core.pipeline import align_assemblies, aligner_named
     from .io.maf import write_assembly_maf, write_maf
@@ -381,7 +368,6 @@ def _cmd_align(args) -> int:
             with aligner:
                 result = aligner.align(targets[0], queries[0])
             progress.advance(units=1)
-            _print_stream(aligner.last_stream)
     progress.close()
     workload = result.workload
     print(

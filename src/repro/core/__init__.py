@@ -25,8 +25,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "Workload": "pipeline",
         "aligner_named": "pipeline",
         "align_assemblies": "pipeline",
-        "BoundedQueue": "stream",
-        "StrandStream": "stream",
         "alignment_detail": "report",
         "chain_table": "report",
         "dotplot": "report",

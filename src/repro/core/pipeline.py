@@ -39,8 +39,6 @@ from .config import DarwinWGAConfig
 from .extension import extend_anchors
 from .gact_x import TileTrace
 from .gapped_filter import gapped_filter_stream
-from .stream import OrderedWindow, StrandStream, stream_extension
-from .worker import align_unit_task
 
 if TYPE_CHECKING:  # repro.parallel sits above core in the layer DAG
     from ..parallel.engine import ExecutionEngine
@@ -99,23 +97,19 @@ class SeedFilterExtendAligner:
     """The one seed -> filter -> extend dataflow both aligners run.
 
     Everything here is shared: engine lifecycle, index construction,
-    the strand loop, workload bookkeeping, GACT-X extension with anchor
-    absorption, and the two schedules (serial, and the streamed
-    dataflow of :mod:`repro.core.stream` when workers are available).
-    A concrete aligner supplies only the swappable stage — the class
-    attributes below and :meth:`_seed_filter`.
+    the strand loop, workload bookkeeping and GACT-X extension with
+    anchor absorption.  A concrete aligner supplies only the swappable
+    stage — the class attributes below and :meth:`_seed_filter`.
 
     Pass a :class:`repro.obs.Tracer` to record per-stage spans (seed /
     filter / per-anchor extension); the default :data:`NULL_TRACER` makes
     instrumentation free.
 
-    ``workers > 1`` fans the extension stage out over a process pool
-    (deterministically — output is byte-identical to ``workers=1``);
-    an externally owned :class:`~repro.parallel.engine.ExecutionEngine`
-    may be passed instead to share one pool across aligners.  Parallel
-    runs use the streamed dataflow: the seed+filter work a later strand
-    still needs overlaps in-flight extensions, one anchor per worker in
-    flight.  ``index_cache`` (a directory path or
+    :meth:`align` always runs in this process.  ``workers > 1`` (or an
+    externally owned :class:`~repro.parallel.engine.ExecutionEngine`,
+    to share one pool across aligners) is the pool
+    :func:`align_assemblies` fans whole chromosome-pair units out over;
+    a single pair never touches it.  ``index_cache`` (a directory path or
     :class:`~repro.seed.cache.SeedIndexCache`) persists seed indexes
     across runs.  ``telemetry`` (a
     :class:`~repro.obs.session.TelemetryOptions`) adds live progress
@@ -142,9 +136,8 @@ class SeedFilterExtendAligner:
         telemetry: Optional[TelemetryOptions] = None,
     ) -> None:
         self.config = config or self.config_class()
-        #: Occupancy/backpressure summary of the last parallel align()
-        #: (a :meth:`repro.obs.occupancy.StreamStats.summary` dict), or
-        #: None for serial runs.
+        #: Always None: :meth:`align` runs no parallel schedule.  Kept
+        #: for callers that read a schedule summary off the aligner.
         self.last_stream = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.workers = engine.workers if engine is not None else workers
@@ -211,8 +204,8 @@ class SeedFilterExtendAligner:
         ``queries[i]`` is the query oriented to ``strands[i]``.  Yields
         ``(seed_hits, filter_tiles, filter_cells, anchors)`` once per
         strand, lazily and in strand order: each ``next()`` does only
-        the work that strand's result still needs, so the streamed
-        schedule can extend one strand while the next is filtered.
+        the work that strand's result still needs, so a strand's
+        filter work is recorded under its own ``strand`` span.
         """
         raise NotImplementedError
 
@@ -247,71 +240,39 @@ class SeedFilterExtendAligner:
                 for strand in strands
             ]
             stage = self._seed_filter(target, queries, index, strands)
-            engine = self.engine
-            streamed = engine is not None and engine.active
-
-            def strand_stage(i: int) -> StrandStream:
-                """Strand ``i``: advance the seed+filter stage to its
-                anchors, order them — and, on the serial schedule,
-                extend them inside the same span.  Called once per
-                strand, in strand order.
-
-                The sort by filter score is a deliberate per-strand
-                ordering barrier: extension priority determines
-                absorption (best-filter-score first keeps the anchors
-                most likely to seed the strongest alignments), so it is
-                part of the byte-identical-output contract.
-                """
-                strand = strands[i]
-                oriented = queries[i]
+            alignments: List[Alignment] = []
+            workload = Workload()
+            for strand, oriented in zip(strands, queries):
                 with tracer.span(
                     "strand", strand="+" if strand == 1 else "-"
                 ):
                     hits, tiles, cells, anchors = next(stage)
-                    state = StrandStream(
-                        oriented,
-                        sorted(anchors, key=lambda a: -a.filter_score),
-                        CoverageGrid(config.absorb_granularity),
-                        Workload(
-                            seed_hits=hits,
-                            filter_tiles=tiles,
-                            filter_cells=cells,
-                            anchors=len(anchors),
-                        ),
+                    strand_workload = Workload(
+                        seed_hits=hits,
+                        filter_tiles=tiles,
+                        filter_cells=cells,
+                        anchors=len(anchors),
                     )
-                    if not streamed:
-                        state.alignments = extend_anchors(
+                    # The sort by filter score is a deliberate
+                    # per-strand ordering barrier: extension priority
+                    # determines absorption (best-filter-score first
+                    # keeps the anchors most likely to seed the
+                    # strongest alignments), so it is part of the
+                    # byte-identical-output contract.
+                    alignments.extend(
+                        extend_anchors(
                             target,
                             oriented,
-                            state.anchors,
+                            sorted(anchors, key=lambda a: -a.filter_score),
                             config.scoring,
                             config.extension,
-                            state.grid,
-                            state.workload,
+                            CoverageGrid(config.absorb_granularity),
+                            strand_workload,
                             tracer=tracer,
                             keep_tile_traces=self.keep_tile_traces,
                         )
-                return state
-
-            if streamed:
-                states, stats = stream_extension(
-                    target,
-                    len(strands),
-                    strand_stage,
-                    config.scoring,
-                    config.extension,
-                    engine,
-                    tracer=tracer,
-                    keep_tile_traces=self.keep_tile_traces,
-                )
-                self.last_stream = stats.summary()
-            else:
-                states = [strand_stage(i) for i in range(len(strands))]
-                self.last_stream = None
-            alignments = [a for state in states for a in state.alignments]
-            workload = states[0].workload
-            for state in states[1:]:
-                workload.merge(state.workload)
+                    )
+                workload.merge(strand_workload)
             alignments.sort(key=lambda a: -a.score)
             span.inc("seed_hits", workload.seed_hits)
             span.inc("filter_tiles", workload.filter_tiles)
@@ -334,8 +295,8 @@ class DarwinWGA(SeedFilterExtendAligner):
     >>> result = aligner.align(pair.target.genome, pair.query.genome)
 
     The paper's pipeline: D-SOFT diagonal-band seeding, then the banded
-    Smith-Waterman gapped filter.  Constructor options, tracing and the
-    parallel schedule are :class:`SeedFilterExtendAligner`'s.
+    Smith-Waterman gapped filter.  Constructor options and tracing are
+    :class:`SeedFilterExtendAligner`'s.
     """
 
     config_class = DarwinWGAConfig
@@ -528,7 +489,13 @@ def _windowed_units(
     pool rebuilds and serial fallbacks) and under resume: a journaled
     unit enters the window as a settled value and keeps its place in
     the order without occupying a worker.
+
+    Deferred imports: a serial run never loads the window or the task
+    functions.
     """
+    from .stream import OrderedWindow
+    from .worker import align_unit_task
+
     tracer = aligner.tracer
     cache = aligner.index_cache
     cache_dir = str(cache.directory) if cache is not None else None

@@ -33,12 +33,11 @@ from ..obs.profiling import flush_worker_profile, worker_profile_active
 from ..obs.resource import task_receipt
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..seed.cache import SeedIndexCache
-from .gact_x import gact_x_extend
 
 if TYPE_CHECKING:  # repro.parallel sits above core in the layer DAG
     from ..parallel.engine import SequenceHandle
 
-__all__ = ["align_unit_task", "extend_anchor_task", "resolve_sequence"]
+__all__ = ["align_unit_task", "resolve_sequence"]
 
 #: Shared-memory attachments held for the worker's lifetime, keyed by
 #: block name.  Attaching once per process (not per task) keeps the
@@ -84,45 +83,6 @@ def resolve_sequence(handle: SequenceHandle) -> Sequence:
     return Sequence(codes[: handle.length], name=handle.name)
 
 
-def _worker_tracer(traced: bool) -> Tracer:
-    return Tracer() if traced else NULL_TRACER
-
-
-def _finish_task(tracer, traced: bool):
-    """Common task epilogue: flush profiling, then ``(span_dicts, receipt)``.
-
-    Both are None on an untraced run.
-    """
-    if worker_profile_active():
-        flush_worker_profile()
-    if not traced:
-        return None, None
-    return serialize_spans(tracer), task_receipt(tracer)
-
-
-def extend_anchor_task(
-    target_handle: SequenceHandle,
-    query_handle: SequenceHandle,
-    anchor,
-    scoring,
-    params,
-    traced: bool,
-) -> Tuple[object, Optional[List[dict]], Optional[dict]]:
-    """Speculatively extend one anchor.
-
-    Returns its :class:`~repro.core.gact_x.ExtensionResult`; the parent
-    drops it, spans included, when the anchor turns out absorbed at its
-    serial turn.
-    """
-    target = resolve_sequence(target_handle)
-    query = resolve_sequence(query_handle)
-    tracer = _worker_tracer(traced)
-    result = gact_x_extend(
-        target, query, anchor, scoring, params, tracer=tracer
-    )
-    return (result, *_finish_task(tracer, traced))
-
-
 def align_unit_task(
     aligner_class,
     config,
@@ -141,7 +101,7 @@ def align_unit_task(
     """
     target = resolve_sequence(target_handle)
     query = resolve_sequence(query_handle)
-    tracer = _worker_tracer(traced)
+    tracer = Tracer() if traced else NULL_TRACER
     cache = (
         SeedIndexCache(index_cache_dir)
         if index_cache_dir is not None
@@ -149,4 +109,8 @@ def align_unit_task(
     )
     aligner = aligner_class(config, tracer=tracer, index_cache=cache)
     result = aligner.align(target, query)
-    return (result, *_finish_task(tracer, traced))
+    if worker_profile_active():
+        flush_worker_profile()
+    if not traced:
+        return result, None, None
+    return result, serialize_spans(tracer), task_receipt(tracer)

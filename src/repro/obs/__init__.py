@@ -20,7 +20,7 @@ v2 adds the cross-process pieces:
   hang sentinel that reads it.  It carries beats only: a task's spans
   and its receipt come home in its return value;
 * :mod:`repro.obs.occupancy` — worker-slot occupancy and idle-tail
-  accounting for both parallel schedules (the CLI's ``stream:`` line);
+  accounting for the parallel unit schedule;
 * :mod:`repro.obs.progress` — TTY-aware live status line (units
   done/in-flight/retried, cells/s, ETA) fed by the pipelines and by
   the resilient dispatcher's recovery actions;

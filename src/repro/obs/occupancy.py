@@ -1,9 +1,10 @@
-"""Worker-occupancy accounting for streamed stage graphs.
+"""Worker-occupancy accounting for the parallel unit schedule.
 
-The streaming dataflow (:mod:`repro.core.stream`) needs a clock to
-answer "how busy were the worker slots, and how long did they starve?"
-— and wall clocks are confined to :mod:`repro.obs` (DET003), so the
-tracker lives here and the coordinator only ever calls its methods.
+An assembly's chromosome-pair units run through
+:class:`repro.core.stream.OrderedWindow`, which needs a clock to answer
+"how busy were the worker slots, and how long did they starve?" — and
+wall clocks are confined to :mod:`repro.obs` (DET003), so the tracker
+lives here and the window only ever calls its methods.
 
 :class:`StreamStats` integrates ``min(in_flight, slots)`` — the number
 of worker slots that *could* have been busy — over the window from the
@@ -12,28 +13,22 @@ first dispatch to the last collection, yielding:
 * ``occupancy``          — busy slot-seconds / (slots x window): the
   fraction of worker capacity the schedule actually used;
 * ``idle_tail_seconds``  — idle slot-seconds *after the last dispatch*,
-  up to the schedule's :meth:`close`: the final drain (depth ramps to
-  zero while the slowest unit finishes) plus any trailing serial stage
-  that runs with nothing in flight (e.g. the last strand's seed+filter
-  finding no anchors).  A schedule that drained between phases would
-  pay this once per phase; the streamed schedule keeps dispatching
-  until the work is nearly over, so its tail collapses.  Mid-stream dependence stalls deliberately taken by
-  the coordinator are *not* part of the tail — they show up in
-  ``occupancy`` instead;
-* ``peak_in_flight`` / ``backpressure_stalls`` — proof the bounded
-  queues actually held the producer back instead of buffering
-  unboundedly.
+  up to the schedule's :meth:`close`: the final drain, while the depth
+  ramps to zero as the slowest units finish.  Gaps in the middle of a
+  schedule, with nothing in flight, are *not* part of the tail — they
+  show up in ``occupancy`` instead;
+* ``peak_in_flight``     — the most tasks in flight at once.
 
-Depth is counted in *dispatch units* — one task (an anchor or an
-assembly unit) occupies one worker slot, whatever its payload size — so
+Depth is counted in *dispatch units* — one task (an assembly unit)
+occupies one worker slot, whatever its payload size — so
 ``min(in_flight, slots)`` compares like with like against the worker
 count.  It counts *uncollected* tasks, not *unfinished* ones: a task
-that finished behind a slow head still counts as busy, so a bounded
-FIFO window can read every slot busy while a worker sits idle.
+that finished behind a slow head still counts as busy, so an in-order
+window can read every slot busy while a worker sits idle.
 
 The tracker is single-process and event-driven: every ``dispatched``/
-``collected``/``stalled`` call advances the integral to "now" first, so
-the math is exact for any interleaving.  Tests may inject a fake clock.
+``collected`` call advances the integral to "now" first, so the math is
+exact for any interleaving.  Tests may inject a fake clock.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ __all__ = ["StreamStats"]
 
 
 class StreamStats:
-    """Occupancy, idle-tail and backpressure accounting for one stream."""
+    """Occupancy and idle-tail accounting for one schedule."""
 
     def __init__(
         self,
@@ -63,7 +58,6 @@ class StreamStats:
         self._last_collect: Optional[float] = None
         self._closed: Optional[float] = None
         self.peak_in_flight = 0
-        self.backpressure_stalls = 0
         self.dispatched_tasks = 0
         self.collected_tasks = 0
 
@@ -95,22 +89,14 @@ class StreamStats:
         self.collected_tasks += tasks
         return self._depth
 
-    def stalled(self) -> None:
-        """Record one backpressure event: the producer had work ready
-        but a bounded queue / in-flight watermark refused it."""
-        self._advance()
-        self.backpressure_stalls += 1
-
     def close(self) -> None:
         """Pin the window's end at "now".
 
-        Called when the schedule being observed is *over* (the align
-        section ends), which may be well after the last collection: a
-        serial stage that runs after the last drain — e.g. the second
-        strand's seed+filter finding zero anchors — leaves the workers
-        idle for all of it, and that idle time belongs to the tail.
-        Without the mark the window would end at the last collect and
-        the tail would be invisible.
+        Called when the schedule being observed is *over*, which may be
+        after the last collection: a serial stage that runs after the
+        last drain leaves the workers idle for all of it, and that idle
+        time belongs to the tail.  Without the mark the window would end
+        at the last collect and the tail would be invisible.
         """
         self._closed = self._advance()
 
@@ -158,7 +144,6 @@ class StreamStats:
             "occupancy": self.occupancy(),
             "idle_tail_seconds": self.idle_tail_seconds(),
             "peak_in_flight": self.peak_in_flight,
-            "backpressure_stalls": self.backpressure_stalls,
             "dispatched_tasks": self.dispatched_tasks,
             "collected_tasks": self.collected_tasks,
         }

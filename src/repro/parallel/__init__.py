@@ -3,9 +3,9 @@
 The paper's co-processor extracts its speedup from the independence of
 seed-filter-extend work items; this package is the software analogue —
 an :class:`~repro.parallel.engine.ExecutionEngine` (process pool plus
-shared-memory sequence transport).  The deterministic orchestrators
-that fan anchors and chromosome-pair units out across it are domain
-logic and live below this layer, in :mod:`repro.core.stream` and
+shared-memory sequence transport).  The deterministic orchestrator
+that fans chromosome-pair units out across it is domain logic and
+lives below this layer, in :mod:`repro.core.stream` and
 :mod:`repro.core.worker` (the pipelines reach up only through deferred
 construction at call time — the layer DAG forbids ``core`` importing
 ``parallel``).

@@ -1,15 +1,14 @@
 """Multiprocess execution engine with shared-memory sequence transport.
 
-The pipelines are embarrassingly parallel across anchors, strands and
-chromosome pairs (the independence Darwin-WGA's co-processor exploits
-with thousands of concurrent tiles).  :class:`ExecutionEngine` wraps a
-:class:`concurrent.futures.ProcessPoolExecutor` with the pieces the
-pipelines need on top of it:
+Whole-assembly alignment is embarrassingly parallel across
+chromosome pairs.  :class:`ExecutionEngine` wraps a
+:class:`concurrent.futures.ProcessPoolExecutor` with the pieces
+:func:`repro.core.pipeline.align_assemblies` needs on top of it:
 
 * **shared-memory sequences** — a genome's code array is published once
   into :mod:`multiprocessing.shared_memory` and referenced by a small
-  picklable :class:`SequenceHandle`, so dispatching a batch of anchors
-  never re-pickles megabase arrays;
+  picklable :class:`SequenceHandle`, so dispatching a unit never
+  re-pickles megabase arrays;
 * **supervised dispatch** — :meth:`dispatch`/:meth:`result` route work
   through a :class:`~repro.parallel.supervise.ResilientDispatcher`
   (retry/timeout/pool-rebuild/serial-fallback per the engine's
@@ -41,6 +40,9 @@ from typing import Dict, List, Optional, Tuple
 
 from multiprocessing import shared_memory
 
+# The task functions workers run, loaded with the engine: a worker
+# forked from this interpreter inherits them instead of importing them.
+from ..core import worker as _tasks  # noqa: F401
 from ..genome.sequence import Sequence
 from ..obs.progress import NO_PROGRESS
 from ..obs.session import TelemetryOptions
@@ -364,17 +366,6 @@ class ExecutionEngine:
         Recovery actions are recorded as spans on ``tracer``.
         """
         return self._dispatcher().result(ticket, tracer=tracer)
-
-    def poll(self, ticket) -> bool:
-        """Whether ``ticket`` has settled, without blocking.
-
-        Advisory only: the streaming coordinator uses it for eager
-        in-order replay (drain finished results before dispatching new
-        speculation so commits see the freshest coverage grid).  A pool
-        death it reads is recovered like one seen anywhere else: one
-        rebuild, every in-flight ticket re-dispatched.
-        """
-        return self._dispatcher().poll(ticket)
 
     def _dispatcher(self):
         if self._dispatcher_obj is None:

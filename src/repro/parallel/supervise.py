@@ -8,8 +8,8 @@ ladder a production run needs:
    bounded exponential backoff (deterministic jitter, see
    :mod:`repro.resilience.policy`);
 2. **rebuild** — one rule for a dead pool, wherever it shows.  Every
-   interaction with the pool (a submit, a poll, a result wait) runs
-   through one guard; a worker death it sees — ``BrokenProcessPool``,
+   interaction with the pool (a submit or a result wait) runs through
+   one guard; a worker death it sees — ``BrokenProcessPool``,
    or a hang the liveness sentinel declares — costs one rebuild, after
    which every outstanding ticket is re-dispatched.  Only the ticket
    whose own wait saw the death is charged an attempt;
@@ -99,11 +99,10 @@ class ResilientDispatcher:
         once (its workers killed first only for a hang) and every
         outstanding ticket is re-dispatched; a death during that
         re-dispatch is one more death and goes round the same loop.
-        Reads of a future pass ``redispatch=False`` and re-dispatch
-        through this guard themselves: :meth:`result` first charges its
-        own ticket the attempt and may take it out for the serial
-        fallback, and :meth:`poll` keeps its task-error catch off the
-        recovery.  Returns ``(value, cause)``; ``cause`` is None when no
+        A read of a future passes ``redispatch=False`` and re-dispatches
+        through this guard itself: :meth:`result` first charges its own
+        ticket the attempt and may take it out for the serial fallback.
+        Returns ``(value, cause)``; ``cause`` is None when no
         death was seen, else the first one's, ``"broken_pool"`` or
         ``"hang"``.
         """
@@ -164,31 +163,6 @@ class ResilientDispatcher:
             ticket.future = self._engine.submit(ticket.fn, *ticket.args)
 
     # -- collection --------------------------------------------------
-    def poll(self, ticket: Ticket) -> bool:
-        """Whether the ticket's current attempt has settled (no block).
-
-        Advisory, for eager in-order replay in the streaming
-        coordinator: True means :meth:`result` will not wait on the
-        healthy-path future.  A future settled with a *task* exception
-        still polls True and :meth:`result` drives its retry, and an
-        injected timeout may still make :meth:`result` retry.  A settled
-        future that carries a pool death gets the supervisor's one rule
-        (:meth:`_guard`: rebuild, re-dispatch every outstanding ticket,
-        no attempt charged), and the answer is about the re-dispatched
-        future.
-        """
-        future = ticket.future
-        if future is None or not future.done():
-            return False
-        try:
-            _, cause = self._guard(future.result, 0, redispatch=False)
-        except Exception:  # a task error: result() retries it
-            return True
-        if cause is None:
-            return True
-        self._guard(self._redispatch)
-        return ticket.future.done()
-
     def _await(self, ticket: Ticket):
         """Wait for the future, watching worker liveness between slices.
 

@@ -19,9 +19,9 @@ Fault kinds:
   exceeded its deadline without waiting for it;
 * ``corrupt`` — the seed-index cache flips a byte of a freshly stored
   entry, exercising checksum quarantine-and-rebuild on the next load;
-* ``stall``   — the streaming coordinator sleeps before collecting a
-  unit, modelling a slow consumer so tests can prove the bounded
-  queues hold producers back (backpressure) without changing output.
+* ``stall``   — the unit window sleeps before collecting a
+  chromosome-pair unit, modelling a slow consumer so tests can prove
+  a late collection changes nothing in the output.
   Never part of :data:`DEFAULT_RATES`: stalls only slow a run down, so
   they fire only when a spec names them explicitly.
 * ``hang``    — the dispatched batch is replaced by a task that

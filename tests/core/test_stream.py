@@ -1,17 +1,17 @@
-"""Streaming dataflow: bounded queues, backpressure, byte-identity.
+"""One parallel schedule: chromosome-pair units through the window.
 
-The streaming contract has three legs, each pinned here:
+The contract has three legs, each pinned here:
 
-1. **boundedness** — every stage buffer has a hard capacity, the
-   in-flight watermark really limits speculation, and a slow consumer
-   (injected ``stall`` faults) holds producers back instead of growing
-   a queue;
-2. **byte-identity** — the streamed schedule commits exactly the serial
-   result at any worker count, under any fault schedule, and across
-   checkpoint/resume;
-3. **observability** — occupancy, idle tail, queue depth and
-   backpressure counters land in the metric registry and on the
-   ``extend`` span.
+1. **one schedule** — a single pair always aligns in-process, whatever
+   ``workers`` is, and never touches a pool; an assembly's units are
+   what workers run, through :class:`OrderedWindow`;
+2. **byte-identity** — the unit schedule commits exactly the serial
+   result at any worker count, under any fault schedule (a slow
+   consumer included), and across checkpoint/resume;
+3. **observability** — occupancy, idle tail, queue depth and peak
+   in-flight land in the metric registry and on the
+   ``align_assemblies`` span, and each unit's worker spans get a
+   Chrome lane of their own.
 """
 
 import importlib
@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import DarwinWGA
 from repro.core.pipeline import align_assemblies
-from repro.core.stream import BoundedQueue, OrderedWindow
+from repro.core.stream import OrderedWindow
 from repro.core import stream as stream_module
 
 # By path: ``repro.core.gapped_filter`` the attribute is the function.
@@ -76,40 +76,8 @@ def serial_lastz(pair):
     return LastzAligner().align(*pair)
 
 
-class TestBoundedQueue:
-    def test_capacity_is_enforced(self):
-        queue = BoundedQueue("q", capacity=2)
-        assert queue.offer("a")
-        assert queue.offer("b")
-        assert queue.full
-        assert not queue.offer("c")
-        assert queue.stalls == 1
-        assert len(queue) == 2
-
-    def test_fifo_order_and_head(self):
-        queue = BoundedQueue("q", capacity=3)
-        for item in ("a", "b", "c"):
-            queue.offer(item)
-        assert queue.head() == "a"
-        assert queue.take() == "a"
-        assert queue.take() == "b"
-        assert queue.head() == "c"
-
-    def test_peak_tracks_high_water_mark(self):
-        queue = BoundedQueue("q", capacity=4)
-        queue.offer("a")
-        queue.offer("b")
-        queue.take()
-        queue.offer("c")
-        assert queue.peak == 2
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedQueue("q", capacity=0)
-
-
 class FakeEngine:
-    """A dispatch surface whose tickets settle when a test says so."""
+    """A dispatch surface whose tickets are their keys."""
 
     workers = 2
     telemetry = None
@@ -117,14 +85,10 @@ class FakeEngine:
 
     def __init__(self):
         self.resilience = ResilienceOptions()
-        self.settled = set()
         self.collected = []
 
     def dispatch(self, fn, *args, key):
         return key
-
-    def poll(self, ticket):
-        return ticket in self.settled
 
     def result(self, ticket, tracer):
         self.collected.append(ticket)
@@ -137,17 +101,13 @@ class TestOrderedWindow:
         window = OrderedWindow(engine, capacity=3)
         window.dispatch(str, key="a")
         window.settle("b", "journaled b")
-        window.dispatch(str, key="c", tag="tag of c")
+        window.dispatch(str, key="c")
         assert window.full and len(window) == 3
         with pytest.raises(RuntimeError):
             window.dispatch(str, key="d")
-        assert list(window.tags()) == ["a", "b", "tag of c"]
-        engine.settled.add("c")  # a later ticket settles first
-        assert not window.ready()
         assert window.collect() == ("a", "value of a", True)
-        assert window.ready()  # the settled entry kept its place
+        # The settled entry kept its place and took no worker.
         assert window.collect() == ("b", "journaled b", False)
-        assert window.oldest == "tag of c"
         assert window.collect() == ("c", "value of c", True)
         assert not window
         assert engine.collected == ["a", "c"]
@@ -160,6 +120,38 @@ class TestOrderedWindow:
             OrderedWindow(FakeEngine(), capacity=0)
 
 
+class RefusingEngine:
+    """An external engine every pool entry point of which raises."""
+
+    workers = 2
+    active = True  # a live pool: align() must still leave it alone
+    resilience = None
+    telemetry = None
+    progress = NO_PROGRESS
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a single pair touched the engine")
+
+    share = dispatch = submit = _refuse
+
+
+class TestSinglePairInProcess:
+    @pytest.mark.parametrize("aligner_class", [DarwinWGA, LastzAligner])
+    def test_workers_leave_no_engine(
+        self, pair, serial_darwin, serial_lastz, aligner_class
+    ):
+        serial = serial_darwin if aligner_class is DarwinWGA else serial_lastz
+        with aligner_class(workers=2) as aligner:
+            result = aligner.align(*pair)
+            assert aligner._engine is None
+        assert_same_result(serial, result)
+        assert aligner.last_stream is None
+
+    def test_external_engine_is_never_used(self, pair, serial_darwin):
+        aligner = DarwinWGA(engine=RefusingEngine())
+        assert_same_result(serial_darwin, aligner.align(*pair))
+
+
 class TestStreamedIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_darwin_streamed_matches_serial(
@@ -168,10 +160,7 @@ class TestStreamedIdentity:
         with DarwinWGA(workers=workers) as aligner:
             result = aligner.align(*pair)
         assert_same_result(serial_darwin, result)
-        assert aligner.last_stream is not None
-        assert aligner.last_stream["dispatched_tasks"] == (
-            aligner.last_stream["collected_tasks"]
-        )
+        assert aligner.last_stream is None
 
     def test_lastz_streamed_matches_serial(self, pair, serial_lastz):
         with LastzAligner(workers=2) as aligner:
@@ -198,67 +187,6 @@ class TestStreamedIdentity:
         assert max(slabs) == 64
         assert sum(slabs) == serial_darwin.workload.filter_tiles
 
-    def test_tight_watermark_matches_serial(
-        self, pair, serial_darwin, monkeypatch
-    ):
-        monkeypatch.setattr(stream_module, "anchor_window", lambda w: 1)
-        with DarwinWGA(workers=2) as aligner:
-            result = aligner.align(*pair)
-        assert_same_result(serial_darwin, result)
-        assert aligner.last_stream["peak_in_flight"] == 1
-
-
-class TestBackpressure:
-    def test_watermark_bounds_speculation(self, pair, monkeypatch):
-        monkeypatch.setattr(stream_module, "anchor_window", lambda w: 2)
-        monkeypatch.setattr(stream_module, "DEFER_DIAGONAL_BP", 0)
-        with DarwinWGA(workers=2) as aligner:
-            aligner.align(*pair)
-        stats = aligner.last_stream
-        assert stats["peak_in_flight"] <= 2
-        # With deferral off and a 2-anchor window the watermark must
-        # actually throttle: anchors were pending while the window was
-        # full, and every refusal was counted.
-        assert stats["backpressure_stalls"] > 0
-
-    def test_slow_consumer_blocks_producers(
-        self, pair, serial_darwin, monkeypatch
-    ):
-        """Injected stalls slow every collection; the bounded window
-        must hold speculation at the watermark and output must not
-        change."""
-        monkeypatch.setattr(stream_module, "anchor_window", lambda w: 2)
-        sleeps = []
-        real_sleep = stream_module._sleep
-        stream_module._sleep = sleeps.append
-        try:
-            options = ResilienceOptions(
-                fault_plan=FaultPlan(5, {"stall": 1.0})
-            )
-            with DarwinWGA(workers=2, resilience=options) as aligner:
-                result = aligner.align(*pair)
-        finally:
-            stream_module._sleep = real_sleep
-        assert_same_result(serial_darwin, result)
-        assert aligner.last_stream["peak_in_flight"] <= 2
-        stalled = options.stats.injected_faults.get("stall", 0)
-        assert stalled > 0
-        assert len(sleeps) == stalled
-
-    @pytest.mark.parametrize(
-        "spec", ["3:crash=0.4,stall=0.5", "4:timeout=0.5,error=0.3"]
-    )
-    def test_chaos_streamed_output_identical(
-        self, pair, serial_darwin, spec
-    ):
-        options = ResilienceOptions(
-            policy=RetryPolicy(max_retries=2, backoff_base=0.0),
-            fault_plan=FaultPlan.parse(spec),
-        )
-        with DarwinWGA(workers=2, resilience=options) as aligner:
-            result = aligner.align(*pair)
-        assert_same_result(serial_darwin, result)
-
 
 @pytest.fixture(scope="module")
 def assemblies():
@@ -281,6 +209,41 @@ def assemblies():
     return target, query
 
 
+@pytest.fixture(scope="module")
+def serial_units(assemblies):
+    return align_assemblies(*assemblies)
+
+
+class TestBackpressure:
+    def test_slow_consumer_blocks_producers(
+        self, assemblies, serial_units, monkeypatch
+    ):
+        """Injected stalls hold every unit collection back; output must
+        not change."""
+        sleeps = []
+        monkeypatch.setattr(stream_module, "_sleep", sleeps.append)
+        options = ResilienceOptions(fault_plan=FaultPlan(5, {"stall": 1.0}))
+        result = align_assemblies(*assemblies, workers=2, resilience=options)
+        assert_same_result(serial_units, result)
+        stalled = options.stats.injected_faults.get("stall", 0)
+        assert stalled == 4  # every unit of the 2x2 assembly
+        assert len(sleeps) == stalled
+
+    @pytest.mark.parametrize(
+        "spec", ["3:crash=0.4,stall=0.5", "4:timeout=0.5,error=0.3"]
+    )
+    def test_chaos_streamed_output_identical(
+        self, assemblies, serial_units, spec
+    ):
+        options = ResilienceOptions(
+            policy=RetryPolicy(max_retries=2, backoff_base=0.0),
+            fault_plan=FaultPlan.parse(spec),
+        )
+        result = align_assemblies(*assemblies, workers=2, resilience=options)
+        assert_same_result(serial_units, result)
+        assert options.stats.injected_faults
+
+
 def _unit_span(tracer):
     return next(s for s in tracer.walk() if s.name == "align_assemblies")
 
@@ -290,8 +253,7 @@ class TestAssemblyUnitWindow:
         self, nine_units, tmp_path
     ):
         """No unit waits on a collection to be dispatched: all nine are
-        in flight at once and the producer is never refused; journaled
-        units take no worker."""
+        in flight at once; journaled units take no worker."""
         target, query = nine_units
         serial = align_assemblies(target, query)
         manifest_path = tmp_path / "run.manifest"
@@ -301,7 +263,6 @@ class TestAssemblyUnitWindow:
         )
         assert streamed.alignments == serial.alignments
         assert _unit_span(tracer).attrs["peak_in_flight"] == 9
-        assert _unit_span(tracer).attrs["backpressure_stalls"] == 0
 
         full = RunManifest.load(manifest_path)
         partial_path = tmp_path / "partial.manifest"
@@ -325,7 +286,6 @@ class TestAssemblyUnitWindow:
         )
         assert resumed.alignments == serial.alignments
         assert _unit_span(tracer).attrs["peak_in_flight"] == 7
-        assert _unit_span(tracer).attrs["backpressure_stalls"] == 0
 
     def test_resume_mid_stream_matches_serial(
         self, assemblies, tmp_path
@@ -363,88 +323,61 @@ class TestAssemblyUnitWindow:
         assert options.stats.journaled_units == 3
 
 
+def _traced_units(assemblies):
+    telemetry = TelemetryOptions()
+    tracer = Tracer()
+    align_assemblies(
+        *assemblies, workers=2, tracer=tracer, telemetry=telemetry
+    )
+    return tracer, telemetry.registry.as_dict()
+
+
 class TestStreamTelemetry:
-    def test_metrics_and_span_attributes(self, pair):
-        telemetry = TelemetryOptions()
-        tracer = Tracer()
-        with DarwinWGA(
-            workers=2, tracer=tracer, telemetry=telemetry
-        ) as aligner:
-            aligner.align(*pair)
-        metrics = telemetry.registry.as_dict()
+    def test_metrics_and_span_attributes(self, assemblies):
+        tracer, metrics = _traced_units(assemblies)
         assert metrics["stream_queue_depth"]["count"] > 0
         assert "stream_occupancy" in metrics
         assert "stream_idle_tail_seconds" in metrics
         assert "stream_peak_in_flight" in metrics
-        assert "stream_backpressure_stalls" in metrics
-        extend = next(
-            s for s in tracer.walk() if s.name == "extend"
-        )
-        assert 0.0 <= extend.attrs["occupancy"] <= 1.0
-        assert extend.attrs["idle_tail_seconds"] >= 0.0
-        assert extend.attrs["peak_in_flight"] >= 1
-        # Producer spans nest under the extend span: the overlap is
-        # real, so the trace reflects it.
-        strand_spans = [
-            s for s in extend.walk() if s.name == "strand"
-        ]
-        assert len(strand_spans) == 2
+        span = _unit_span(tracer)
+        assert 0.0 <= span.attrs["occupancy"] <= 1.0
+        assert span.attrs["idle_tail_seconds"] >= 0.0
+        assert span.attrs["peak_in_flight"] == 4
+        # Each unit's worker spans are grafted whole under the window's
+        # span: one ``align`` root per unit, both strands inside it.
+        units = [s for s in span.walk() if s.name == "align"]
+        assert len(units) == 4
+        for unit in units:
+            assert "worker" in unit.attrs
+            assert [s.name for s in unit.walk()].count("strand") == 2
 
-    @pytest.mark.parametrize("schedule", ["pair", "assembly"])
-    def test_both_schedules_report_alike(self, pair, assemblies, schedule):
-        """Anchors and assembly units share one window, so they carry
-        the same span attributes and registry names."""
-        telemetry = TelemetryOptions()
-        tracer = Tracer()
-        if schedule == "pair":
-            with DarwinWGA(
-                workers=2, tracer=tracer, telemetry=telemetry
-            ) as aligner:
-                aligner.align(*pair)
-            name = "extend"
-            dispatched = aligner.last_stream["dispatched_tasks"]
-        else:
-            align_assemblies(
-                *assemblies, workers=2, tracer=tracer, telemetry=telemetry
-            )
-            name = "align_assemblies"
-            dispatched = 4  # 2x2 chromosome pairs
-        span = next(s for s in tracer.walk() if s.name == name)
+    @pytest.mark.parametrize("schedule", ["assembly"])
+    def test_both_schedules_report_alike(self, assemblies, schedule):
+        """The unit window reports exactly these span attributes and
+        registry names; ``schedule`` names the one parallel schedule."""
+        tracer, metrics = _traced_units(assemblies)
         assert {
             "occupancy",
             "idle_tail_seconds",
-            "backpressure_stalls",
             "peak_in_flight",
-        } <= set(span.attrs)
-        metrics = telemetry.registry.as_dict()
+        } <= set(_unit_span(tracer).attrs)
         assert sorted(m for m in metrics if m.startswith("stream_")) == [
-            "stream_backpressure_stalls",
             "stream_idle_tail_seconds",
             "stream_occupancy",
             "stream_peak_in_flight",
             "stream_queue_depth",
         ]
-        # One depth sample as each task enters flight, one as it leaves.
-        assert metrics["stream_queue_depth"]["count"] == 2 * dispatched
+        # One depth sample as each unit enters flight, one as it leaves.
+        assert metrics["stream_queue_depth"]["count"] == 2 * 4
 
-    def test_chrome_lanes_hold_only_nested_events(self):
-        """Concurrent extension batches get a Chrome lane each.
+    def test_chrome_lanes_hold_only_nested_events(self, assemblies):
+        """Concurrent units get a Chrome lane each.
 
-        Grafted untagged, every ``extend_anchor`` landed on the parent's
-        lane, where two batches in flight at once overlap without
-        nesting; tagged with their dispatch key, each batch has its own.
+        Grafted untagged, every unit's ``align`` would land on the
+        parent's lane, where two units in flight at once overlap without
+        nesting; tagged with their dispatch key, each unit has its own.
         """
-        pair = make_species_pair(
-            30000,
-            0.5,
-            np.random.default_rng(5),
-            exon_count=20,
-            alignable_fraction=0.35,
-        )
-        tracer = Tracer()
-        with DarwinWGA(workers=2, tracer=tracer) as aligner:
-            aligner.align(pair.target.genome, pair.query.genome)
-        assert aligner.last_stream["peak_in_flight"] == 2
+        tracer, _ = _traced_units(assemblies)
         trace = to_chrome_trace(run_report(tracer))
         lanes = {}
         for event in trace["traceEvents"]:
@@ -459,10 +392,10 @@ class TestStreamTelemetry:
                     open_ends.pop()
                 assert not open_ends or end <= open_ends[-1] + slack, lane
                 open_ends.append(end)
-        anchor_lanes = {
+        unit_lanes = [
             (event["pid"], event["tid"])
             for event in trace["traceEvents"]
-            if event["name"] == "extend_anchor"
-        }
-        assert len(anchor_lanes) > 1
-        assert all(pid == 1 for pid, _ in anchor_lanes)  # worker lanes
+            if event["name"] == "align" and event["ph"] == "X"
+        ]
+        assert len(unit_lanes) == len(set(unit_lanes)) == 4
+        assert all(pid == 1 for pid, _ in unit_lanes)  # worker lanes

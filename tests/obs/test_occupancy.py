@@ -1,7 +1,7 @@
 """StreamStats under a fake clock: exact integrals, no wall time.
 
-The streamed scheduler's perf claims (occupancy, idle tail) rest on
-this accounting, so the arithmetic is pinned with a deterministic
+The unit window's occupancy and idle-tail figures rest on this
+accounting, so the arithmetic is pinned with a deterministic
 clock — every scenario computes the expected slot-second integrals by
 hand.
 """
@@ -90,7 +90,7 @@ class TestIdleTail:
         assert stats.idle_tail_seconds() == 6.0
 
     def test_mid_stream_stall_is_not_in_the_tail(self):
-        # Deferral gap in the middle (t=1..3, nothing in flight), then
+        # A gap in the middle (t=1..3, nothing in flight), then
         # another dispatch that finishes exactly at close: tail is 0,
         # the gap shows up in occupancy instead.
         stats, clock = make(slots=1)
@@ -133,13 +133,6 @@ class TestIdleTail:
 
 
 class TestCounters:
-    def test_stall_and_producer_counters(self):
-        stats, _ = make()
-        stats.stalled()
-        stats.stalled()
-        assert stats.backpressure_stalls == 2
-        assert stats.summary()["backpressure_stalls"] == 2
-
     def test_dispatch_collect_bookkeeping(self):
         stats, _ = make()
         assert stats.dispatched(2) == 2

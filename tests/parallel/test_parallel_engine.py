@@ -32,6 +32,18 @@ def assert_same_result(serial, parallel):
         ), field
 
 
+def halves(genome, prefix):
+    """A two-chromosome assembly cut from ``genome``."""
+    half = len(genome) // 2
+    return Assembly(
+        name=prefix,
+        chromosomes=[
+            Sequence(genome.codes[:half], name=f"{prefix}1"),
+            Sequence(genome.codes[half:], name=f"{prefix}2"),
+        ],
+    )
+
+
 class TestEngine:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -91,7 +103,7 @@ class TestEngine:
 
 
 class TestAnchorParallelism:
-    """Per-anchor fan-out is byte-identical to serial at any width."""
+    """A pair aligned with workers is byte-identical to serial."""
 
     @pytest.mark.parametrize("distance", [0.2, 0.8])
     def test_darwin_matches_serial(self, distance):
@@ -117,14 +129,16 @@ class TestAnchorParallelism:
         assert_same_result(serial, parallel)
 
     def test_traced_run_funnel_balances(self, small_pair):
-        target = small_pair.target.genome
-        query = small_pair.query.genome
+        """A single pair runs in-process, so the anchor funnel is
+        checked where workers run: a 2x2 assembly's grafted units."""
+        target = halves(small_pair.target.genome, "t")
+        query = halves(small_pair.query.genome, "q")
         tracer = Tracer()
-        with DarwinWGA(tracer=tracer, workers=3) as aligner:
-            result = aligner.align(target, query)
+        result = align_assemblies(target, query, tracer=tracer, workers=3)
         report = run_report(tracer, result=result)
         stages = report["stages"]
         funnel = report["funnel"]
+        assert stages["align"]["count"] == 4
         # Exactly one grafted extend_anchor span per surviving anchor,
         # and the merged counters agree with the Workload accounting.
         assert (

@@ -12,8 +12,8 @@ process and models the pool as a generation counter:
 * futures settle lazily, when first read.
 
 A death is placed before or after each of the first ten engine
-submits, or just before each of the seven driver calls (three submits,
-one poll, three results): 27 placements, so 378 single or paired
+submits, or just before each of the six calls ``run`` makes (three
+submits, three results): 26 placements, so 351 single or paired
 schedules per retry budget, each a few milliseconds.
 ``ScriptedMonitor`` adds hangs: its ``overdue()`` fires at scripted
 waits.  The last test pins, in the source, that the supervisor keeps
@@ -37,7 +37,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 PLACEMENTS = (
     [("before", submit) for submit in range(1, 11)]
     + [("after", submit) for submit in range(1, 11)]
-    + [("call", call) for call in range(7)]
+    + [("call", call) for call in range(6)]
 )
 SCHEDULES = [(placement,) for placement in PLACEMENTS] + list(
     itertools.combinations(PLACEMENTS, 2)
@@ -156,7 +156,7 @@ class ScriptedMonitor:
 
 
 def run(deaths, max_retries, hung_waits=()):
-    """Three submits, one poll, three results; a death may precede each."""
+    """Three submits, then three results; a death may precede each."""
     pool = ScriptedPool(deaths, hung_waits)
     monitor = ScriptedMonitor(pool) if hung_waits else None
     options = ResilienceOptions(
@@ -164,14 +164,12 @@ def run(deaths, max_retries, hung_waits=()):
     )
     dispatcher = ResilientDispatcher(pool, options, sleep=lambda _: None)
     tickets, results = [], []
-    for call in range(7):
+    for call in range(6):
         pool.at(("call", call))
         if call < 3:
             tickets.append(dispatcher.submit(double, call, key=f"u{call}"))
-        elif call == 3:
-            dispatcher.poll(tickets[0])
         else:
-            results.append(dispatcher.result(tickets[call - 4]))
+            results.append(dispatcher.result(tickets[call - 3]))
     return pool, monitor, dispatcher, tickets, results
 
 
@@ -210,7 +208,7 @@ def violations(deaths, max_retries, hung_waits=()):
 
 @pytest.mark.parametrize("max_retries", [0, 2])
 def test_every_death_placement_recovers(max_retries):
-    assert len(SCHEDULES) == 378
+    assert len(SCHEDULES) == 351
     failed = {}
     for deaths in SCHEDULES:
         broken = violations(deaths, max_retries)
@@ -231,7 +229,7 @@ def test_every_hang_placement_recovers(max_retries):
 
 
 def test_single_hang_terminates_once_and_redispatches_the_rest():
-    pool, monitor, dispatcher, tickets, results = run((), 2, hung_waits=(1,))
+    pool, monitor, dispatcher, tickets, results = run((), 2, hung_waits=(2,))
     assert results == [0, 2, 4]
     assert pool.rebuilds == [True]
     assert monitor.escalations == dispatcher.options.stats.hangs == 1
@@ -245,7 +243,7 @@ def test_second_death_during_redispatch_does_not_escape():
     # Death observed in result(u1); the first re-dispatch submit (the
     # fourth engine submit) finds the fresh pool dead again.
     pool, _, dispatcher, tickets, results = run(
-        (("call", 5), ("before", 4)), max_retries=2
+        (("call", 4), ("before", 4)), max_retries=2
     )
     assert results == [0, 2, 4]
     assert dispatcher.options.stats.pool_rebuilds == pool.fired == 2
@@ -254,17 +252,10 @@ def test_second_death_during_redispatch_does_not_escape():
 
 def test_no_retry_budget_rebuilds_once_per_death():
     # One death while waiting on u1: u1 falls back, u2 is re-dispatched.
-    pool, _, dispatcher, _, results = run((("call", 5),), max_retries=0)
+    pool, _, dispatcher, _, results = run((("call", 4),), max_retries=0)
     stats = dispatcher.options.stats
     assert results == [0, 2, 4]
     assert (stats.pool_rebuilds, stats.serial_fallbacks) == (1, 1)
-
-
-def test_poll_charges_no_attempt_for_a_death_it_reads():
-    pool, _, dispatcher, tickets, results = run((("call", 3),), 2)
-    assert results == [0, 2, 4]
-    assert pool.rebuilds == [False]
-    assert [ticket.attempt for ticket in tickets] == [0, 0, 0]
 
 
 def test_one_except_clause_names_broken_process_pool():

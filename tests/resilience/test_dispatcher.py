@@ -139,40 +139,6 @@ class TestRealFaults:
         assert stats.serial_fallbacks == 1
 
 
-class TestPollRecovery:
-    def test_poll_false_until_settled(self, engine):
-        dispatcher = make_dispatcher(engine)
-        ticket = dispatcher.submit(slow_identity, 1, key="slow")
-        assert not dispatcher.poll(ticket)
-        assert dispatcher.result(ticket) == 1
-
-    def test_poll_surfaces_broken_pool_and_redispatches(self, engine):
-        """Regression: a future settled with BrokenProcessPool must not
-        poll True — a streamed caller would then drain a dead pool.
-        poll() runs the same rebuild-and-redispatch submit() does."""
-        dispatcher = make_dispatcher(
-            engine, rates={"crash": 1.0}, max_retries=1
-        )
-        ticket = dispatcher.submit(double, 6, key="unit")
-        broken_future = ticket.future
-        # Wait for the injected crash to land (the future settles with
-        # BrokenProcessPool), without invoking any recovery path.
-        from concurrent.futures.process import BrokenProcessPool
-
-        error = broken_future.exception(timeout=30)
-        assert isinstance(error, BrokenProcessPool)
-        dispatcher.poll(ticket)
-        stats = dispatcher.options.stats
-        assert stats.pool_rebuilds >= 1
-        # Recovery replaced the dead future; no retry was charged (the
-        # substrate died, not the attempt).
-        assert ticket.future is not broken_future
-        assert ticket.attempt == 0
-        # The ladder still completes the work.
-        assert dispatcher.result(ticket) == 12
-        assert not dispatcher._outstanding
-
-
 class TestHangEscalation:
     def test_hang_injection_escalates_through_the_sentinel(self):
         """A SIGSTOP-style hang (worker alive, silent, never returns)

@@ -7,7 +7,8 @@ line.  ``PARENT_ALL`` is each package's ``__all__`` as it stood before
 the ``__init__`` files became ``name -> submodule`` tables, less the
 names deleted since: ``RANKS``, ``SELF_CONTAINED``, ``TOP_ONLY`` and
 ``PROJECT_RULES`` from ``repro.analysis`` (the layer table now lives in
-``tests/test_layers.py``).
+``tests/test_layers.py``), and ``BoundedQueue`` and ``StrandStream``
+from ``repro.core`` (a single pair no longer streams its anchors).
 """
 
 import json
@@ -92,8 +93,20 @@ class TestAlignLoadsWhatItRuns:
     @pytest.mark.parametrize(
         "aligner, also_off",
         [
-            ("darwin", ("repro.lastz", "repro.parallel", "repro.align.ungapped")),
-            ("lastz", ("repro.parallel",)),
+            (
+                "darwin",
+                (
+                    "repro.lastz",
+                    "repro.parallel",
+                    "repro.align.ungapped",
+                    "repro.core.stream",
+                    "repro.core.worker",
+                ),
+            ),
+            (
+                "lastz",
+                ("repro.parallel", "repro.core.stream", "repro.core.worker"),
+            ),
         ],
     )
     def test_serial_align(self, fasta_dir, aligner, also_off):
@@ -184,7 +197,7 @@ PARENT_ALL = {
         GactExtensionResult GactParams gact_extend tile_size_for_memory
         ExtensionResult TileTrace gact_x_extend score_cigar truncate_cigar
         GappedFilterResult gapped_filter DarwinWGA WGAResult Workload
-        aligner_named align_assemblies BoundedQueue StrandStream
+        aligner_named align_assemblies
         alignment_detail chain_table dotplot workload_summary
     """,
     "repro.genome": """
