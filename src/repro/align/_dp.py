@@ -11,7 +11,7 @@ paper calls ``H`` "insertion" and ``U`` "deletion"; CIGAR emission maps a
 horizontal move (consuming a target base) to ``D`` and a vertical move
 (consuming a query base) to ``I``, the SAM query-centric convention.
 
-The production kernels are two vectorised row sweeps: the lane engine
+The production kernels are two vectorised row sweeps: the tile engine
 of :mod:`repro.align.xdrop`, which runs X-drop, Smith-Waterman and
 Needleman-Wunsch tiles and keeps their 4-bit traceback flags, and the
 banded batch of :mod:`repro.align.banded_sw`, which keeps none.  Both

@@ -3,7 +3,7 @@
 Nothing in the pipeline calls it; it is a library entry point (exported
 by :mod:`repro.align`) that tests pin to its oracle.
 
-The kernel is GACT-X's lane engine (:func:`repro.align.xdrop.full_tile`)
+The kernel is GACT-X's tile engine (:func:`repro.align.xdrop.full_tile`)
 with no ``Y`` and no clamp: every row spans the tile, the score is
 ``V(n, m)`` read back from the engine's row ring, and the traceback walk
 over the packed 4-bit flags starts at that corner and pads to the

@@ -6,7 +6,7 @@ restrictions are inactive.  It is O(n*m) in time, so it is meant for
 tiles and tests, not genomes.  GACT (:mod:`repro.core.gact`) aligns each
 of its tiles with :func:`align_local`.
 
-The kernel is GACT-X's lane engine (:func:`repro.align.xdrop.full_tile`)
+The kernel is GACT-X's tile engine (:func:`repro.align.xdrop.full_tile`)
 in local mode with no ``Y``: every row spans the tile, ``V`` is clamped
 at zero, and the traceback walk over the packed 4-bit flags starts at
 the best cell and stops where a fifth flag plane marks ``V == 0``.  The

@@ -1,4 +1,4 @@
-"""One lane engine for X-drop (GACT-X), Smith-Waterman and Needleman-Wunsch.
+"""One tile engine for X-drop (GACT-X), Smith-Waterman and Needleman-Wunsch.
 
 One affine-gap row pipeline (paper equations 1-3) with one 4-bit-per-cell
 traceback store (GACT-X, paper section III-D and Fig. 10) serves three
@@ -6,7 +6,7 @@ kernels, which differ only in the two parameters of the oracle
 (``row_update(local)`` and the traceback's start cell in
 :mod:`repro.align._reference`) and in whether rows are pruned:
 
-* **X-drop extension** (:func:`xdrop_extend`, :func:`run_tile_streams`):
+* **X-drop extension** (:func:`xdrop_extend`, :class:`TileEngine`):
   Needleman-Wunsch scoring (values may go negative), anchored at the
   tile origin: the path starts at cell (0, 0), with any leading gaps
   charged against the origin boundary, and ends wherever the maximum
@@ -31,25 +31,31 @@ oracles in :mod:`repro.align._reference`):
 
 * Because each X-drop row's window depends on the previous row's live
   set, the recurrence is row-sequential by construction; the speed comes
-  from a *lane-lockstep* engine instead of an anti-diagonal sweep.  Every
-  DP row of up to ``L`` concurrent tiles (the two extension directions of
-  a GACT-X anchor run in lockstep) becomes one batch of vector ops over a
-  ``(L, W)`` window slab, computed in the narrowest exact dtype
-  (:func:`repro.align._dp.kernel_dtype`) on persistent, cache-resident
-  workspace buffers.  ``H`` uses the prefix-scan identity from
-  :mod:`repro.align._dp`.
-* The row stores are *shifted*: ``v_store`` holds ``V - o`` and
-  ``u_store`` holds ``U - e``, so the next row's gap candidate
-  ``U(i,j) = max(V(i-1,j)-o, U(i-1,j)-e)`` is a single elementwise
-  ``max`` of two stored rows — no subtractions in the hot loop — and
-  the gap ``o``/``e`` charges are paid once, inside the store writes
-  the recurrence needs anyway.  The diagonal term compensates with a
-  ``+o``-baked substitution matrix: ``(V-o) + (W+o) = V + W``.
+  from a *one-tile row sweep* instead of an anti-diagonal sweep.  Each
+  DP row is a fixed sequence of vector ops over its window, in the
+  narrowest exact dtype (:func:`repro.align._dp.kernel_dtype`), that
+  reads the previous row straight from the row rings and writes the
+  current row straight into them (``out=``); nothing is gathered into
+  or copied out of a batch buffer.  ``H`` uses the prefix-scan identity
+  from :mod:`repro.align._dp`.  Batching the two extension directions
+  of a GACT-X anchor as lanes of one ``(L, W)`` slab costs more in
+  per-lane gathers and copy-backs than it saves in calls
+  (EXPERIMENTS.md, "One tile at a time").
+* The row stores are *shifted*: ``v_store`` holds ``V - o``,
+  ``u_store`` holds ``U - e`` and ``h_store`` holds ``H - o``, so the
+  next row's gap candidate ``U(i,j) = max(V(i-1,j)-o, U(i-1,j)-e)`` is
+  a single elementwise ``max`` of two stored rows — no subtractions in
+  the hot loop — and the gap ``o``/``e`` charges are paid once, inside
+  the store writes the recurrence needs anyway (``H - o`` comes straight
+  out of the prefix scan's unbias ladder).  The diagonal term
+  compensates with a ``+o``-baked substitution matrix:
+  ``(V-o) + (W+o) = V + W``.
 * Traceback state is four bits per cell of the computed window, as in
   the hardware, written a block of ``_BLOCK`` rows at a time.  The
   forward pass keeps only ``(_BLOCK + 1)``-row *rings* of ``V - o``,
   ``U - e`` and ``H - o`` (slot 0 carries the previous block's last
-  row).  When a block fills, or the lane finishes, ``_flush`` derives
+  row); a score-only run keeps no ``H`` ring, only one scratch row.
+  When a block fills, or the tile finishes, ``_flush`` derives
   the flags for all of its rows in one bulk pass over the union of
   their windows — ``H == V`` (horizontal move; the tie priority puts it
   first), ``V == U`` (vertical move), ``H(i,j) == H(i,j-1) - e`` (the H
@@ -58,17 +64,16 @@ oracles in :mod:`repro.align._reference`):
   (the U run extends; ties side with extension, as in the oracle), plus
   a fifth *zero plane* ``V == 0`` in local mode (where a local path
   starts) — and appends them, bit-packed, to one flat ``uint8`` store
-  per lane.  ``_walk`` is then the reference pointer walk over those
-  bits.  Deriving the flags per row inside ``_step`` instead reaches
-  the same memory but adds 14 numpy calls to a 29-call row step;
-  deferred to the block they cost 4 compares and 2 integer ops per 64
-  rows.
+  per tile.  ``_walk`` is then the reference pointer walk over those
+  bits.  Deriving the flags per row inside the sweep instead reaches
+  the same memory but adds 14 numpy calls to every row; deferred to
+  the block they cost 4 compares and 2 integer ops per 64 rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -124,54 +129,22 @@ def _empty_extension(with_traceback: bool) -> XDropExtension:
     )
 
 
-class _Lane:
-    """Per-tile DP state of one lockstep lane."""
+class TileEngine:
+    """Sweeps tiles, one at a time, through the affine-gap row pipeline.
 
-    __slots__ = (
-        "stream",
-        "slot",
-        "target",
-        "query",
-        "q_codes",
-        "m",
-        "n",
-        "i",
-        "lo",
-        "hi",
-        "boundary",
-        "best",
-        "best_i",
-        "best_j",
-        "sub_cols",
-        "v_store",
-        "u_store",
-        "h_store",
-        "stored",
-        "pointers",
-        "pointer_bytes",
-        "blocks",
-        "row_windows",
-        "cells",
-    )
-
-
-class _LaneEngine:
-    """Runs tile streams through the lockstep row pipeline.
-
-    A *stream* yields tiles one at a time (``next_tile``) and receives
-    each tile's :class:`XDropExtension` back (``consume``) before being
-    asked for the next — which lets GACT-X's tile chaining decide the
-    next tile from the previous tile's maximum while the other stream's
-    lane keeps advancing.  Lanes at heterogeneous rows/windows are
-    batched per row into shared ``(L, W)`` buffers.
+    One engine holds one workspace: the row rings, the pointer store and
+    the row scratch are reused by every tile it extends, so a GACT-X
+    direction's tile chain (:func:`repro.core.gact_x.gact_x_extend`)
+    calls :meth:`extend` once per tile on the same memory.  Tiles
+    longer than ``max_tile_len`` are rejected (the dtype and the
+    scratch are sized from it).
 
     ``ydrop=None`` computes every row over the whole tile, with no
     threshold, live set or window update; ``local`` is the oracle's
     Smith-Waterman switch (zero boundaries, ``V`` clamped at zero, a
     walk that stops at a zero).  With neither, the tile is
     Needleman-Wunsch: the score is ``V(n, m)`` and the walk starts
-    there.  ``rows_out``, when set, receives every ``V`` row of a
-    single-lane run.
+    there.
     """
 
     def __init__(
@@ -179,16 +152,17 @@ class _LaneEngine:
         scoring: ScoringScheme,
         ydrop: Optional[int],
         max_tile_len: int,
-        with_traceback: bool,
+        with_traceback: bool = True,
         local: bool = False,
     ) -> None:
+        if ydrop is not None and ydrop < 0:
+            raise ValueError("ydrop must be non-negative")
         self.scoring = scoring
         self.ydrop = ydrop
         self.with_traceback = with_traceback
         self.prune = ydrop is not None
         self.local = local
         self.corner = not (self.prune or local)
-        self.rows_out: Optional[np.ndarray] = None
         slack = ydrop if self.prune else 0
         self.gap_slack = slack // max(1, scoring.gap_extend) + 1
         self.planes = 5 if local else 4
@@ -196,148 +170,24 @@ class _LaneEngine:
         self.negf = _dp.neg_inf(self.dtype)
         self.o = int(scoring.gap_open)
         self.e = int(scoring.gap_extend)
-        self.matrix = _dp.matrix_for(scoring, self.dtype)
         # +o baked in: diagonal candidates read shifted V rows (V - o),
         # so (V - o) + (W + o) restores the true V + W.
-        self.matrix_o = self.matrix + self.dtype.type(self.o)
-        self.ke, self.oke = _dp.gap_ladders(
+        matrix = _dp.matrix_for(scoring, self.dtype)
+        self.matrix_o = matrix + self.dtype.type(self.o)
+        self.ke, oke = _dp.gap_ladders(
             scoring, max_tile_len + 2, self.dtype
         )
+        # The scan's unbias ladder shifted by one more o: it yields the
+        # stored H - o directly.
+        self.oke_o = oke[: max_tile_len + 2] + self.dtype.type(self.o)
         self.max_tile_len = max_tile_len
-        self.ws = _dp.acquire_workspace()
-        self._next_slot = 0
-        self._free_slots: List[int] = []
-
-    def close(self) -> None:
-        _dp.release_workspace(self.ws)
-
-    # -- lane lifecycle ---------------------------------------------------
-
-    def _alloc_slot(self) -> int:
-        if self._free_slots:
-            return self._free_slots.pop()
-        slot = self._next_slot
-        self._next_slot += 1
-        return slot
-
-    def _admit(self, stream, lanes: List[_Lane], slot: int) -> None:
-        """Pull tiles from ``stream`` until one starts a lane (or none)."""
-        while True:
-            tile = stream.next_tile()
-            if tile is None:
-                self._free_slots.append(slot)
-                return
-            t_tile, q_tile = tile
-            longest = max(len(t_tile), len(q_tile))
-            if longest > self.max_tile_len:
-                raise ValueError(
-                    f"tile of {longest} bp exceeds max_tile_len "
-                    f"{self.max_tile_len}"
-                )
-            if len(t_tile) == 0 or len(q_tile) == 0:
-                stream.consume(_empty_extension(self.with_traceback))
-                continue
-            lane = _Lane()
-            lane.stream = stream
-            lane.slot = slot
-            self._start_tile(lane, t_tile, q_tile)
-            lanes.append(lane)
-            return
-
-    def _start_tile(
-        self, lane: _Lane, target: Sequence, query: Sequence
-    ) -> None:
-        m = len(target)
-        n = len(query)
-        lane.target = target
-        lane.query = query
-        lane.q_codes = query.codes.tolist()
-        lane.m = m
-        lane.n = n
-        lane.sub_cols = self.matrix_o[:, target.codes]
-        key = str(lane.slot)
-        ring = (_BLOCK + 1, m + 2 + _BYTE_PAD)
-        lane.v_store = self.ws.array("xv" + key, ring, self.dtype)
-        lane.u_store = self.ws.array("xu" + key, ring, self.dtype)
-        if self.with_traceback:
-            lane.h_store = self.ws.array("xh" + key, ring, self.dtype)
-            # Worst case: every row's block spans all m columns.
-            lane.pointers = self.ws.array(
-                "xp" + key, (n * self.planes * ((m + 7) // 8),), np.uint8
-            )
-        else:
-            lane.h_store = None
-            lane.pointers = None
-        lane.pointer_bytes = 0
-        lane.blocks = []
-        lane.stored = 0
-        boundary = _dp.boundary_scores(m, self.scoring, free=self.local)
-        lane.v_store[0, : m + 1] = boundary - self.o
-        lane.u_store[0, : m + 1] = self.negf
-        lane.i = 1
-        lane.lo = 1
-        lane.hi = m
-        if self.prune:
-            # Row 0 live set under the initial V_max = 0.
-            live = np.flatnonzero(boundary >= -self.ydrop)
-            last0 = int(live[-1]) if live.size else 0
-            lane.hi = min(m, last0 + 1 + self.gap_slack)
-        lane.best = 0
-        lane.best_i = 0
-        lane.best_j = 0
-        lane.row_windows = []
-        lane.cells = 0
-
-    def _finish_lane(self, lane: _Lane, lanes: List[_Lane]) -> None:
-        if self.corner:
-            # Needleman-Wunsch: the score is V(n, m), read back from the
-            # ring, and the walk starts there.
-            last = lane.v_store[(lane.n - 1) % _BLOCK + 1, lane.m]
-            lane.best = int(last) + self.o
-            lane.best_i = lane.n
-            lane.best_j = lane.m
-        cigar: Optional[Cigar] = None
-        if self.with_traceback:
-            self._flush(lane)
-            # best_i stays 0 until a row beats the initial V_max = 0.
-            cigar = self._walk(lane) if lane.best_i else Cigar(())
-        result = XDropExtension(
-            score=lane.best,
-            max_i=lane.best_i,
-            max_j=lane.best_j,
-            cigar=cigar,
-            cells=lane.cells,
-            row_windows=tuple(lane.row_windows),
-            traceback_bytes=lane.pointer_bytes,
-        )
-        stream = lane.stream
-        slot = lane.slot
-        stream.consume(result)
-        self._admit(stream, lanes, slot)
-
-    # -- the row pipeline -------------------------------------------------
-
-    def run(self, streams: Iterable) -> None:
-        lanes: List[_Lane] = []
-        for stream in streams:
-            self._admit(stream, lanes, self._alloc_slot())
-        if not lanes:
-            return
-        cap = len(lanes)
-        wc = self.max_tile_len + 2
-        ws = self.ws
-        self.dg = ws.array("dg", (cap, wc), self.dtype)
-        self.uu = ws.array("uu", (cap, wc), self.dtype)
-        self.vb = ws.array("vb", (cap, wc), self.dtype)
-        self.acc = ws.array("acc", (cap, wc), self.dtype)
-        self.hh = ws.array("hh", (cap, wc), self.dtype)
-        self.vv = ws.array("vv", (cap, wc), self.dtype)
-        self.thr = ws.array("thr", (cap, 1), self.dtype)
-        self.liveb = ws.array("liveb", (cap, wc), np.dtype(bool))
-        self.views_for = None
-        if self.with_traceback:
-            # One block's flag planes and integer scratch, shared by the
-            # lanes (a flush runs one lane at a time).
+        self.ws = ws = _dp.acquire_workspace()
+        wc = max_tile_len + 2
+        self.dg = ws.array("dg", (wc,), self.dtype)
+        self.acc = ws.array("acc", (wc,), self.dtype)
+        self.live = ws.array("live", (wc,), np.dtype(bool))
+        if with_traceback:
+            # One block's flag planes and integer scratch.
             wide = wc + _BYTE_PAD
             self.flags = ws.array(
                 "flags", (self.planes * _BLOCK * wide,), np.dtype(bool)
@@ -345,231 +195,279 @@ class _LaneEngine:
             self.diff = ws.array(
                 "diff", ((_BLOCK + 1) * wide,), self.dtype
             )
-        while lanes:
-            self._step(lanes)
+        else:
+            self.h_row = ws.array("h", (wc,), self.dtype)
 
-    def _step(self, lanes: List[_Lane]) -> None:
+    def close(self) -> None:
+        _dp.release_workspace(self.ws)
+
+    def __enter__(self) -> "TileEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def extend(
+        self,
+        target: Sequence,
+        query: Sequence,
+        rows_out: Optional[np.ndarray] = None,
+    ) -> XDropExtension:
+        """Sweep one ``target x query`` tile from its origin.
+
+        ``rows_out``, when set, receives every ``V`` row of the tile.
+        """
+        m = len(target)
+        n = len(query)
+        if max(m, n) > self.max_tile_len:
+            raise ValueError(
+                f"tile of {max(m, n)} bp exceeds max_tile_len "
+                f"{self.max_tile_len}"
+            )
+        if m == 0 or n == 0:
+            return _empty_extension(self.with_traceback)
+        ws = self.ws
+        dtype = self.dtype
+        ring = (_BLOCK + 1, m + 2 + _BYTE_PAD)
+        self.v_store = v_store = ws.array("xv", ring, dtype)
+        self.u_store = u_store = ws.array("xu", ring, dtype)
+        with_traceback = self.with_traceback
+        if with_traceback:
+            self.h_store = h_store = ws.array("xh", ring, dtype)
+            # Worst case: every row's block spans all m columns.
+            self.pointers = ws.array(
+                "xp", (n * self.planes * ((m + 7) // 8),), np.uint8
+            )
+            h_rows = list(h_store)
+        else:
+            # Score-only: every slot is the one scratch H row.
+            h_rows = [self.h_row] * (_BLOCK + 1)
         negf = self.negf
         o = self.o
         e = self.e
         ydrop = self.ydrop
         gap_slack = self.gap_slack
-        with_traceback = self.with_traceback
-        prune, local, rows_out = self.prune, self.local, self.rows_out
-        n_lanes = len(lanes)
-        width = 0
-        for lane in lanes:
-            w = lane.hi - lane.lo + 1
-            if w > width:
-                width = w
-        if (n_lanes, width) != self.views_for:
-            # A row as wide as the last one reuses its slab views.
-            self.views_for = (n_lanes, width)
-            self.views = (
-                self.uu[:n_lanes, :width],
-                self.dg[:n_lanes, :width],
-                self.vb[:n_lanes, :width],
-                self.hh[:n_lanes, :width],
-                self.vv[:n_lanes, :width],
-                self.acc[:n_lanes, : width + 1],
-                self.thr[:n_lanes],
-                self.liveb[:n_lanes, :width],
-            )
-        uu, dg, vb, hh, vv, acc, thr, live = self.views
+        prune = self.prune
+        local = self.local
+        track_best = not self.corner
+        ke = self.ke
+        oke_o = self.oke_o
+        dg_buf = self.dg
+        acc_buf = self.acc
+        live_buf = self.live
+        sub_rows = list(self.matrix_o[:, target.codes])
+        q_codes = query.codes.tolist()
+        # Ring rows as 1-D views: a row step slices them and never
+        # indexes a 2-D ring.
+        v_rows = list(v_store)
+        u_rows = list(u_store)
 
-        # Per-lane gathers from the stored previous row into the batch
-        # slabs.  The stores hold ``V - o`` and ``U - e``, so the whole
-        # gap-candidate max ``U(i,j) = max(V(i-1,j)-o, U(i-1,j)-e)`` is
-        # one elementwise max of two stored rows, and the diagonal term
-        # uses the ``+o``-baked substitution volume; windows are
-        # absolute column slices, so each gather is a contiguous 1-D
-        # op.  Short lanes get a NEG-filled tail.  Row ``i`` lives in
-        # ring slot ``(i - 1) % _BLOCK + 1``, its predecessor one below.
-        for idx, lane in enumerate(lanes):
-            lo = lane.lo
-            hi = lane.hi
-            row = lane.i
-            w = hi - lo + 1
+        boundary = _dp.boundary_scores(m, self.scoring, free=local)
+        v_store[0, : m + 1] = boundary - o
+        u_store[0, : m + 1] = negf
+        lo = 1
+        hi = m
+        if prune:
+            # Row 0 live set under the initial V_max = 0.
+            live = np.flatnonzero(boundary >= -ydrop)
+            last0 = int(live[-1]) if live.size else 0
+            hi = min(m, last0 + 1 + gap_slack)
+        best = best_i = best_j = 0
+        windows: List[Tuple[int, int]] = []
+        cells = 0
+        blocks: List[Tuple[int, int, int, int]] = []
+        pointer_bytes = 0
+        stored = 0
+        for row in range(1, n + 1):
+            # Row ``i`` lives in ring slot ``(i - 1) % _BLOCK + 1``, its
+            # predecessor one below.  Windows are absolute column
+            # slices, so every op is a contiguous 1-D one.
             prev = (row - 1) % _BLOCK
-            vs_prev = lane.v_store[prev]
+            slot = prev + 1
+            w = hi - lo + 1
+            v_prev = v_rows[prev]
+            v_cur = v_rows[slot]
+            u_cur = u_rows[slot]
+            v_row = v_cur[lo : hi + 1]
+            u_row = u_cur[lo : hi + 1]
+            h_row = h_rows[slot][lo : hi + 1]
+            dg = dg_buf[:w]
+            acc = acc_buf[:w]
+            # The stores hold V - o and U - e: U is one max of two
+            # stored rows, and V before the H term is its max with the
+            # +o-baked diagonal.
             np.maximum(
-                vs_prev[lo : hi + 1],
-                lane.u_store[prev, lo : hi + 1],
-                out=uu[idx, :w],
+                v_prev[lo : hi + 1], u_rows[prev][lo : hi + 1], out=u_row
             )
             np.add(
-                vs_prev[lo - 1 : hi],
-                lane.sub_cols[lane.q_codes[row - 1], lo - 1 : hi],
-                out=dg[idx, :w],
+                v_prev[lo - 1 : hi],
+                sub_rows[q_codes[row - 1]][lo - 1 : hi],
+                out=dg,
             )
-            if w < width:
-                uu[idx, w:] = negf
-                dg[idx, w:] = negf
+            np.maximum(dg, u_row, out=dg)
+            np.subtract(u_row, e, out=u_row)
+            if local:
+                np.maximum(dg, 0, out=dg)
             if lo > 1:
-                lane.boundary = negf
+                left = negf
             elif local:
-                lane.boundary = 0
+                left = 0
             else:
-                lane.boundary = -(o + (row - 1) * e)
-            acc[idx, 0] = lane.boundary
-
-        # One batched affine-gap row update for every lane (same op
-        # sequence as the reference row_update, minus pointer assembly).
-        np.maximum(uu, dg, out=vb)
-        if local:
-            np.maximum(vb, 0, out=vb)
-        np.add(vb, self.ke[1 : width + 1], out=acc[:, 1:])
-        np.maximum.accumulate(acc, axis=1, out=acc)
-        np.subtract(acc[:, :width], self.oke[:width], out=hh)
-        np.maximum(vb, hh, out=vv)
-
-        # Best update must precede the live threshold (the row's own
-        # maximum tightens it), so the threshold compare is a second
-        # batched pass.  A row whose maximum misses the threshold has no
-        # live cell: the extension dies there.
-        # With no Y there is no threshold, live set or window update.
-        dead = [False] * n_lanes
-        if not self.corner:
-            amax = vv.argmax(axis=1).tolist()
-            for idx, lane in enumerate(lanes):
-                j = amax[idx]
-                row_max = int(vv[idx, j])
-                if row_max > lane.best:
-                    lane.best = row_max
-                    lane.best_i = lane.i
-                    lane.best_j = lane.lo + j
-                if prune:
-                    threshold = lane.best - ydrop
-                    thr[idx, 0] = threshold
-                    dead[idx] = row_max < threshold
-        if prune:
-            np.greater_equal(vv, thr, out=live)
-            first = live.argmax(axis=1).tolist()
-            last = live[:, ::-1].argmax(axis=1).tolist()
-
-        finished: List[_Lane] = []
-        for idx, lane in enumerate(lanes):
-            lo = lane.lo
-            hi = lane.hi
-            row = lane.i
-            w = hi - lo + 1
-            lane.row_windows.append((lo, hi))
-            lane.cells += w
-            if dead[idx]:
-                # The dead row still counts (window + cells) but stores
-                # nothing, exactly like the reference's early break.
-                finished.append(lane)
-                continue
-            slot = (row - 1) % _BLOCK + 1
-            vs = lane.v_store[slot]
-            us = lane.u_store[slot]
-            vs[lo - 1] = lane.boundary - o
-            np.subtract(vv[idx, :w], o, out=vs[lo : hi + 1])
-            np.subtract(uu[idx, :w], e, out=us[lo : hi + 1])
-            if with_traceback:
-                np.subtract(
-                    hh[idx, :w], o, out=lane.h_store[slot, lo : hi + 1]
-                )
+                left = -(o + (row - 1) * e)
+            acc[0] = left
+            np.add(dg[: w - 1], ke[1:w], out=acc[1:])
+            np.maximum.accumulate(acc, out=acc)
+            np.subtract(acc, oke_o[:w], out=h_row)
+            np.subtract(dg, o, out=v_row)
+            np.maximum(v_row, h_row, out=v_row)
+            windows.append((lo, hi))
+            cells += w
+            if track_best:
+                j = int(v_row.argmax())
+                row_max = int(v_row[j]) + o
+                if row_max > best:
+                    best = row_max
+                    best_i = row
+                    best_j = lo + j
+                if prune and row_max < best - ydrop:
+                    # A row whose maximum misses the threshold has no
+                    # live cell: the extension dies there.  The row
+                    # still counts (window + cells) but is not stored,
+                    # exactly like the reference's early break.
+                    break
+            v_cur[lo - 1] = left - o
             if rows_out is not None:
-                rows_out[row, lo : hi + 1] = vv[idx, :w]
-            lane.stored = row
-            if row == lane.n:
-                finished.append(lane)
-                continue
+                np.add(v_row, o, out=rows_out[row, lo : hi + 1])
+            stored = row
+            if row == n:
+                break
             if prune:
-                next_lo = lo + first[idx]
-                next_hi = min(lane.m, lo + width - last[idx] + gap_slack)
+                live = live_buf[:w]
+                np.greater_equal(v_row, best - ydrop - o, out=live)
+                next_lo = lo + int(live.argmax())
+                next_hi = min(
+                    m, lo + w - int(live[::-1].argmax()) + gap_slack
+                )
                 if next_hi < next_lo:
-                    finished.append(lane)
-                    continue
+                    break
                 if next_hi > hi:
                     # The next row reads past this row's written window
                     # where the reference sees NEG_INF; seed that margin.
-                    vs[hi + 1 : next_hi + 1] = negf
-                    us[hi + 1 : next_hi + 1] = negf
-                lane.lo = next_lo
-                lane.hi = next_hi
+                    v_cur[hi + 1 : next_hi + 1] = negf
+                    u_cur[hi + 1 : next_hi + 1] = negf
+                lo = next_lo
+                hi = next_hi
             if slot == _BLOCK:
                 # Block full: pack its pointers, then carry this row
                 # into slot 0 as the next block's predecessor.
                 if with_traceback:
-                    self._flush(lane)
-                lane.v_store[0] = vs
-                lane.u_store[0] = us
-            lane.i = row + 1
+                    pointer_bytes = self._flush(
+                        windows, blocks, _BLOCK, pointer_bytes
+                    )
+                v_store[0] = v_store[_BLOCK]
+                u_store[0] = u_store[_BLOCK]
 
-        for lane in finished:
-            lanes.remove(lane)
-            self._finish_lane(lane, lanes)
+        if self.corner:
+            # Needleman-Wunsch: the score is V(n, m), read back from the
+            # ring, and the walk starts there.
+            best = int(v_store[(n - 1) % _BLOCK + 1, m]) + o
+            best_i = n
+            best_j = m
+        cigar: Optional[Cigar] = None
+        if with_traceback:
+            unpacked = stored - len(blocks) * _BLOCK
+            if unpacked:
+                pointer_bytes = self._flush(
+                    windows, blocks, unpacked, pointer_bytes
+                )
+            # best_i stays 0 until a row beats the initial V_max = 0.
+            cigar = (
+                self._walk(target, q_codes, windows, blocks, best_i, best_j)
+                if best_i
+                else Cigar(())
+            )
+        return XDropExtension(
+            score=best,
+            max_i=best_i,
+            max_j=best_j,
+            cigar=cigar,
+            cells=cells,
+            row_windows=tuple(windows),
+            traceback_bytes=pointer_bytes,
+        )
 
     # -- traceback --------------------------------------------------------
 
-    def _flush(self, lane: _Lane) -> None:
-        """Pack the traceback flags of the ring's not yet packed rows.
+    def _flush(
+        self,
+        windows: List[Tuple[int, int]],
+        blocks: List[Tuple[int, int, int, int]],
+        k: int,
+        start: int,
+    ) -> int:
+        """Pack the traceback flags of block ``len(blocks)``'s ``k`` rows.
 
-        The rows are block ``len(lane.blocks)``: ring slots ``1..k``.
-        Each flag (see the module docstring) is one compare over the
-        ``k x width`` rectangle spanning the union of the rows' windows,
-        widened to whole bytes; cells of the rectangle outside a row's
-        own window hold stale values and yield bits the walk never
-        reads.  With ``D = (U - e) - (V - o)`` per stored row, "V == U"
-        is ``D == o - e`` and "U extends" is ``D >= 0`` one row up, so
-        both cost one subtraction.  The block is appended to
-        ``lane.pointers`` as four bit-planes of ``k`` rows (five in local
-        mode: ``V == 0`` is ``V - o == -o``) and located by its
-        ``(offset, first column, row bytes, plane bytes)``.
+        They sit in ring slots ``1..k``.  Each flag (see the module
+        docstring) is one compare over the ``k x width`` rectangle
+        spanning the union of the rows' windows, widened to whole bytes;
+        cells of the rectangle outside a row's own window hold stale
+        values and yield bits the walk never reads.  With
+        ``D = (U - e) - (V - o)`` per stored row, "V == U" is
+        ``D == o - e`` and "U extends" is ``D >= 0`` one row up, so both
+        cost one subtraction.  The block is written to the pointer store
+        at byte ``start`` as four bit-planes of ``k`` rows (five in local
+        mode: ``V == 0`` is ``V - o == -o``), located by the
+        ``(offset, first column, row bytes, plane bytes)`` appended to
+        ``blocks``; the next free byte is returned.
         """
-        first = len(lane.blocks) * _BLOCK
-        k = lane.stored - first
-        if k <= 0:
-            return
-        windows = lane.row_windows
+        first = len(blocks) * _BLOCK
         lo = windows[first][0]  # windows never move left
         hi = max([window[1] for window in windows[first : first + k]])
         row_bytes = (hi - lo + 8) // 8
         width = row_bytes * 8
         stop = lo + width  # at most _BYTE_PAD columns past the tile
-        vs = lane.v_store
-        h = lane.h_store[1 : k + 1, lo:stop]
+        vs = self.v_store
+        hs = self.h_store
+        h = hs[1 : k + 1, lo:stop]
         planes = self.planes
         flags = self.flags[: planes * k * width].reshape(planes, k, width)
         diff = self.diff[: (k + 1) * width].reshape(k + 1, width)
         np.equal(h, vs[1 : k + 1, lo:stop], out=flags[0])
         np.subtract(
-            lane.u_store[: k + 1, lo:stop], vs[: k + 1, lo:stop], out=diff
+            self.u_store[: k + 1, lo:stop], vs[: k + 1, lo:stop], out=diff
         )
         np.equal(diff[1:], self.o - self.e, out=flags[1])
         np.greater_equal(diff[:k], 0, out=flags[3])
-        np.subtract(
-            h, lane.h_store[1 : k + 1, lo - 1 : stop - 1], out=diff[:k]
-        )
+        np.subtract(h, hs[1 : k + 1, lo - 1 : stop - 1], out=diff[:k])
         np.equal(diff[:k], -self.e, out=flags[2])
         if self.local:
             np.equal(vs[1 : k + 1, lo:stop], -self.o, out=flags[4])
-        packed = np.packbits(flags.reshape(-1), bitorder="little")
-        start = lane.pointer_bytes
-        lane.pointers[start : start + packed.size] = packed
-        lane.blocks.append((start, lo, row_bytes, k * row_bytes))
-        lane.pointer_bytes = start + packed.size
+        bits = np.packbits(flags.reshape(-1), bitorder="little")
+        self.pointers[start : start + bits.size] = bits
+        blocks.append((start, lo, row_bytes, k * row_bytes))
+        return start + bits.size
 
-    def _walk(self, lane: _Lane) -> Cigar:
+    def _walk(
+        self,
+        target: Sequence,
+        q_codes: List[int],
+        windows: List[Tuple[int, int]],
+        blocks: List[Tuple[int, int, int, int]],
+        i: int,
+        j: int,
+    ) -> Cigar:
         """The reference pointer walk over the packed flag planes.
 
-        A cell outside its row's window reads as ``DIR_NONE`` with no
-        flags, as in the oracle: the walk stops there in state V, and a
-        gap run ends there.  The H-extend flag of a window's first
-        column is never set (the oracle has no ``H(i, lo - 1)``).  In
-        local mode the walk also stops, in state V, on the zero plane,
-        and it does not pad.
+        Starts at cell ``(i, j)``.  A cell outside its row's window
+        reads as ``DIR_NONE`` with no flags, as in the oracle: the walk
+        stops there in state V, and a gap run ends there.  The H-extend
+        flag of a window's first column is never set (the oracle has no
+        ``H(i, lo - 1)``).  In local mode the walk also stops, in state
+        V, on the zero plane, and it does not pad.
         """
         local = self.local
-        i = lane.best_i
-        j = lane.best_j
-        windows = lane.row_windows
-        blocks = lane.blocks
-        bits = memoryview(lane.pointers)
-        t_codes = lane.target.codes.tolist()
-        q_codes = lane.q_codes
+        bits = memoryview(self.pointers)
+        t_codes = target.codes.tolist()
         ops: List[str] = []
         state = "V"
         floor = i  # first step looks its block up
@@ -624,46 +522,6 @@ class _LaneEngine:
         return Cigar.from_ops(reversed(ops))
 
 
-def run_tile_streams(
-    streams: Iterable,
-    scoring: ScoringScheme,
-    ydrop: int,
-    max_tile_len: int,
-    with_traceback: bool = True,
-) -> None:
-    """Drive tile streams through one shared lockstep engine.
-
-    Each stream must provide ``next_tile() -> (target, query) | None``
-    and ``consume(XDropExtension)``; tiles longer than ``max_tile_len``
-    are not allowed (the engine sizes its batch buffers from it).
-    GACT-X uses this to run an anchor's left and right extensions in
-    lockstep, halving the per-row Python overhead.
-    """
-    if ydrop < 0:
-        raise ValueError("ydrop must be non-negative")
-    engine = _LaneEngine(scoring, ydrop, max_tile_len, with_traceback)
-    try:
-        engine.run(streams)
-    finally:
-        engine.close()
-
-
-class _SingleTile:
-    """A one-tile stream backing ``xdrop_extend`` and ``full_tile``."""
-
-    def __init__(self, target: Sequence, query: Sequence) -> None:
-        self._tile: Optional[Tuple[Sequence, Sequence]] = (target, query)
-        self.result: Optional[XDropExtension] = None
-
-    def next_tile(self) -> Optional[Tuple[Sequence, Sequence]]:
-        tile = self._tile
-        self._tile = None
-        return tile
-
-    def consume(self, extension: XDropExtension) -> None:
-        self.result = extension
-
-
 def xdrop_extend(
     target: Sequence,
     query: Sequence,
@@ -684,15 +542,9 @@ def xdrop_extend(
         An :class:`XDropExtension`; its CIGAR starts exactly at the tile
         origin (leading gaps included, paper section III-D).
     """
-    if ydrop < 0:
-        raise ValueError("ydrop must be non-negative")
-    m = len(target)
-    n = len(query)
-    if m == 0 or n == 0:
-        return _empty_extension(with_traceback)
-    stream = _SingleTile(target, query)
-    run_tile_streams((stream,), scoring, ydrop, max(m, n), with_traceback)
-    return stream.result
+    longest = max(len(target), len(query))
+    with TileEngine(scoring, ydrop, longest, with_traceback) as engine:
+        return engine.extend(target, query)
 
 
 def full_tile(
@@ -712,12 +564,6 @@ def full_tile(
     ``(n + 1, m + 1)`` array, receives every ``V`` row past row 0 and
     column 0.  Both sequences must be non-empty.
     """
-    stream = _SingleTile(target, query)
     longest = max(len(target), len(query))
-    engine = _LaneEngine(scoring, None, longest, with_traceback, local)
-    engine.rows_out = rows_out
-    try:
-        engine.run((stream,))
-    finally:
-        engine.close()
-    return stream.result
+    with TileEngine(scoring, None, longest, with_traceback, local) as engine:
+        return engine.extend(target, query, rows_out)

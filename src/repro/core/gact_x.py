@@ -17,24 +17,22 @@ Left extension reuses the same rules on reversed sequences.  An anchor is
 extended both ways and the merged path is rescored from its CIGAR, so gap
 runs that straddle the anchor or a tile boundary are charged correctly.
 
-The two directions run *in lockstep*: each is a :class:`_DirectionStream`
-that feeds tiles to — and receives extensions back from — the shared
-lane engine in :func:`repro.align.xdrop.run_tile_streams`, which batches
-one DP row of both directions' current tiles into a single set of vector
-ops.  Tile chaining is unaffected (a stream is asked for its next tile
-only after consuming the previous tile's result), so the stitched output
-is identical to running the directions one after the other.
+Each direction is a plain loop (:func:`_extend_direction`) that decides
+a tile's origin from the previous tile's maximum and sweeps the tile
+through :class:`repro.align.xdrop.TileEngine`.  The right chain runs to
+its end, then the left one, on one engine and one workspace, so only
+one direction's traceback store is live at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..align.alignment import Alignment, AnchorHit
 from ..align.cigar import Cigar
 from ..align.scoring import ScoringScheme
-from ..align.xdrop import XDropExtension, run_tile_streams
+from ..align.xdrop import TileEngine, XDropExtension
 from ..genome.sequence import Sequence
 from ..obs.tracer import NULL_TRACER
 from .config import ExtensionParams
@@ -131,52 +129,37 @@ def score_cigar(
     return total
 
 
-class _DirectionStream:
-    """One direction's tile chain, expressed as a stream for the engine.
+class _Chain(NamedTuple):
+    """One direction's stitched tile chain."""
 
-    ``next_tile``/``consume`` carry the stitched state machine of the
-    original per-direction loop: the engine asks for the next tile only
-    after the previous tile's extension has been consumed, so the chain
-    still decides each tile origin from the previous tile's maximum.
+    cigar: Cigar
+    target_span: int
+    query_span: int
+    traces: List[TileTrace]
+
+
+def _extend_direction(
+    target: Sequence,
+    query: Sequence,
+    params: ExtensionParams,
+    extend: Callable[[Sequence, Sequence], XDropExtension],
+) -> _Chain:
+    """Extend from the origin of ``target``/``query``, one tile at a time.
+
+    ``extend`` computes one tile (:meth:`TileEngine.extend` in
+    production); each tile's origin is decided from the previous tile's
+    maximum by the rules in the module docstring.
     """
-
-    def __init__(
-        self,
-        target: Sequence,
-        query: Sequence,
-        params: ExtensionParams,
-    ) -> None:
-        self._target = target
-        self._query = query
-        self._tile_size = params.tile_size
-        self._boundary = params.tile_size - params.overlap
-        self.cur_t = 0
-        self.cur_q = 0
-        self.pieces: List[Cigar] = []
-        self.traces: List[TileTrace] = []
-        self._done = False
-        self._t_tile: Optional[Sequence] = None
-        self._q_tile: Optional[Sequence] = None
-
-    def next_tile(self) -> Optional[Tuple[Sequence, Sequence]]:
-        if self._done or not (
-            self.cur_t < len(self._target)
-            and self.cur_q < len(self._query)
-        ):
-            self._done = True
-            return None
-        self._t_tile = self._target.slice(
-            self.cur_t, self.cur_t + self._tile_size
-        )
-        self._q_tile = self._query.slice(
-            self.cur_q, self.cur_q + self._tile_size
-        )
-        return self._t_tile, self._q_tile
-
-    def consume(self, extension: XDropExtension) -> None:
-        t_tile = self._t_tile
-        q_tile = self._q_tile
-        self.traces.append(
+    tile_size = params.tile_size
+    boundary = tile_size - params.overlap
+    cur_t = cur_q = 0
+    pieces: List[Cigar] = []
+    traces: List[TileTrace] = []
+    while cur_t < len(target) and cur_q < len(query):
+        t_tile = target.slice(cur_t, cur_t + tile_size)
+        q_tile = query.slice(cur_q, cur_q + tile_size)
+        extension = extend(t_tile, q_tile)
+        traces.append(
             TileTrace(
                 rows=extension.rows_computed,
                 cells=extension.cells,
@@ -185,9 +168,7 @@ class _DirectionStream:
             )
         )
         if extension.score <= 0 or extension.max_i == 0:
-            self._done = True
-            return
-        boundary = self._boundary
+            break
         in_overlap = (
             extension.max_i > boundary or extension.max_j > boundary
         )
@@ -195,11 +176,11 @@ class _DirectionStream:
         # by the sequence end and the maximum reached that end — a
         # full-size tile boundary is handled by the overlap logic instead.
         target_exhausted = (
-            self.cur_t + len(t_tile) >= len(self._target)
+            cur_t + len(t_tile) >= len(target)
             and extension.max_j >= len(t_tile)
         )
         query_exhausted = (
-            self.cur_q + len(q_tile) >= len(self._query)
+            cur_q + len(q_tile) >= len(query)
             and extension.max_i >= len(q_tile)
         )
         at_edge = target_exhausted or query_exhausted
@@ -208,31 +189,28 @@ class _DirectionStream:
             if di == 0 and dj == 0:
                 # The whole path lives in the overlap region; keep it and
                 # stop rather than loop without progress.
-                self.pieces.append(extension.cigar)
-                self.cur_t += extension.max_j
-                self.cur_q += extension.max_i
-                self._done = True
-                return
+                pieces.append(extension.cigar)
+                cur_t += extension.max_j
+                cur_q += extension.max_i
+                break
         else:
             piece, di, dj = (
                 extension.cigar,
                 extension.max_i,
                 extension.max_j,
             )
-        self.pieces.append(piece)
-        self.cur_t += dj
-        self.cur_q += di
+        pieces.append(piece)
+        cur_t += dj
+        cur_q += di
         if not in_overlap or at_edge:
             # x_max before the overlap region means X-drop ended the
             # alignment inside the tile; at a sequence edge there is
             # nothing left to extend into.
-            self._done = True
-
-    def merged_cigar(self) -> Cigar:
-        merged = Cigar(())
-        for piece in self.pieces:
-            merged = merged + piece
-        return merged
+            break
+    merged = Cigar(())
+    for piece in pieces:
+        merged = merged + piece
+    return _Chain(merged, cur_t, cur_q, traces)
 
 
 def _reversed_sequence(seq: Sequence) -> Sequence:
@@ -250,54 +228,47 @@ def gact_x_extend(
     """Extend an anchor in both directions with GACT-X.
 
     The right extension includes the anchor base pair; the left extension
-    runs on the reversed prefixes.  Both directions advance through one
-    lockstep lane engine (see the module docstring).  The merged
-    alignment is rescored from its CIGAR and reported only when it
+    runs on the reversed prefixes.  The right tile chain runs first, then
+    the left one, through one :class:`TileEngine` and its workspace.  The
+    merged alignment is rescored from its CIGAR and reported only when it
     reaches ``params.threshold`` (``H_e``).  When a tracer is supplied,
-    one ``extend_anchor`` span is recorded per call with a single paired
-    ``extend_direction`` child covering the lockstep run.
+    one ``extend_anchor`` span is recorded per call with one
+    ``extend_direction`` child per direction.
     """
     with tracer.span(
         "extend_anchor",
         target_pos=anchor.target_pos,
         query_pos=anchor.query_pos,
     ) as span:
-        right = _DirectionStream(
-            target.slice(anchor.target_pos, len(target)),
-            query.slice(anchor.query_pos, len(query)),
-            params,
+        directions = (
+            (
+                "right",
+                target.slice(anchor.target_pos, len(target)),
+                query.slice(anchor.query_pos, len(query)),
+            ),
+            (
+                "left",
+                _reversed_sequence(target.slice(0, anchor.target_pos)),
+                _reversed_sequence(query.slice(0, anchor.query_pos)),
+            ),
         )
-        left = _DirectionStream(
-            _reversed_sequence(target.slice(0, anchor.target_pos)),
-            _reversed_sequence(query.slice(0, anchor.query_pos)),
-            params,
-        )
-        with tracer.span(
-            "extend_direction", direction="paired"
-        ) as dspan:
-            run_tile_streams(
-                (right, left), scoring, params.ydrop, params.tile_size
-            )
-            dspan.inc(
-                "extension_tiles", len(right.traces) + len(left.traces)
-            )
-            dspan.inc(
-                "extension_cells",
-                sum(t.cells for t in right.traces)
-                + sum(t.cells for t in left.traces),
-            )
-
-        right_cigar, right_t, right_q = (
-            right.merged_cigar(),
-            right.cur_t,
-            right.cur_q,
-        )
-        left_cigar, left_t, left_q = (
-            left.merged_cigar(),
-            left.cur_t,
-            left.cur_q,
-        )
-        cigar = left_cigar.reversed() + right_cigar
+        chains = []
+        with TileEngine(scoring, params.ydrop, params.tile_size) as engine:
+            for direction, t_dir, q_dir in directions:
+                with tracer.span(
+                    "extend_direction", direction=direction
+                ) as dspan:
+                    chain = _extend_direction(
+                        t_dir, q_dir, params, engine.extend
+                    )
+                    dspan.inc("extension_tiles", len(chain.traces))
+                    dspan.inc(
+                        "extension_cells",
+                        sum(t.cells for t in chain.traces),
+                    )
+                chains.append(chain)
+        right, left = chains
+        cigar = left.cigar.reversed() + right.cigar
         tiles = tuple(left.traces) + tuple(right.traces)
         span.inc("extension_tiles", len(tiles))
         span.inc("extension_cells", sum(t.cells for t in tiles))
@@ -305,8 +276,8 @@ def gact_x_extend(
         if len(cigar) == 0:
             return ExtensionResult(alignment=None, tiles=tiles)
 
-        target_start = anchor.target_pos - left_t
-        query_start = anchor.query_pos - left_q
+        target_start = anchor.target_pos - left.target_span
+        query_start = anchor.query_pos - left.query_span
         score = score_cigar(
             cigar, target, query, target_start, query_start, scoring
         )
@@ -317,9 +288,9 @@ def gact_x_extend(
             target_name=target.name,
             query_name=query.name,
             target_start=target_start,
-            target_end=anchor.target_pos + right_t,
+            target_end=anchor.target_pos + right.target_span,
             query_start=query_start,
-            query_end=anchor.query_pos + right_q,
+            query_end=anchor.query_pos + right.query_span,
             score=score,
             cigar=cigar,
             strand=anchor.strand,

@@ -166,6 +166,14 @@ def read_maf(source: _PathOrFile) -> List[Alignment]:
                     if rows and len(text) != len(rows[0][-1]):
                         raise ValueError("MAF rows differ in length")
                     int(length)  # unused, but must be a number
+                    if strand not in ("+", "-"):
+                        raise ValueError(
+                            f"strand must be '+' or '-', not {strand!r}"
+                        )
+                    if not rows and strand != "+":
+                        raise ValueError("the target row must be on '+'")
+                    if int(pos) < 0:
+                        raise ValueError(f"negative start {pos}")
                     rows.append((name, int(pos), int(size), strand, text))
                 elif not line and len(rows) == 2:
                     (t_name, t_start, t_size, _, t_text) = rows[0]

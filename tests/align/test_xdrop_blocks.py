@@ -1,4 +1,4 @@
-"""Lane-engine edges the random differential suite cannot reach.
+"""Tile-engine edges the random differential suite cannot reach.
 
 ``tests/align/test_differential.py`` draws tiles of at most 160 bp for
 X-drop and 100 bp for Smith-Waterman and Needleman-Wunsch: at most three
@@ -6,7 +6,7 @@ traceback blocks and never a full GACT-X tile.  These cases pin the
 block machinery of :mod:`repro.align.xdrop` (ring wrap, bulk pointer
 flush, packed walk, the local zero plane) to the frozen oracles at block
 boundaries, on full 1920 x 1920 tiles, on local paths that start past
-the second block, and across lanes that recycle their stores.
+the second block, and across tiles that reuse one engine's stores.
 """
 
 import tracemalloc
@@ -23,7 +23,7 @@ from repro.align import (
     xdrop_extend,
 )
 from repro.align import _reference as ref
-from repro.align.xdrop import _BLOCK, run_tile_streams
+from repro.align.xdrop import _BLOCK, TileEngine
 from repro.genome import Sequence
 
 from .test_differential import BIG_Y, SCHEMES
@@ -194,52 +194,36 @@ def test_full_size_tile_matches_oracle(scheme):
     assert got.cells // 2 <= got.traceback_bytes <= 1920 * 1920 // 2
 
 
-class ListStream:
-    """A tile stream over a fixed list, keeping every extension."""
-
-    def __init__(self, tiles):
-        self.tiles = list(tiles)
-        self.results = []
-
-    def next_tile(self):
-        if len(self.results) == len(self.tiles):
-            return None
-        return self.tiles[len(self.results)]
-
-    def consume(self, extension):
-        self.results.append(extension)
-
-
 def test_two_lanes_with_unequal_tile_counts_match_sequential_oracle():
     scoring = SCHEMES["lastz"]
-    # The long stream's lane restarts on shorter and longer tiles while
-    # the short stream's slot drains, so rings and pointer stores are
-    # reused with stale content at other widths.
-    long_stream = ListStream(
-        [
-            related_tiles(1, 150, 160),
-            related_tiles(2, _BLOCK, 70),
-            related_tiles(3, 200, 190),
-        ]
-    )
-    short_stream = ListStream([related_tiles(4, 2 * _BLOCK + 1, 140)])
-    run_tile_streams((long_stream, short_stream), scoring, 300, 200)
-    for stream in (long_stream, short_stream):
-        assert len(stream.results) == len(stream.tiles)
-        for (target, query), got in zip(stream.tiles, stream.results):
-            want = ref.xdrop_extend_reference(target, query, scoring, 300)
-            assert (got.score, got.max_i, got.max_j, got.cells) == (
-                want.score, want.max_i, want.max_j, want.cells
-            )
-            assert got.row_windows == want.row_windows
-            assert str(got.cigar) == str(want.cigar)
+    # Shorter and longer tiles back to back through one engine, so its
+    # rings and pointer store are reused with stale content at other
+    # widths.
+    tiles = [
+        related_tiles(1, 150, 160),
+        related_tiles(4, 2 * _BLOCK + 1, 140),
+        related_tiles(2, _BLOCK, 70),
+        related_tiles(3, 200, 190),
+    ]
+    with TileEngine(scoring, 300, 200) as engine:
+        results = [engine.extend(target, query) for target, query in tiles]
+    for (target, query), got in zip(tiles, results):
+        want = ref.xdrop_extend_reference(target, query, scoring, 300)
+        assert (got.score, got.max_i, got.max_j, got.cells) == (
+            want.score, want.max_i, want.max_j, want.cells
+        )
+        assert got.row_windows == want.row_windows
+        assert str(got.cigar) == str(want.cigar)
 
 
 def test_tile_longer_than_max_tile_len_is_rejected():
     scoring = SCHEMES["lastz"]
-    stream = ListStream([related_tiles(6, 300, 300)])
-    with pytest.raises(ValueError, match="300 bp exceeds max_tile_len 100"):
-        run_tile_streams((stream,), scoring, 300, 100)
+    target, query = related_tiles(6, 300, 300)
+    with TileEngine(scoring, 300, 100) as engine:
+        with pytest.raises(
+            ValueError, match="300 bp exceeds max_tile_len 100"
+        ):
+            engine.extend(target, query)
 
 
 def test_no_traceback_holds_no_h_ring_and_no_pointers(monkeypatch):
@@ -256,8 +240,8 @@ def test_no_traceback_holds_no_h_ring_and_no_pointers(monkeypatch):
         tracemalloc.stop()
     assert got.cigar is None and got.traceback_bytes == 0
     names = {name for name, _ in workspace._slabs}
-    assert {"xv0", "xu0"} <= names
-    assert not {"xh0", "xp0", "flags", "diff"} & names
-    # Two 65-row int32 rings (0.15 MiB) plus the batch rows; the
+    assert {"xv", "xu"} <= names
+    assert not {"xh", "xp", "flags", "diff"} & names
+    # Two 65-row int32 rings (0.15 MiB) plus a few scratch rows; the
     # full-tile V/U matrices alone would be 0.7 MiB.
     assert peak < 512 * 1024

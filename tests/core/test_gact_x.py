@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.align import AnchorHit, Cigar
+from repro.align import _reference as ref
 from repro.align.matrices import lastz_default
+from repro.align.xdrop import TileEngine
 from repro.core import ExtensionParams, gact_x_extend, score_cigar, truncate_cigar
 from repro.genome import Sequence, make_species_pair
 from repro.hw import default_asic
@@ -254,3 +256,81 @@ class TestTracebackMemory:
         assert 0 < span.counters["traceback_bytes"] < (
             span.counters["extension_cells"]
         )
+
+
+class TestDirections:
+    """The right chain and then the left one, on one engine."""
+
+    @staticmethod
+    def uneven_pair(rng):
+        # 300 unrelated bases left of the anchor, a 900 bp shared core
+        # right of it: the left chain dies in its first tile, the right
+        # one runs through several 256 bp tiles.
+        core = rng.integers(0, 4, 900).astype(np.uint8)
+        target = Sequence(
+            np.concatenate([rng.integers(0, 4, 300).astype(np.uint8), core]),
+            "t",
+        )
+        query = Sequence(
+            np.concatenate([rng.integers(0, 4, 300).astype(np.uint8), core]),
+            "q",
+        )
+        return target, query, AnchorHit(300, 300, 5000)
+
+    def test_uneven_directions_match_oracle_tile_by_tile(
+        self, scoring, params, rng, monkeypatch
+    ):
+        target, query, anchor = self.uneven_pair(rng)
+        calls = []
+        extend = TileEngine.extend
+
+        def recording(engine, t_tile, q_tile, rows_out=None):
+            got = extend(engine, t_tile, q_tile, rows_out)
+            calls.append((t_tile, q_tile, got))
+            return got
+
+        monkeypatch.setattr(TileEngine, "extend", recording)
+        tracer = Tracer()
+        result = gact_x_extend(
+            target, query, anchor, scoring, params, tracer
+        )
+        (root,) = tracer.roots
+        tiles = {
+            child.attrs["direction"]: child.counters["extension_tiles"]
+            for child in root.children
+        }
+        assert tiles["left"] == 1
+        assert tiles["right"] >= 3
+        assert len(calls) == result.tile_count
+        for t_tile, q_tile, got in calls:
+            want = ref.xdrop_extend_reference(
+                t_tile, q_tile, scoring, params.ydrop
+            )
+            assert got.score == want.score
+            assert (got.max_i, got.max_j) == (want.max_i, want.max_j)
+            assert str(got.cigar) == str(want.cigar)
+            assert got.cells == want.cells
+            assert got.row_windows == want.row_windows
+        # Tiles are reported left chain first, each in chain order.
+        assert [t.row_windows for t in result.tiles] == [
+            got.row_windows for _, _, got in calls[-1:] + calls[:-1]
+        ]
+        assert result.alignment is not None
+        assert result.alignment.target_end == len(target)
+
+    def test_one_extend_direction_span_per_direction(
+        self, scoring, params, rng
+    ):
+        target, query, anchor = self.uneven_pair(rng)
+        tracer = Tracer()
+        gact_x_extend(target, query, anchor, scoring, params, tracer)
+        (root,) = tracer.roots
+        assert root.name == "extend_anchor"
+        children = [c for c in root.children if c.name == "extend_direction"]
+        assert len(children) == len(root.children) == 2
+        assert [c.attrs["direction"] for c in children] == ["right", "left"]
+        for counter in ("extension_tiles", "extension_cells"):
+            assert sum(c.counters[counter] for c in children) == (
+                root.counters[counter]
+            )
+            assert all(c.counters[counter] > 0 for c in children)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.align import _reference as ref
 from repro.core import DarwinWGAConfig, ExtensionParams, gact_x_extend
-from repro.core.gact_x import _DirectionStream, _reversed_sequence
+from repro.core.gact_x import _extend_direction, _reversed_sequence
 from repro.core.gapped_filter import gapped_filter
 from repro.hw import GactXArrayModel, SystolicArrayConfig
 from repro.hw.systolic import stripes_of
@@ -51,30 +51,28 @@ def workload(request):
 def _reference_windows(target, query, anchor, scoring, params):
     """Tile windows from the frozen oracle, via the same tile chaining.
 
-    Drives the production :class:`_DirectionStream` state machine (so
-    tile origins chain exactly as in ``gact_x_extend``) but computes
-    each tile with the row-at-a-time reference kernel.
+    Drives the production :func:`_extend_direction` loop (so tile
+    origins chain exactly as in ``gact_x_extend``) but computes each
+    tile with the row-at-a-time reference kernel.
     """
-    right = _DirectionStream(
+
+    def oracle(t_tile, q_tile):
+        return ref.xdrop_extend_reference(
+            t_tile, q_tile, scoring, params.ydrop
+        )
+
+    right = _extend_direction(
         target.slice(anchor.target_pos, len(target)),
         query.slice(anchor.query_pos, len(query)),
         params,
+        oracle,
     )
-    left = _DirectionStream(
+    left = _extend_direction(
         _reversed_sequence(target.slice(0, anchor.target_pos)),
         _reversed_sequence(query.slice(0, anchor.query_pos)),
         params,
+        oracle,
     )
-    for stream in (right, left):
-        while True:
-            tile = stream.next_tile()
-            if tile is None:
-                break
-            stream.consume(
-                ref.xdrop_extend_reference(
-                    tile[0], tile[1], scoring, params.ydrop
-                )
-            )
     return tuple(left.traces) + tuple(right.traces)
 
 

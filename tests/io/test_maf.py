@@ -147,8 +147,28 @@ class TestFormat:
                 "##maf\na score=1\ns t 0 2 + 4 AC\ns q 0 1 + 4 A\n\n",
                 "line 4: MAF rows differ in length",
             ),
+            (
+                "##maf\na score=1\ns t 0 4 + 10 ACGT\ns q 0 4 ? 10 ACGT\n",
+                "line 4: strand must be '+' or '-', not '?'",
+            ),
+            (
+                "##maf\na score=1\ns t 0 4 - 10 ACGT\ns q 0 4 + 10 ACGT\n",
+                "line 3: the target row must be on '+'",
+            ),
+            (
+                "##maf\na score=1\ns t -3 4 + 10 ACGT\ns q 0 4 + 10 ACGT\n",
+                "line 3: negative start -3",
+            ),
         ],
-        ids=["score", "integer", "short_line", "unequal_rows"],
+        ids=[
+            "score",
+            "integer",
+            "short_line",
+            "unequal_rows",
+            "query_strand",
+            "target_minus",
+            "negative_start",
+        ],
     )
     def test_malformed_line_is_named(self, text, message):
         with pytest.raises(ValueError) as excinfo:
