@@ -3,8 +3,9 @@
 This is the reference implementation the whole library is tested against:
 banded, X-dropped, and tiled kernels must agree with it whenever their
 restrictions are inactive.  It is O(n*m) in time, so it is meant for
-tiles and tests, not genomes.  GACT (:mod:`repro.core.gact`) aligns each
-of its tiles with :func:`align_local`.
+tiles and tests, not genomes.  GACT (:mod:`repro.core.gact`) runs the
+same kernel per tile, as a local-mode :class:`repro.align.xdrop.TileEngine`
+driven through GACT-X's tile chain rather than through :func:`align_local`.
 
 The kernel is GACT-X's tile engine (:func:`repro.align.xdrop.full_tile`)
 in local mode with no ``Y``: every row spans the tile, ``V`` is clamped

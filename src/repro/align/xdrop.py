@@ -18,10 +18,11 @@ kernels, which differ only in the two parameters of the oracle
   ``(j_start, j_stop)`` windows are recorded: they are exactly what the
   hardware's stripe sequencer computes, so the cycle model in
   :mod:`repro.hw.gactx_array` replays them instead of re-running the DP.
-* **Smith-Waterman** (:mod:`repro.align.smith_waterman`): no ``Y``, so
-  every row spans the whole tile; a zero boundary row and column, ``V``
-  clamped at zero before the prefix scan, and the walk starts at the
-  best cell and stops where ``V == 0``, without padding.
+* **Smith-Waterman** (:mod:`repro.align.smith_waterman`, and GACT's
+  tiles in :mod:`repro.core.gact`): no ``Y``, so every row spans the
+  whole tile; a zero boundary row and column, ``V`` clamped at zero
+  before the prefix scan, and the walk starts at the best cell and stops
+  where ``V == 0``, without padding.
 * **Needleman-Wunsch** (:mod:`repro.align.needleman_wunsch`): no ``Y``
   and no clamp; the walk starts at the corner ``(n, m)``, whose ``V`` is
   the score, and pads to the origin.
@@ -133,10 +134,10 @@ class TileEngine:
     """Sweeps tiles, one at a time, through the affine-gap row pipeline.
 
     One engine holds one workspace: the row rings, the pointer store and
-    the row scratch are reused by every tile it extends, so a GACT-X
-    direction's tile chain (:func:`repro.core.gact_x.gact_x_extend`)
-    calls :meth:`extend` once per tile on the same memory.  Tiles
-    longer than ``max_tile_len`` are rejected (the dtype and the
+    the row scratch are reused by every tile it extends, so an anchor's
+    two tile chains (:func:`repro.core.gact_x.extend_anchor`, for GACT-X
+    and for GACT) call :meth:`extend` once per tile on the same memory.
+    Tiles longer than ``max_tile_len`` are rejected (the dtype and the
     scratch are sized from it).
 
     ``ydrop=None`` computes every row over the whole tile, with no

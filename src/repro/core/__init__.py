@@ -9,7 +9,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "DarwinWGAConfig": "config",
         "ExtensionParams": "config",
         "FilterParams": "config",
-        "GactExtensionResult": "gact",
         "GactParams": "gact",
         "gact_extend": "gact",
         "tile_size_for_memory": "gact",

@@ -1,35 +1,33 @@
 """GACT: Darwin's tiled extension algorithm (the Figure 10 baseline).
 
-GACT (Turakhia et al., ASPLOS 2018) aligns long sequences in overlapping
-tiles like GACT-X, but with two differences the paper calls out:
+GACT (Turakhia et al., ASPLOS 2018) tiles, truncates overlaps and
+stitches both directions exactly like GACT-X, so :func:`gact_extend` is
+GACT-X's stitcher (:func:`repro.core.gact_x.extend_anchor`) on a
+:class:`repro.align.xdrop.TileEngine` in local mode.  Only the tile
+kernel differs (section III-D):
 
-* tiles use **Smith-Waterman (local) scoring**, so values clamp at zero —
-  GACT-X switched to Needleman-Wunsch precisely to allow the negative
-  dips that long evolutionary gaps produce (section III-D);
-* the **full tile matrix** is computed, so for a fixed traceback memory
-  budget the tile side is ``sqrt(2 * bytes)`` (4 bits per cell), smaller
-  than GACT-X's pruned tiles, and every tile costs ``T^2`` cells.
+* **Smith-Waterman (local) scoring** clamps values at zero — GACT-X
+  switched to Needleman-Wunsch to allow the negative dips that long
+  evolutionary gaps produce.  A tile whose best path restarted after a
+  clamp does not reach its origin, and the chain ends there;
+* the **full tile** is computed (no X-drop), so for a fixed traceback
+  budget the tile side is ``sqrt(2 * bytes)`` (4 bits per cell) and
+  every tile costs ``T^2`` cells.
 
-When a tile's best local path does not connect back to the tile origin
-(the score clamped to zero at an expensive gap), the stitched alignment
-cannot continue — GACT terminates the extension there.  This is the
-mechanism behind Figure 10: on cross-species alignments with long gaps
-GACT stops early (fewer matched base pairs) while also computing more
-cells per aligned base (lower throughput) than GACT-X.
+On gap-rich cross-species pairs GACT therefore stops early (fewer
+matched base pairs) at more cells per aligned base than GACT-X.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
-from ..align.alignment import Alignment, AnchorHit
-from ..align.cigar import Cigar
+from ..align.alignment import AnchorHit
 from ..align.scoring import ScoringScheme
-from ..align.smith_waterman import align_local
+from ..align.xdrop import TileEngine
 from ..genome.sequence import Sequence
-from .gact_x import TileTrace, score_cigar, truncate_cigar
+from .gact_x import ExtensionResult, extend_anchor
 
 
 @dataclass(frozen=True)
@@ -63,116 +61,13 @@ def tile_size_for_memory(traceback_bytes: int) -> int:
     return int(math.isqrt(2 * traceback_bytes))
 
 
-@dataclass(frozen=True)
-class GactExtensionResult:
-    """A stitched GACT extension (same shape as the GACT-X result)."""
-
-    alignment: Optional[Alignment] = None
-    tiles: Tuple[TileTrace, ...] = ()
-
-    @property
-    def cells(self) -> int:
-        return sum(tile.cells for tile in self.tiles)
-
-
-def _extend_one_direction(
-    target: Sequence,
-    query: Sequence,
-    scoring: ScoringScheme,
-    params: GactParams,
-) -> Tuple[Cigar, int, int, List[TileTrace]]:
-    tile_size = params.tile_size
-    boundary = tile_size - params.overlap
-    cur_t = 0
-    cur_q = 0
-    pieces: List[Cigar] = []
-    traces: List[TileTrace] = []
-
-    while cur_t < len(target) and cur_q < len(query):
-        t_tile = target.slice(cur_t, cur_t + tile_size)
-        q_tile = query.slice(cur_q, cur_q + tile_size)
-        cells = len(t_tile) * len(q_tile)
-        traces.append(
-            TileTrace(rows=len(q_tile), cells=cells, row_windows=())
-        )
-        local = align_local(t_tile, q_tile, scoring)
-        if local is None or local.score <= 0:
-            break
-        if local.target_start != 0 or local.query_start != 0:
-            # The best local path restarted after a score clamp — it does
-            # not connect to the tile origin, so stitching must stop.
-            break
-        max_i = local.query_end
-        max_j = local.target_end
-        in_overlap = max_i > boundary or max_j > boundary
-        target_exhausted = (
-            cur_t + len(t_tile) >= len(target) and max_j >= len(t_tile)
-        )
-        query_exhausted = (
-            cur_q + len(q_tile) >= len(query) and max_i >= len(q_tile)
-        )
-        at_edge = target_exhausted or query_exhausted
-        if in_overlap and not at_edge:
-            piece, di, dj = truncate_cigar(local.cigar, boundary)
-            if di == 0 and dj == 0:
-                pieces.append(local.cigar)
-                cur_t += max_j
-                cur_q += max_i
-                break
-        else:
-            piece, di, dj = local.cigar, max_i, max_j
-        pieces.append(piece)
-        cur_t += dj
-        cur_q += di
-        if not in_overlap or at_edge:
-            break
-
-    merged = Cigar(())
-    for piece in pieces:
-        merged = merged + piece
-    return merged, cur_t, cur_q, traces
-
-
 def gact_extend(
     target: Sequence,
     query: Sequence,
     anchor: AnchorHit,
     scoring: ScoringScheme,
     params: GactParams,
-) -> GactExtensionResult:
-    """Extend an anchor in both directions with GACT."""
-    right_cigar, right_t, right_q, right_tiles = _extend_one_direction(
-        target.slice(anchor.target_pos, len(target)),
-        query.slice(anchor.query_pos, len(query)),
-        scoring,
-        params,
-    )
-    left_cigar, left_t, left_q, left_tiles = _extend_one_direction(
-        Sequence(target.codes[: anchor.target_pos][::-1], target.name),
-        Sequence(query.codes[: anchor.query_pos][::-1], query.name),
-        scoring,
-        params,
-    )
-    cigar = left_cigar.reversed() + right_cigar
-    tiles = tuple(left_tiles) + tuple(right_tiles)
-    if len(cigar) == 0:
-        return GactExtensionResult(alignment=None, tiles=tiles)
-    target_start = anchor.target_pos - left_t
-    query_start = anchor.query_pos - left_q
-    score = score_cigar(
-        cigar, target, query, target_start, query_start, scoring
-    )
-    if score < params.threshold:
-        return GactExtensionResult(alignment=None, tiles=tiles)
-    alignment = Alignment(
-        target_name=target.name,
-        query_name=query.name,
-        target_start=target_start,
-        target_end=anchor.target_pos + right_t,
-        query_start=query_start,
-        query_end=anchor.query_pos + right_q,
-        score=score,
-        cigar=cigar,
-        strand=anchor.strand,
-    )
-    return GactExtensionResult(alignment=alignment, tiles=tiles)
+) -> ExtensionResult:
+    """Extend an anchor in both directions with GACT's SW tiles."""
+    with TileEngine(scoring, None, params.tile_size, local=True) as engine:
+        return extend_anchor(engine, target, query, anchor, params)

@@ -11,7 +11,8 @@ tiles with these rules:
 * if ``x_max`` falls before the overlap region the extension has
   naturally slowed and the next tile starts exactly at ``x_max``;
 * extension in a direction terminates when a tile's ``V_max`` is zero or
-  negative, or when the tile makes no forward progress.
+  negative, when the tile makes no forward progress, or when its path
+  does not reach back to the tile origin (a local path restarted).
 
 Left extension reuses the same rules on reversed sequences.  An anchor is
 extended both ways and the merged path is rescored from its CIGAR, so gap
@@ -19,9 +20,10 @@ runs that straddle the anchor or a tile boundary are charged correctly.
 
 Each direction is a plain loop (:func:`_extend_direction`) that decides
 a tile's origin from the previous tile's maximum and sweeps the tile
-through :class:`repro.align.xdrop.TileEngine`.  The right chain runs to
-its end, then the left one, on one engine and one workspace, so only
-one direction's traceback store is live at a time.
+through :class:`repro.align.xdrop.TileEngine`.  :func:`extend_anchor`
+runs the right chain, then the left one, on one open engine whose kernel
+it does not know: GACT-X opens it with its ``Y``, GACT
+(:mod:`repro.core.gact`) in local mode — the one variable of Figure 10.
 """
 
 from __future__ import annotations
@@ -169,6 +171,13 @@ def _extend_direction(
         )
         if extension.score <= 0 or extension.max_i == 0:
             break
+        if (
+            extension.cigar.query_span != extension.max_i
+            or extension.cigar.target_span != extension.max_j
+        ):
+            # A local path restarted after a zero clamp: it does not
+            # reach the tile origin, so stitching must stop.
+            break
         in_overlap = (
             extension.max_i > boundary or extension.max_j > boundary
         )
@@ -217,22 +226,22 @@ def _reversed_sequence(seq: Sequence) -> Sequence:
     return Sequence(seq.codes[::-1], name=seq.name)
 
 
-def gact_x_extend(
+def extend_anchor(
+    engine: TileEngine,
     target: Sequence,
     query: Sequence,
     anchor: AnchorHit,
-    scoring: ScoringScheme,
     params: ExtensionParams,
     tracer=NULL_TRACER,
 ) -> ExtensionResult:
-    """Extend an anchor in both directions with GACT-X.
+    """Extend an anchor in both directions on an open tile engine.
 
     The right extension includes the anchor base pair; the left extension
-    runs on the reversed prefixes.  The right tile chain runs first, then
-    the left one, through one :class:`TileEngine` and its workspace.  The
-    merged alignment is rescored from its CIGAR and reported only when it
-    reaches ``params.threshold`` (``H_e``).  When a tracer is supplied,
-    one ``extend_anchor`` span is recorded per call with one
+    runs on the reversed prefixes, after it.  The merged alignment is
+    rescored from its CIGAR and reported only when it reaches
+    ``params.threshold`` (``H_e``); ``tile_size``, ``overlap`` and
+    ``threshold`` are all it reads, so ``GactParams`` serve too.  One
+    ``extend_anchor`` span is recorded per call with one
     ``extend_direction`` child per direction.
     """
     with tracer.span(
@@ -253,20 +262,18 @@ def gact_x_extend(
             ),
         )
         chains = []
-        with TileEngine(scoring, params.ydrop, params.tile_size) as engine:
-            for direction, t_dir, q_dir in directions:
-                with tracer.span(
-                    "extend_direction", direction=direction
-                ) as dspan:
-                    chain = _extend_direction(
-                        t_dir, q_dir, params, engine.extend
-                    )
-                    dspan.inc("extension_tiles", len(chain.traces))
-                    dspan.inc(
-                        "extension_cells",
-                        sum(t.cells for t in chain.traces),
-                    )
-                chains.append(chain)
+        for direction, t_dir, q_dir in directions:
+            with tracer.span(
+                "extend_direction", direction=direction
+            ) as dspan:
+                chain = _extend_direction(
+                    t_dir, q_dir, params, engine.extend
+                )
+                dspan.inc("extension_tiles", len(chain.traces))
+                dspan.inc(
+                    "extension_cells", sum(t.cells for t in chain.traces)
+                )
+            chains.append(chain)
         right, left = chains
         cigar = left.cigar.reversed() + right.cigar
         tiles = tuple(left.traces) + tuple(right.traces)
@@ -279,7 +286,7 @@ def gact_x_extend(
         target_start = anchor.target_pos - left.target_span
         query_start = anchor.query_pos - left.query_span
         score = score_cigar(
-            cigar, target, query, target_start, query_start, scoring
+            cigar, target, query, target_start, query_start, engine.scoring
         )
         span.set(score=score)
         if score < params.threshold:
@@ -296,3 +303,16 @@ def gact_x_extend(
             strand=anchor.strand,
         )
         return ExtensionResult(alignment=alignment, tiles=tiles)
+
+
+def gact_x_extend(
+    target: Sequence,
+    query: Sequence,
+    anchor: AnchorHit,
+    scoring: ScoringScheme,
+    params: ExtensionParams,
+    tracer=NULL_TRACER,
+) -> ExtensionResult:
+    """Extend an anchor in both directions with GACT-X's X-drop tiles."""
+    with TileEngine(scoring, params.ydrop, params.tile_size) as engine:
+        return extend_anchor(engine, target, query, anchor, params, tracer)

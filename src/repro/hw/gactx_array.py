@@ -4,7 +4,9 @@ GACT-X stripe windows are data dependent (they follow the X-drop pruning
 frontier), so the model replays the per-row ``(j_start, j_stop)`` windows
 recorded by the software kernel (:class:`repro.core.gact_x.TileTrace`),
 groups them into ``N_pe``-row stripes exactly as the hardware sequencer
-would, and adds the on-chip traceback walk.
+would, and adds the on-chip traceback walk.  GACT's tiles run through
+the same tile engine in local mode and record a full-width window for
+every row, so Figure 10 costs both extenders with this one model.
 
 It also accounts traceback-memory occupancy: 4 bits per computed cell,
 banked one BRAM per PE — the resource GACT-X's pruning saves relative to

@@ -10,9 +10,9 @@ column plus the pipeline skew of the last PE.
 
 The models below convert per-tile column windows into cycles.  They are
 deliberately independent of the software kernels: BSW windows come from
-the closed-form equations 4-5, GACT-X windows from the row traces the
-software kernel records, grouped into stripes exactly as the hardware
-sequencer would.
+the closed-form equations 4-5, GACT-X and GACT windows from the row
+traces the tile engine records (full width in every GACT row), grouped
+into stripes exactly as the hardware sequencer would.
 """
 
 from __future__ import annotations
@@ -72,33 +72,12 @@ def tile_cycles_from_windows(
     """Cycles for a tile given its per-row column windows.
 
     ``traceback_steps`` adds the pointer-walk cycles (one per alignment
-    column) for arrays that perform on-chip traceback (GACT-X).
+    column) for arrays that perform on-chip traceback (GACT, GACT-X).
     """
     total = config.tile_overhead + traceback_steps
     for lo, hi in stripes_of(row_windows, config.n_pe):
         total += stripe_cycles(hi - lo + 1, config)
     return total
-
-
-def dense_tile_cycles(
-    rows: int,
-    cols: int,
-    config: SystolicArrayConfig,
-    traceback_steps: int = 0,
-) -> int:
-    """Cycles for a fully dense tile (every column of every stripe).
-
-    This is GACT's cost model: without X-drop pruning, each of the
-    ``ceil(rows / N_pe)`` stripes streams all ``cols`` target characters.
-    """
-    if rows <= 0 or cols <= 0:
-        return config.tile_overhead
-    n_stripes = (rows + config.n_pe - 1) // config.n_pe
-    return (
-        config.tile_overhead
-        + traceback_steps
-        + n_stripes * stripe_cycles(cols, config)
-    )
 
 
 def seconds(cycles: float, config: SystolicArrayConfig) -> float:

@@ -66,7 +66,7 @@ def axt_string(
 
 
 def read_axt(source: _PathOrFile) -> List[Alignment]:
-    """Parse an AXT file back into alignments."""
+    """Parse AXT blocks; a bad one raises ``ValueError("line N: ...")``."""
     handle, needs_close = _opened(source, "r")
     try:
         alignments: List[Alignment] = []
@@ -77,26 +77,36 @@ def read_axt(source: _PathOrFile) -> List[Alignment]:
             if not line or line.startswith("#"):
                 i += 1
                 continue
-            fields = line.split()
-            if len(fields) != 9:
-                raise ValueError(f"malformed AXT header: {line!r}")
-            if i + 2 >= len(lines):
-                raise ValueError("truncated AXT block")
-            t_text = lines[i + 1].strip()
-            q_text = lines[i + 2].strip()
-            alignments.append(
-                Alignment(
-                    target_name=fields[1],
-                    query_name=fields[4],
-                    target_start=int(fields[2]) - 1,
-                    target_end=int(fields[3]),
-                    query_start=int(fields[5]) - 1,
-                    query_end=int(fields[6]),
-                    score=int(fields[8]),
-                    cigar=_cigar_from_texts(t_text, q_text),
-                    strand=1 if fields[7] == "+" else -1,
+            try:
+                fields = line.split()
+                if len(fields) != 9:
+                    raise ValueError(f"malformed AXT header: {line!r}")
+                if i + 2 >= len(lines):
+                    raise ValueError("truncated AXT block")
+                if fields[7] not in ("+", "-"):
+                    raise ValueError(
+                        f"strand must be '+' or '-', not {fields[7]!r}"
+                    )
+                for start in (fields[2], fields[5]):
+                    if int(start) < 1:
+                        raise ValueError(f"start {start} is not 1-based")
+                t_text = lines[i + 1].strip()
+                q_text = lines[i + 2].strip()
+                alignments.append(
+                    Alignment(
+                        target_name=fields[1],
+                        query_name=fields[4],
+                        target_start=int(fields[2]) - 1,
+                        target_end=int(fields[3]),
+                        query_start=int(fields[5]) - 1,
+                        query_end=int(fields[6]),
+                        score=int(fields[8]),
+                        cigar=_cigar_from_texts(t_text, q_text),
+                        strand=1 if fields[7] == "+" else -1,
+                    )
                 )
-            )
+            except ValueError as error:
+                raise ValueError(f"line {i + 1}: {error}") from None
             i += 3
         return alignments
     finally:

@@ -53,12 +53,13 @@ def read_bed(source: _PathOrFile) -> List[Tuple[str, Interval]]:
     """Parse BED rows into ``(chrom, Interval)`` pairs.
 
     Track lines, comments and blank lines are skipped; missing optional
-    columns default to an unnamed forward-strand interval.
+    columns default to an unnamed forward-strand interval.  A malformed
+    row raises ``ValueError("line N: ...")``.
     """
     handle, needs_close = _opened(source, "r")
     try:
         rows: List[Tuple[str, Interval]] = []
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if (
                 not line
@@ -68,23 +69,19 @@ def read_bed(source: _PathOrFile) -> List[Tuple[str, Interval]]:
             ):
                 continue
             fields = line.split("\t") if "\t" in line else line.split()
-            if len(fields) < 3:
-                raise ValueError(f"malformed BED row: {line!r}")
             name = fields[3] if len(fields) > 3 and fields[3] != "." else ""
-            strand = (
-                -1 if len(fields) > 5 and fields[5] == "-" else 1
-            )
-            rows.append(
-                (
-                    fields[0],
-                    Interval(
-                        start=int(fields[1]),
-                        end=int(fields[2]),
-                        name=name,
-                        strand=strand,
-                    ),
+            strand = -1 if len(fields) > 5 and fields[5] == "-" else 1
+            try:
+                if len(fields) < 3:
+                    raise ValueError(f"malformed BED row: {line!r}")
+                if int(fields[1]) < 0:
+                    raise ValueError(f"negative start {fields[1]}")
+                interval = Interval(
+                    int(fields[1]), int(fields[2]), name, strand
                 )
-            )
+            except ValueError as error:
+                raise ValueError(f"line {number}: {error}") from None
+            rows.append((fields[0], interval))
         return rows
     finally:
         if needs_close:

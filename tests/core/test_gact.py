@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.align import AnchorHit
+from repro.align import _reference as ref
 from repro.align.matrices import lastz_default
+from repro.align.xdrop import TileEngine
 from repro.core import (
     ExtensionParams,
     GactParams,
@@ -63,15 +65,22 @@ class TestGactExtension:
         gact_result.alignment.verify(target, query)
 
     def test_gact_computes_full_tiles(self, scoring, rng):
+        # The query runs 100 bp past the target, so the last tile is
+        # 128 rows by the 52 target columns left (500 - 4 * 112).
         core = rng.integers(0, 4, 500).astype(np.uint8)
+        tail = rng.integers(0, 4, 100).astype(np.uint8)
         target = Sequence(core, "t")
-        query = Sequence(core.copy(), "q")
+        query = Sequence(np.concatenate([core, tail]), "q")
         anchor = AnchorHit(0, 0, 5000)
         params = GactParams(tile_size=128, overlap=16, threshold=100)
         result = gact_extend(target, query, anchor, scoring, params)
-        # every trace covers the full tile area
-        for trace in result.tiles:
-            assert trace.cells == trace.rows * trace.rows or trace.cells > 0
+        widths = [128, 128, 128, 128, 52]
+        assert [trace.rows for trace in result.tiles] == [128] * 5
+        for trace, width in zip(result.tiles, widths):
+            assert trace.cells == trace.rows * width
+            assert trace.row_windows == ((1, width),) * trace.rows
+        assert result.alignment is not None
+        assert result.alignment.target_end == len(target)
 
     def test_gact_costs_more_cells_than_gact_x(self, scoring, rng):
         core = rng.integers(0, 4, 800).astype(np.uint8)
@@ -107,3 +116,91 @@ class TestGactExtension:
         anchor = AnchorHit(150, 150, 5000)
         params = GactParams(tile_size=128, overlap=16, threshold=10**7)
         assert gact_extend(target, query, anchor, scoring, params).alignment is None
+
+
+def record_tiles(monkeypatch):
+    """Collect ``(target tile, query tile, result)`` of every engine call."""
+    calls = []
+    extend = TileEngine.extend
+
+    def recording(engine, t_tile, q_tile, rows_out=None):
+        got = extend(engine, t_tile, q_tile, rows_out)
+        calls.append((t_tile, q_tile, got))
+        return got
+
+    monkeypatch.setattr(TileEngine, "extend", recording)
+    return calls
+
+
+def assert_tiles_match_oracle(calls, scoring):
+    """Every tile equals the full-matrix Smith-Waterman oracle."""
+    for t_tile, q_tile, got in calls:
+        assert got.cells == len(t_tile) * len(q_tile)
+        assert got.row_windows == ((1, len(t_tile)),) * len(q_tile)
+        want = ref.align_local_reference(t_tile, q_tile, scoring)
+        if want is None:
+            assert got.score <= 0
+            continue
+        assert got.score == want.score
+        assert (got.max_i, got.max_j) == (want.query_end, want.target_end)
+        assert str(got.cigar) == str(want.cigar)
+
+
+class TestSharedTileChain:
+    """GACT's tiles are local-mode engine tiles on GACT-X's tile chain."""
+
+    def test_tiles_match_oracle_tile_by_tile(self, scoring, rng, monkeypatch):
+        # 300 unrelated bases left of the anchor, a 900 bp shared core
+        # with 5 % substitutions right of it: the left chain dies in its
+        # first tile, the right one runs through several 256 bp tiles.
+        core = rng.integers(0, 4, 900).astype(np.uint8)
+        other = core.copy()
+        sites = rng.random(core.size) < 0.05
+        other[sites] = (other[sites] + rng.integers(1, 4, sites.sum())) % 4
+        target = Sequence(
+            np.concatenate([rng.integers(0, 4, 300).astype(np.uint8), core]),
+            "t",
+        )
+        query = Sequence(
+            np.concatenate([rng.integers(0, 4, 300).astype(np.uint8), other]),
+            "q",
+        )
+        calls = record_tiles(monkeypatch)
+        params = GactParams(tile_size=256, overlap=32, threshold=1000)
+        result = gact_extend(
+            target, query, AnchorHit(300, 300, 5000), scoring, params
+        )
+        assert len(calls) == result.tile_count >= 4
+        assert_tiles_match_oracle(calls, scoring)
+        # Tiles are reported left chain first, each in chain order.
+        assert [t.cells for t in result.tiles] == [
+            got.cells for _, _, got in calls[-1:] + calls[:-1]
+        ]
+        assert result.alignment is not None
+        assert result.alignment.target_end == len(target)
+
+    def test_clamped_restart_ends_the_chain(self, scoring, rng, monkeypatch):
+        # 100 transversions at [234, 334) clamp the second tile's path
+        # (origin 224) to zero; its best local path restarts past them,
+        # so it does not reach the origin and the chain stops with only
+        # the first tile's piece.
+        core = rng.integers(0, 4, 1000).astype(np.uint8)
+        other = core.copy()
+        other[234:334] = (other[234:334] + 1) % 4
+        target = Sequence(core, "t")
+        query = Sequence(other, "q")
+        calls = record_tiles(monkeypatch)
+        params = GactParams(tile_size=256, overlap=32, threshold=100)
+        result = gact_extend(
+            target, query, AnchorHit(0, 0, 5000), scoring, params
+        )
+        assert len(calls) == result.tile_count == 2
+        assert_tiles_match_oracle(calls, scoring)
+        last = calls[-1][2]
+        assert last.score > 0
+        assert last.cigar.target_span < last.max_j
+        assert result.alignment is not None
+        assert (result.alignment.target_end, result.alignment.query_end) == (
+            224,
+            224,
+        )

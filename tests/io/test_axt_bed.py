@@ -100,6 +100,46 @@ class TestAxt:
         (parsed,) = read_axt(io.StringIO(text))
         assert parsed.strand == -1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "0 chr1 1 4 chr2 1 4 ? 8\nACGT\nACGT\n",
+                "line 1: strand must be '+' or '-', not '?'",
+            ),
+            (
+                "0 chr1 0 3 chr2 1 4 + 8\nACGT\nACGT\n",
+                "line 1: start 0 is not 1-based",
+            ),
+            (
+                "0 chr1 1 4 chr2 0 3 + 8\nACGT\nACGT\n",
+                "line 1: start 0 is not 1-based",
+            ),
+            ("# c\n\n0 chrT 1 2\nAC\nAC\n\n", "line 3: malformed AXT header"),
+            (
+                "0 chr1 1 2 chr2 1 2 + 8\nAC\nAC\n\n"
+                "1 chr1 3 4 chr2 3 4 + 8\nAC\n",
+                "line 5: truncated AXT block",
+            ),
+            (
+                "0 chr1 x 2 chr2 1 2 + 8\nAC\nAC\n",
+                "line 1: invalid literal for int() with base 10: 'x'",
+            ),
+        ],
+        ids=[
+            "strand",
+            "target_start_zero",
+            "query_start_zero",
+            "header",
+            "truncated",
+            "integer",
+        ],
+    )
+    def test_malformed_block_is_named(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            read_axt(io.StringIO(text))
+        assert str(excinfo.value).startswith(message)
+
 
 class TestBed:
     def test_roundtrip(self):
@@ -124,6 +164,22 @@ class TestBed:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             read_bed(io.StringIO("chr1 5\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("chr1\t-5\t3\n", "line 1: negative start -5"),
+            ("# c\nchr1\tx\t3\n", "line 2: invalid literal for int()"),
+            ("chr1\t0\t3\nchr1\t1\ty\n", "line 2: invalid literal for int()"),
+            ("track name=a\nchr1 5\n", "line 2: malformed BED row"),
+            ("chr1\t9\t3\n", "line 1: interval end before start"),
+        ],
+        ids=["negative_start", "start", "end", "short_row", "reversed"],
+    )
+    def test_malformed_row_is_named(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            read_bed(io.StringIO(text))
+        assert str(excinfo.value).startswith(message)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "exons.bed"

@@ -7,8 +7,11 @@ line.  ``PARENT_ALL`` is each package's ``__all__`` as it stood before
 the ``__init__`` files became ``name -> submodule`` tables, less the
 names deleted since: ``RANKS``, ``SELF_CONTAINED``, ``TOP_ONLY`` and
 ``PROJECT_RULES`` from ``repro.analysis`` (the layer table now lives in
-``tests/test_layers.py``), and ``BoundedQueue`` and ``StrandStream``
-from ``repro.core`` (a single pair no longer streams its anchors).
+``tests/test_layers.py``), ``BoundedQueue`` and ``StrandStream``
+from ``repro.core`` (a single pair no longer streams its anchors),
+``GactExtensionResult`` from ``repro.core`` (GACT returns GACT-X's
+``ExtensionResult``) and ``dense_tile_cycles`` from ``repro.hw`` (GACT's
+tiles are costed by ``GactXArrayModel`` from their row windows).
 """
 
 import json
@@ -194,7 +197,7 @@ PARENT_ALL = {
     """,
     "repro.core": """
         CoverageGrid DarwinWGAConfig ExtensionParams FilterParams
-        GactExtensionResult GactParams gact_extend tile_size_for_memory
+        GactParams gact_extend tile_size_for_memory
         ExtensionResult TileTrace gact_x_extend score_cigar truncate_cigar
         GappedFilterResult gapped_filter DarwinWGA WGAResult Workload
         aligner_named align_assemblies
@@ -217,7 +220,7 @@ PARENT_ALL = {
         bsw_tile_bytes gactx_tile_bytes AsicPlatform CpuPlatform
         FpgaPlatform default_asic default_cpu default_fpga AsicEstimate
         ComponentEstimate CPU_POWER_W FPGA_POWER_W asic_estimate
-        asic_power_w SystolicArrayConfig dense_tile_cycles stripe_cycles
+        asic_power_w SystolicArrayConfig stripe_cycles
         stripes_of tile_cycles_from_windows EngineReport SystemReport
         simulate ScheduleResult saturation_sweep schedule_tiles
         BURST_BYTES TraceAccess TraceSummary generate_trace
