@@ -6,10 +6,22 @@ then evolve them into species pairs (see :mod:`repro.genome.evolution`).
 Genomes are generated with a first-order Markov model over dinucleotides
 because dinucleotide statistics are pronounced in real genomes (the paper's
 noise analysis explicitly preserves 2-mer statistics when shuffling).
+
+The chain is sampled without a per-base Python loop.  One uniform draw
+decides step ``i`` for every possible previous base at once, so step
+``i`` is a map {A,C,G,T} -> {A,C,G,T}, packed into one byte (2 bits per
+source base).  Base ``i`` is the composition of maps ``1..i`` applied to
+the first base: an inclusive prefix scan over an associative operator,
+computed with log-step (Hillis-Steele) passes, each one lookup into a
+256x256 composition table.  The maps are built from the same uniforms
+with the same comparisons the per-base walk made, so the output is
+byte-identical to walking the chain one base at a time, and the RNG is
+left in the same state.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence as TypingSequence
 
 import numpy as np
@@ -45,6 +57,30 @@ def uniform_genome(
     return Sequence(codes.astype(np.uint8), name=name)
 
 
+#: Steps sampled per scan.  Bounds the scan's temporaries to a few
+#: hundred kB whatever the genome length; a scan costs log2 of its length
+#: in passes, so chunks also keep the work per base from growing.
+_SCAN_CHUNK = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _composition_table() -> np.ndarray:
+    """``table[later << 8 | earlier]``: the packed map ``later o earlier``.
+
+    A packed map holds, in bits ``2s..2s+1``, the base that follows base
+    ``s``.  The table is flat so that a pass of the scan is one ``take``.
+    """
+    later = np.arange(256, dtype=np.intp)[:, None]
+    earlier = np.arange(256, dtype=np.intp)[None, :]
+    table = np.zeros((256, 256), dtype=np.intp)
+    for source in range(alphabet.NUM_NUCLEOTIDES):
+        middle = (earlier >> (2 * source)) & 3
+        table |= ((later >> (2 * middle)) & 3) << (2 * source)
+    flat = table.astype(np.uint8).ravel()
+    flat.setflags(write=False)  # one copy, shared by every call
+    return flat
+
+
 def markov_genome(
     length: int,
     rng: np.random.Generator,
@@ -54,7 +90,22 @@ def markov_genome(
     """Generate a genome from a first-order Markov (dinucleotide) model.
 
     ``transition_matrix[prev, next]`` gives the probability of emitting
-    ``next`` after ``prev``; rows must sum to 1.
+    ``next`` after ``prev``; entries must be non-negative and rows must
+    sum to 1.
+
+    The draws are ``rng.random(length)`` and then ``rng.integers(4)`` for
+    the first base.  Base ``i`` follows base ``i - 1 = s`` as the number
+    of the first three entries of row ``s``'s cumulative sum that lie
+    below ``uniforms[i]``: ``searchsorted`` on the row with its last
+    entry pinned to 1, which every draw lies below.  (A row that sums to
+    a little under 1 passes validation; unpinned, a draw above its sum
+    would be base 4.)  The four outcomes of step ``i`` form one packed
+    map, and the maps are composed by a prefix scan (module docstring)
+    in chunks of ``_SCAN_CHUNK`` steps that carry the last base across.
+    The comparisons are exact, composition is associative, and the scan
+    only regroups compositions, so the bases are those of the per-base
+    walk.  Memory beyond the ``uniforms`` and the output is a few
+    chunk-sized arrays.
     """
     if length <= 0:
         return Sequence(np.empty(0, dtype=np.uint8), name=name)
@@ -67,14 +118,38 @@ def markov_genome(
         raise ValueError("transition matrix must be 4x4")
     if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("transition matrix rows must sum to 1")
+    if (matrix < 0).any():
+        raise ValueError("transition matrix entries must be non-negative")
 
-    # Draw all uniforms up front and walk the chain with cumulative rows.
     cumulative = np.cumsum(matrix, axis=1)
     uniforms = rng.random(length)
     codes = np.empty(length, dtype=np.uint8)
-    codes[0] = rng.integers(alphabet.NUM_NUCLEOTIDES)
-    for i in range(1, length):
-        codes[i] = np.searchsorted(cumulative[codes[i - 1]], uniforms[i])
+    base = int(rng.integers(alphabet.NUM_NUCLEOTIDES))
+    codes[0] = base
+    table = _composition_table()
+    for start in range(1, length, _SCAN_CHUNK):
+        draws = uniforms[start : start + _SCAN_CHUNK]
+        # maps[k], bits 2s..2s+1: the base after s at step start + k.
+        maps = np.zeros(draws.size, dtype=np.uint8)
+        for source in range(alphabet.NUM_NUCLEOTIDES):
+            nxt = (draws > cumulative[source, 0]).view(np.uint8)
+            nxt += draws > cumulative[source, 1]
+            nxt += draws > cumulative[source, 2]
+            nxt <<= 2 * source
+            maps |= nxt
+        # After the pass at offset ``step``, maps[k] composes the steps
+        # k - 2 * step + 1 .. k of this chunk (those from 0 when fewer).
+        step = 1
+        while step < maps.size:
+            pair = maps[step:].astype(np.intp) << 8
+            pair |= maps[:-step]
+            maps[step:] = table.take(pair)
+            step <<= 1
+        # Apply each composed map to the base the chunk starts from.
+        chunk = codes[start : start + draws.size]
+        np.right_shift(maps, 2 * base, out=chunk)
+        chunk &= 3
+        base = int(chunk[-1])
     return Sequence(codes, name=name)
 
 
