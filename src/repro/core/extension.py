@@ -11,9 +11,9 @@ fan-out would change which anchors are extended.
 form: walk the anchors in priority order, skip the absorbed ones,
 extend the rest, commit each result before looking at the next anchor.
 It always runs in the aligning process.  Parallelism lives above it,
-across whole chromosome-pair units (:mod:`repro.core.stream`), and
-below it, in the gapped filter's tile batches — where the paper puts
-it too.
+across whole chromosome-pair units
+(:func:`~repro.core.pipeline.align_assemblies`), and below it, in the
+gapped filter's tile batches — where the paper puts it too.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ the filter stage they plug into it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
@@ -379,10 +380,10 @@ def align_assemblies(
     O(target) rather than O(target x queries).
 
     ``workers > 1`` (or an external ``engine``) distributes whole
-    (target chromosome, query chromosome) units across worker processes
-    through an :class:`~repro.core.stream.OrderedWindow` — all are
-    dispatched up front, gathered in submission order and the final
-    sort is stable, so the result is byte-identical to the serial run.
+    (target chromosome, query chromosome) units across worker processes:
+    all are dispatched up front and gathered in submission order, and
+    the final sort is stable, so the result is byte-identical to the
+    serial run.
     With an ``index_cache`` the parent warms each target's seed index
     once and workers load it from disk instead of rebuilding per unit.
 
@@ -431,7 +432,7 @@ def align_assemblies(
         pool = aligner.engine
         if pool is not None and pool.active:
             units = _windowed_units(
-                aligner, pool, target_assembly, query_assembly, manifest, span
+                aligner, pool, target_assembly, query_assembly, manifest
             )
         else:
             units = _serial_units(
@@ -475,11 +476,27 @@ def _serial_units(aligner, target_assembly, query_assembly, manifest):
             yield key, aligner.align(target, query, index=index), True
 
 
+#: Injectable sleep used by the ``stall`` fault kind (tests patch it).
+_sleep = time.sleep
+
+#: How long an injected ``stall`` fault holds a collection back.
+STALL_SECONDS = 0.02
+
+
+def _stall_if_planned(resilience, key: str) -> None:
+    """Sleep before a collection when the fault plan schedules a stall
+    (a slow consumer)."""
+    plan = resilience.fault_plan
+    if plan is not None and plan.decide("stall", key):
+        resilience.stats.inject("stall")
+        _sleep(STALL_SECONDS)
+
+
 def _windowed_units(
-    aligner, engine, target_assembly, query_assembly, manifest, span
+    aligner, engine, target_assembly, query_assembly, manifest
 ):
     """``(key, result, fresh)`` per unit in serial order, fresh units
-    run as worker tasks through an :class:`OrderedWindow`.
+    run as worker tasks.
 
     Every fresh unit is dispatched before the first collection, so a
     slow unit delays only its own collection, never a worker's next
@@ -487,26 +504,31 @@ def _windowed_units(
     anyway.  Each unit is internally serial, so values never depend on
     where a unit ran — including under supervised recovery (retries,
     pool rebuilds and serial fallbacks) and under resume: a journaled
-    unit enters the window as a settled value and keeps its place in
-    the order without occupying a worker.
+    unit is a settled entry that keeps its place in the order without
+    occupying a worker.  A collected unit's receipt is recorded and its
+    worker spans are grafted where it was dispatched, tagged ``unit`` =
+    key and ``worker`` = pid.
 
-    Deferred imports: a serial run never loads the window or the task
-    functions.
+    Deferred imports: a serial run never loads the task functions.
     """
-    from .stream import OrderedWindow
+    from ..obs.export import graft_span_dicts
+    from ..obs.resource import observe_receipt
     from .worker import align_unit_task
 
     tracer = aligner.tracer
+    telemetry = engine.telemetry
+    registry = telemetry.registry if telemetry is not None else None
     cache = aligner.index_cache
     cache_dir = str(cache.directory) if cache is not None else None
-    units = len(target_assembly) * len(query_assembly)
-    window = OrderedWindow(engine, max(1, units), tracer)
+    # (key, ticket, base): the engine's ticket and the parent clock at
+    # dispatch; a settled entry has no ticket and its value as ``base``.
+    entries = []
     for ti, target in enumerate(target_assembly):
         target_handle = None
         for qi, query in enumerate(query_assembly):
             key = _unit_key(ti, target, qi, query)
             if manifest is not None and key in manifest:
-                window.settle(key, manifest.result_for(key))
+                entries.append((key, None, manifest.result_for(key)))
                 continue
             if target_handle is None:
                 if cache is not None:
@@ -516,7 +538,8 @@ def _windowed_units(
                         target, aligner.config.seed, tracer=tracer
                     )
                 target_handle = engine.share(target)
-            window.dispatch(
+            base = tracer.now()
+            ticket = engine.dispatch(
                 align_unit_task,
                 type(aligner),
                 aligner.config,
@@ -526,6 +549,16 @@ def _windowed_units(
                 tracer.enabled,
                 key=key,
             )
-    while window:
-        yield window.collect()
-    window.close(span)
+            entries.append((key, ticket, base))
+    for key, ticket, base in entries:
+        if ticket is None:
+            yield key, base, False
+            continue
+        _stall_if_planned(engine.resilience, key)
+        value, span_dicts, receipt = engine.result(ticket, tracer=tracer)
+        observe_receipt(registry, receipt, tracer.now() - base)
+        if span_dicts is not None:
+            graft_span_dicts(
+                tracer, span_dicts, base=base, unit=key, worker=receipt["pid"]
+            )
+        yield key, value, True

@@ -189,19 +189,19 @@ def _exon_mask(length: int, exons: List[Interval]) -> np.ndarray:
 
 
 def _find_clear_position(
-    length: int,
     span: int,
-    exons: List[Interval],
+    blocked: np.ndarray,
     rng: np.random.Generator,
     attempts: int = 50,
 ) -> Optional[int]:
-    """Pick a start so that ``[start, start+span)`` avoids every exon."""
+    """Pick a start so that ``[start, start+span)`` holds no ``blocked``
+    site (an :func:`_exon_mask` of the intervals to avoid)."""
+    length = blocked.size
     if span >= length:
         return None
     for _ in range(attempts):
         start = int(rng.integers(length - span))
-        probe = Interval(start, start + span)
-        if not any(probe.overlaps(e) for e in exons):
+        if not blocked[start : start + span].any():
             return start
     return None
 
@@ -227,8 +227,8 @@ def _apply_indels(
         return codes, list(exons), list(islands)
 
     events = []  # (position, deleted_len, inserted_codes)
-    occupied = sorted(exons, key=lambda e: e.start)
-    claimed: List[Interval] = list(occupied)
+    # Exons and every site an indel event has claimed so far.
+    claimed = _exon_mask(length, exons)
 
     # Codon-aligned indels inside exons (frame-preserving).
     if params.exon_indel_per_substitution > 0:
@@ -266,13 +266,13 @@ def _apply_indels(
         if rng.random() < 0.5:
             # Deletion: the deleted span must not touch an exon or another
             # pending deletion, to keep coordinate tracking exact.
-            start = _find_clear_position(length, size, claimed, rng)
+            start = _find_clear_position(size, claimed, rng)
             if start is None:
                 continue
-            claimed.append(Interval(start, start + size))
+            claimed[start : start + size] = True
             events.append((start, size, None))
         else:
-            start = _find_clear_position(length, 1, claimed, rng)
+            start = _find_clear_position(1, claimed, rng)
             if start is None:
                 continue
             inserted = rng.integers(
@@ -280,7 +280,7 @@ def _apply_indels(
             )
             # Claim the insertion point too, so a later deletion cannot
             # span it (which would corrupt the coordinate mapping).
-            claimed.append(Interval(start, start + 1))
+            claimed[start] = True
             events.append((start, 0, inserted))
 
     events.sort(key=lambda ev: ev[0])
@@ -333,11 +333,12 @@ def _apply_inversions(
     params: EvolutionParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    blocked = _exon_mask(codes.size, exons)
     for _ in range(params.inversion_count):
         span = min(params.inversion_length, codes.size // 4)
         if span < 2:
             break
-        start = _find_clear_position(codes.size, span, exons, rng)
+        start = _find_clear_position(span, blocked, rng)
         if start is None:
             continue
         segment = codes[start : start + span]
@@ -366,7 +367,9 @@ def _apply_duplications(
         if span < 2:
             break
         source = int(rng.integers(codes.size - span))
-        insert_at = _find_clear_position(codes.size, 1, exons, rng)
+        insert_at = _find_clear_position(
+            1, _exon_mask(codes.size, exons), rng
+        )
         if insert_at is None:
             continue
         segment = codes[source : source + span].copy()

@@ -107,8 +107,6 @@ def markov_genome(
     walk.  Memory beyond the ``uniforms`` and the output is a few
     chunk-sized arrays.
     """
-    if length <= 0:
-        return Sequence(np.empty(0, dtype=np.uint8), name=name)
     matrix = (
         DEFAULT_DINUCLEOTIDE_MODEL
         if transition_matrix is None
@@ -120,6 +118,8 @@ def markov_genome(
         raise ValueError("transition matrix rows must sum to 1")
     if (matrix < 0).any():
         raise ValueError("transition matrix entries must be non-negative")
+    if length <= 0:
+        return Sequence(np.empty(0, dtype=np.uint8), name=name)
 
     cumulative = np.cumsum(matrix, axis=1)
     uniforms = rng.random(length)

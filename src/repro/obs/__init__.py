@@ -19,10 +19,8 @@ v2 adds the cross-process pieces:
 * :mod:`repro.obs.bus` — the worker→parent heartbeat channel and the
   hang sentinel that reads it.  It carries beats only: a task's spans
   and its receipt come home in its return value;
-* :mod:`repro.obs.occupancy` — worker-slot occupancy and idle-tail
-  accounting for the parallel unit schedule;
 * :mod:`repro.obs.progress` — TTY-aware live status line (units
-  done/in-flight/retried, cells/s, ETA) fed by the pipelines and by
+  done/retried, cells/s, ETA) fed by the pipelines and by
   the resilient dispatcher's recovery actions;
 * :mod:`repro.obs.resource` — RSS sampling and the receipt
   (``{pid, busy, rss_bytes}``) a traced task returns;

@@ -1,7 +1,7 @@
 """Live progress rendering for long runs.
 
 :class:`ProgressRenderer` maintains a single TTY status line —
-units done/in-flight/retried, cells/s throughput and an ETA — updated
+units done/retried, cells/s throughput and an ETA — updated
 in place (carriage return, no scroll) and throttled to a few frames a
 second.  Recovery actions surface as persisted lines above the status
 line, so a retry storm is visible while it happens rather than only in
@@ -58,9 +58,6 @@ class NullProgress:
     def advance(self, units: int = 0, cells: float = 0) -> None:
         return None
 
-    def set_in_flight(self, count: int) -> None:
-        return None
-
     def retried(self, key: str, cause: str, attempt: int) -> None:
         return None
 
@@ -76,7 +73,7 @@ NO_PROGRESS = NullProgress()
 
 
 class ProgressRenderer:
-    """Single-line live status: ``align 3/8 units · 2 in flight · ...``.
+    """Single-line live status: ``align 3/8 units · 1 retried · ...``.
 
     ``enabled=None`` (the default) auto-detects: render only when
     ``stream`` is a TTY.  ``clock`` is injectable for deterministic
@@ -106,7 +103,6 @@ class ProgressRenderer:
         self._line_width = 0
         self.units_done = 0
         self.cells = 0.0
-        self.in_flight = 0
         self.retries = 0
         self.fallbacks = 0
 
@@ -119,18 +115,12 @@ class ProgressRenderer:
             self._started = self._clock()
             self.units_done = 0
             self.cells = 0.0
-            self.in_flight = 0
             self._render(force=True)
 
     def advance(self, units: int = 0, cells: float = 0) -> None:
         with self._lock:
             self.units_done += units
             self.cells += cells
-            self._render()
-
-    def set_in_flight(self, count: int) -> None:
-        with self._lock:
-            self.in_flight = count
             self._render()
 
     def retried(self, key: str, cause: str, attempt: int) -> None:
@@ -157,8 +147,6 @@ class ProgressRenderer:
         done = self.units_done
         total_text = f"/{self._total}" if self._total is not None else ""
         parts = [f"{self._label or 'run'} {done}{total_text} units"]
-        if self.in_flight:
-            parts.append(f"{self.in_flight} in flight")
         if self.retries or self.fallbacks:
             parts.append(
                 f"{self.retries} retried"

@@ -5,7 +5,7 @@ seed-filter-extend work items; this package is the software analogue —
 an :class:`~repro.parallel.engine.ExecutionEngine` (process pool plus
 shared-memory sequence transport).  The deterministic orchestrator
 that fans chromosome-pair units out across it is domain logic and
-lives below this layer, in :mod:`repro.core.stream` and
+lives below this layer, in :mod:`repro.core.pipeline` and
 :mod:`repro.core.worker` (the pipelines reach up only through deferred
 construction at call time — the layer DAG forbids ``core`` importing
 ``parallel``).

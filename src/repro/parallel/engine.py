@@ -17,8 +17,8 @@ chromosome pairs.  :class:`ExecutionEngine` wraps a
 
 Determinism is the callers' contract, not the engine's: result futures
 are always consumed in submission order (see
-:mod:`repro.core.stream`), so the engine itself only needs to be
-an ordinary pool.
+:func:`repro.core.pipeline.align_assemblies`), so the engine itself
+only needs to be an ordinary pool.
 
 Crash hygiene: shared-memory blocks are OS-level files (``/dev/shm``)
 that outlive a crashed process.  Every live engine registers with an

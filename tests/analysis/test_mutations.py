@@ -197,7 +197,7 @@ MUTATIONS = [
         "lambda-callable-to-dispatch",
         PICKLE_GUARD,
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             def run(engine, batch=(1, 2), n=0):
                 return engine.dispatch(
                     lambda: len(batch), key=f"extend:{n}"
@@ -209,7 +209,7 @@ MUTATIONS = [
         "nested-def-callable-to-dispatch",
         PICKLE_GUARD,
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             def run(engine, batch=(1, 2), n=0):
                 def extend():
                     return len(batch)
@@ -221,7 +221,7 @@ MUTATIONS = [
         "lambda-argument-to-dispatch",
         PICKLE_GUARD,
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             def extend_batch_task(batch, score):
                 return [score(a) for a in batch]
 
@@ -236,7 +236,7 @@ MUTATIONS = [
         "lambda-through-forwarding-helper-into-dispatch",
         PICKLE_GUARD,
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             def _fan_out(engine, fn, payload):
                 return engine.dispatch(fn, payload, key="k")
 
@@ -268,7 +268,7 @@ MUTATIONS = [
         "unbounded-deque",
         "PAR003",
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             from collections import deque
 
             def make_stage():
@@ -280,7 +280,7 @@ MUTATIONS = [
         "list-mutated-after-dispatch",
         "FLOW002",
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             def extend_batch_task(batch):
                 return batch
 
@@ -295,7 +295,7 @@ MUTATIONS = [
         "list-mutated-then-rebound-after-dispatch",
         "FLOW002",
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             def extend_batch_task(batch):
                 return batch
 
@@ -466,7 +466,7 @@ TRUE_NEGATIVES = [
             def extend_batch_task(batch, scoring):
                 return [scoring.score(a) for a in batch]
             """,
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             from .worker import extend_batch_task
 
             def run(engine, batch, scoring, n):
@@ -484,7 +484,7 @@ TRUE_NEGATIVES = [
     (
         "bounded-deque",
         {
-            "repro.core.stream": """
+            "repro.core.pipeline": """
             from collections import deque
 
             def make_stage(depth):

@@ -1,17 +1,17 @@
-"""One parallel schedule: chromosome-pair units through the window.
+"""One parallel schedule: an assembly's chromosome-pair units in one loop.
 
 The contract has three legs, each pinned here:
 
 1. **one schedule** — a single pair always aligns in-process, whatever
    ``workers`` is, and never touches a pool; an assembly's units are
-   what workers run, through :class:`OrderedWindow`;
+   what workers run: all dispatched up front, collected in serial
+   order;
 2. **byte-identity** — the unit schedule commits exactly the serial
-   result at any worker count, under any fault schedule (a slow
-   consumer included), and across checkpoint/resume;
-3. **observability** — occupancy, idle tail, queue depth and peak
-   in-flight land in the metric registry and on the
-   ``align_assemblies`` span, and each unit's worker spans get a
-   Chrome lane of their own.
+   result at any worker count, in any finishing order, under any fault
+   schedule (a slow consumer included), and across checkpoint/resume;
+3. **observability** — each collected unit's receipt lands in the
+   metric registry, and its worker spans are grafted once, on a Chrome
+   lane of their own.
 """
 
 import importlib
@@ -21,16 +21,16 @@ import pytest
 
 from repro.core import DarwinWGA
 from repro.core.pipeline import align_assemblies
-from repro.core.stream import OrderedWindow
-from repro.core import stream as stream_module
 
 # By path: ``repro.core.gapped_filter`` the attribute is the function.
 gapped_filter_module = importlib.import_module("repro.core.gapped_filter")
+pipeline_module = importlib.import_module("repro.core.pipeline")
 from repro.genome import Assembly, Sequence, make_species_pair
 from repro.lastz import LastzAligner
 from repro.obs import TelemetryOptions, Tracer
 from repro.obs.export import run_report, to_chrome_trace
 from repro.obs.progress import NO_PROGRESS
+from repro.parallel.engine import ExecutionEngine, SequenceHandle
 from repro.resilience import (
     FaultPlan,
     ResilienceOptions,
@@ -74,50 +74,6 @@ def serial_darwin(pair):
 @pytest.fixture(scope="module")
 def serial_lastz(pair):
     return LastzAligner().align(*pair)
-
-
-class FakeEngine:
-    """A dispatch surface whose tickets are their keys."""
-
-    workers = 2
-    telemetry = None
-    progress = NO_PROGRESS
-
-    def __init__(self):
-        self.resilience = ResilienceOptions()
-        self.collected = []
-
-    def dispatch(self, fn, *args, key):
-        return key
-
-    def result(self, ticket, tracer):
-        self.collected.append(ticket)
-        return f"value of {ticket}", None, None
-
-
-class TestOrderedWindow:
-    def test_collects_in_dispatch_order(self):
-        engine = FakeEngine()
-        window = OrderedWindow(engine, capacity=3)
-        window.dispatch(str, key="a")
-        window.settle("b", "journaled b")
-        window.dispatch(str, key="c")
-        assert window.full and len(window) == 3
-        with pytest.raises(RuntimeError):
-            window.dispatch(str, key="d")
-        assert window.collect() == ("a", "value of a", True)
-        # The settled entry kept its place and took no worker.
-        assert window.collect() == ("b", "journaled b", False)
-        assert window.collect() == ("c", "value of c", True)
-        assert not window
-        assert engine.collected == ["a", "c"]
-        assert window.stats.dispatched_tasks == 2
-        assert window.stats.collected_tasks == 2
-        assert window.stats.peak_in_flight == 2
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            OrderedWindow(FakeEngine(), capacity=0)
 
 
 class RefusingEngine:
@@ -221,7 +177,7 @@ class TestBackpressure:
         """Injected stalls hold every unit collection back; output must
         not change."""
         sleeps = []
-        monkeypatch.setattr(stream_module, "_sleep", sleeps.append)
+        monkeypatch.setattr(pipeline_module, "_sleep", sleeps.append)
         options = ResilienceOptions(fault_plan=FaultPlan(5, {"stall": 1.0}))
         result = align_assemblies(*assemblies, workers=2, resilience=options)
         assert_same_result(serial_units, result)
@@ -248,44 +204,68 @@ def _unit_span(tracer):
     return next(s for s in tracer.walk() if s.name == "align_assemblies")
 
 
+def _partial_manifest(full, path, units):
+    """A manifest journaling only ``units`` of ``full``, as if the run
+    had died with the others un-committed."""
+    partial = RunManifest.create(
+        path,
+        aligner=full.header["aligner"],
+        config=full.header["config"],
+        target=full.header["target"],
+        query=full.header["query"],
+    )
+    for unit in units:
+        partial.record(unit, full.result_for(unit))
+    return partial
+
+
+def _record_engine_calls(monkeypatch):
+    """Log every ``ExecutionEngine`` dispatch and collection, in order."""
+    calls = []
+    dispatch, result = ExecutionEngine.dispatch, ExecutionEngine.result
+
+    def logged_dispatch(self, fn, /, *args, key=""):
+        calls.append(("dispatch", key))
+        return dispatch(self, fn, *args, key=key)
+
+    def logged_result(self, ticket, tracer=None):
+        calls.append(("result", None))
+        return result(self, ticket, tracer=tracer)
+
+    monkeypatch.setattr(ExecutionEngine, "dispatch", logged_dispatch)
+    monkeypatch.setattr(ExecutionEngine, "result", logged_result)
+    return calls
+
+
 class TestAssemblyUnitWindow:
     def test_every_fresh_unit_dispatched_up_front(
-        self, nine_units, tmp_path
+        self, nine_units, tmp_path, monkeypatch
     ):
         """No unit waits on a collection to be dispatched: all nine are
-        in flight at once; journaled units take no worker."""
+        dispatched before the first is collected; journaled units take
+        no worker."""
         target, query = nine_units
         serial = align_assemblies(target, query)
         manifest_path = tmp_path / "run.manifest"
-        tracer = Tracer()
+        calls = _record_engine_calls(monkeypatch)
         streamed = align_assemblies(
-            target, query, workers=2, tracer=tracer, checkpoint=manifest_path
+            target, query, workers=2, checkpoint=manifest_path
         )
         assert streamed.alignments == serial.alignments
-        assert _unit_span(tracer).attrs["peak_in_flight"] == 9
+        assert [kind for kind, _ in calls] == ["dispatch"] * 9 + ["result"] * 9
 
         full = RunManifest.load(manifest_path)
         partial_path = tmp_path / "partial.manifest"
-        partial = RunManifest.create(
-            partial_path,
-            aligner=full.header["aligner"],
-            config=full.header["config"],
-            target=full.header["target"],
-            query=full.header["query"],
-        )
-        for unit in (full.units[0], full.units[4]):
-            partial.record(unit, full.result_for(unit))
-        tracer = Tracer()
+        _partial_manifest(full, partial_path, (full.units[0], full.units[4]))
+        calls.clear()
         resumed = align_assemblies(
-            target,
-            query,
-            workers=2,
-            tracer=tracer,
-            checkpoint=partial_path,
-            resume=True,
+            target, query, workers=2, checkpoint=partial_path, resume=True
         )
         assert resumed.alignments == serial.alignments
-        assert _unit_span(tracer).attrs["peak_in_flight"] == 7
+        assert [kind for kind, _ in calls] == ["dispatch"] * 7 + ["result"] * 7
+        dispatched = [key for kind, key in calls if kind == "dispatch"]
+        assert full.units[0] not in dispatched
+        assert full.units[4] not in dispatched
 
     def test_resume_mid_stream_matches_serial(
         self, assemblies, tmp_path
@@ -299,16 +279,8 @@ class TestAssemblyUnitWindow:
         # Re-create the manifest with only the first journaled unit, as
         # if the run had died mid-stream with three units un-committed.
         full = RunManifest.load(manifest_path)
-        first = full.units[0]
         partial_path = tmp_path / "partial.manifest"
-        partial = RunManifest.create(
-            partial_path,
-            aligner=full.header["aligner"],
-            config=full.header["config"],
-            target=full.header["target"],
-            query=full.header["query"],
-        )
-        partial.record(first, full.result_for(first))
+        _partial_manifest(full, partial_path, full.units[:1])
         options = ResilienceOptions()
         resumed = align_assemblies(
             target,
@@ -335,16 +307,15 @@ def _traced_units(assemblies):
 class TestStreamTelemetry:
     def test_metrics_and_span_attributes(self, assemblies):
         tracer, metrics = _traced_units(assemblies)
-        assert metrics["stream_queue_depth"]["count"] > 0
-        assert "stream_occupancy" in metrics
-        assert "stream_idle_tail_seconds" in metrics
-        assert "stream_peak_in_flight" in metrics
+        # One receipt per collected unit.
+        assert metrics["dispatch_latency_seconds"]["count"] == 4
+        assert metrics["worker_rss_bytes"]["count"] == 4
+        assert metrics["worker_rss_bytes"]["max"] > 0
         span = _unit_span(tracer)
-        assert 0.0 <= span.attrs["occupancy"] <= 1.0
-        assert span.attrs["idle_tail_seconds"] >= 0.0
-        assert span.attrs["peak_in_flight"] == 4
-        # Each unit's worker spans are grafted whole under the window's
-        # span: one ``align`` root per unit, both strands inside it.
+        assert span.counters["chromosome_pairs"] == 4
+        # Each unit's worker spans are grafted whole under the
+        # schedule's span: one ``align`` root per unit, both strands
+        # inside it.
         units = [s for s in span.walk() if s.name == "align"]
         assert len(units) == 4
         for unit in units:
@@ -353,22 +324,16 @@ class TestStreamTelemetry:
 
     @pytest.mark.parametrize("schedule", ["assembly"])
     def test_both_schedules_report_alike(self, assemblies, schedule):
-        """The unit window reports exactly these span attributes and
-        registry names; ``schedule`` names the one parallel schedule."""
+        """The one parallel schedule (``schedule``) reports what every
+        run does plus the per-unit receipts: no schedule-summary span
+        attribute and no registry name beyond the two receipt
+        histograms."""
         tracer, metrics = _traced_units(assemblies)
-        assert {
-            "occupancy",
-            "idle_tail_seconds",
-            "peak_in_flight",
-        } <= set(_unit_span(tracer).attrs)
-        assert sorted(m for m in metrics if m.startswith("stream_")) == [
-            "stream_idle_tail_seconds",
-            "stream_occupancy",
-            "stream_peak_in_flight",
-            "stream_queue_depth",
+        assert set(_unit_span(tracer).attrs) == set()
+        assert sorted(metrics) == [
+            "dispatch_latency_seconds",
+            "worker_rss_bytes",
         ]
-        # One depth sample as each unit enters flight, one as it leaves.
-        assert metrics["stream_queue_depth"]["count"] == 2 * 4
 
     def test_chrome_lanes_hold_only_nested_events(self, assemblies):
         """Concurrent units get a Chrome lane each.
@@ -399,3 +364,116 @@ class TestStreamTelemetry:
         ]
         assert len(unit_lanes) == len(set(unit_lanes)) == 4
         assert all(pid == 1 for pid, _ in unit_lanes)  # worker lanes
+
+
+class InProcessEngine:
+    """A two-worker engine that runs its tasks in this process when the
+    first result is collected — the last dispatched unit first, so units
+    finish in the reverse of the order they are collected in."""
+
+    workers = 2
+    active = True
+    telemetry = None
+    progress = NO_PROGRESS
+
+    def __init__(self, resilience=None):
+        self.resilience = resilience or ResilienceOptions()
+        self.dispatched = []
+        self.finished = []
+        self._pending = {}
+        self._done = {}
+
+    def share(self, seq):
+        return SequenceHandle(
+            kind="bytes",
+            payload=seq.codes.tobytes(),
+            length=len(seq),
+            name=seq.name,
+        )
+
+    def dispatch(self, fn, /, *args, key):
+        self.dispatched.append(key)
+        self._pending[key] = (fn, args)
+        return key
+
+    def result(self, ticket, tracer):
+        for key in reversed(list(self._pending)):
+            fn, args = self._pending.pop(key)
+            self._done[key] = fn(*args)
+            self.finished.append(key)
+        return self._done.pop(ticket)
+
+
+@pytest.fixture(scope="module")
+def journal(assemblies, tmp_path_factory):
+    """A complete manifest of the 2x2 assembly's units."""
+    path = tmp_path_factory.mktemp("unit-loop") / "full.manifest"
+    align_assemblies(*assemblies, checkpoint=path)
+    return RunManifest.load(path)
+
+
+class TestUnitLoop:
+    def test_collects_in_dispatch_order(
+        self, assemblies, serial_units, tmp_path
+    ):
+        """Units that finish in reverse are still collected, journaled
+        and merged in serial order."""
+        engine = InProcessEngine()
+        path = tmp_path / "run.manifest"
+        result = align_assemblies(*assemblies, engine=engine, checkpoint=path)
+        assert_same_result(serial_units, result)
+        assert len(engine.dispatched) == 4
+        assert engine.finished == engine.dispatched[::-1]
+        assert RunManifest.load(path).units == engine.dispatched
+
+    def test_resumed_unit_takes_no_worker(
+        self, assemblies, serial_units, journal, tmp_path
+    ):
+        path = tmp_path / "partial.manifest"
+        resumed = journal.units[1:3]
+        _partial_manifest(journal, path, resumed)
+        engine = InProcessEngine()
+        result = align_assemblies(
+            *assemblies, engine=engine, checkpoint=path, resume=True
+        )
+        assert_same_result(serial_units, result)
+        assert engine.dispatched == [journal.units[0], journal.units[3]]
+        assert engine.resilience.stats.resumed_units == 2
+        assert engine.resilience.stats.journaled_units == 2
+        assert sorted(RunManifest.load(path).units) == sorted(journal.units)
+
+    def test_stall_for_every_fresh_unit_not_a_resumed_one(
+        self, assemblies, serial_units, journal, tmp_path, monkeypatch
+    ):
+        sleeps = []
+        monkeypatch.setattr(pipeline_module, "_sleep", sleeps.append)
+        path = tmp_path / "partial.manifest"
+        _partial_manifest(journal, path, journal.units[:1])
+        engine = InProcessEngine(
+            ResilienceOptions(fault_plan=FaultPlan(5, {"stall": 1.0}))
+        )
+        result = align_assemblies(
+            *assemblies, engine=engine, checkpoint=path, resume=True
+        )
+        assert_same_result(serial_units, result)
+        assert engine.resilience.stats.injected_faults == {"stall": 3}
+        assert sleeps == [pipeline_module.STALL_SECONDS] * 3
+
+    def test_one_graft_per_unit_under_retry(
+        self, assemblies, serial_units, journal
+    ):
+        """A crashed attempt is retried; only the accepted attempt's
+        spans are grafted, once per unit, tagged with its key."""
+        options = ResilienceOptions(
+            policy=RetryPolicy(max_retries=2, backoff_base=0.0),
+            fault_plan=FaultPlan.parse("3:crash=0.4"),
+        )
+        tracer = Tracer()
+        result = align_assemblies(
+            *assemblies, workers=2, tracer=tracer, resilience=options
+        )
+        assert_same_result(serial_units, result)
+        assert options.stats.injected_faults.get("crash", 0) >= 1
+        grafted = [s for s in tracer.walk() if "worker" in s.attrs]
+        assert [s.attrs["unit"] for s in grafted] == journal.units
+        assert all(s.attrs["worker"] > 0 for s in grafted)

@@ -13,6 +13,7 @@ from repro.genome import (
     plant_exons,
     sample_islands,
 )
+from repro.genome.evolution import _exon_mask, _find_clear_position
 from repro.genome.synthesis import markov_genome
 
 
@@ -126,6 +127,40 @@ class TestIndels:
                     ancestor.codes[old.start : old.end],
                     child.genome.codes[new.start : new.end],
                 ), f"seed {seed}: exon moved"
+
+
+def _clear_position_by_intervals(length, span, intervals, rng, attempts=50):
+    """The per-interval overlap search ``_find_clear_position`` replaced."""
+    if span >= length:
+        return None
+    for _ in range(attempts):
+        start = int(rng.integers(length - span))
+        probe = Interval(start, start + span)
+        if not any(probe.overlaps(e) for e in intervals):
+            return start
+    return None
+
+
+class TestClearPosition:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mask_search_matches_interval_search(self, seed):
+        """Same starts and same draws as the overlap test it replaced,
+        as claims accumulate the way ``_apply_indels`` makes them."""
+        case = np.random.default_rng(seed)
+        length = int(case.integers(2, 400))
+        intervals = plant_exons(length, case, count=3, min_length=3)
+        blocked = _exon_mask(length, intervals)
+        mine, theirs = (np.random.default_rng(seed) for _ in range(2))
+        for _ in range(40):
+            span = int(case.integers(1, 30))
+            start = _find_clear_position(span, blocked, mine)
+            assert start == _clear_position_by_intervals(
+                length, span, intervals, theirs
+            )
+            if start is not None:
+                blocked[start : start + span] = True
+                intervals.append(Interval(start, start + span))
+            assert mine.random() == theirs.random()
 
 
 class TestExonCodonIndels:

@@ -94,6 +94,18 @@ class TestMarkovGenome:
     def test_zero_length(self, rng):
         assert len(markov_genome(0, rng)) == 0
 
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_empty_genome_still_validates_its_matrix(self, length):
+        with pytest.raises(ValueError, match="4x4"):
+            markov_genome(length, np.random.default_rng(0), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="sum to 1"):
+            markov_genome(length, np.random.default_rng(0), np.ones((4, 4)))
+
+    def test_empty_genome_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        assert len(markov_genome(0, rng, DEFAULT_DINUCLEOTIDE_MODEL)) == 0
+        assert rng.random() == np.random.default_rng(3).random()
+
     def test_transition_statistics_follow_model(self, rng):
         g = markov_genome(60000, rng)
         counts = dinucleotide_counts(g)

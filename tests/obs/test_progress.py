@@ -23,14 +23,11 @@ def make_renderer(enabled=True):
 
 
 class TestStatusLine:
-    def test_counts_total_and_in_flight(self):
+    def test_counts_done_of_total(self):
         renderer, _, _ = make_renderer(enabled=False)
         renderer.begin("align", total=8)
         renderer.advance(units=3)
-        renderer.set_in_flight(2)
-        line = renderer.status_line()
-        assert "align 3/8 units" in line
-        assert "2 in flight" in line
+        assert renderer.status_line() == "align 3/8 units"
 
     def test_throughput_and_eta(self):
         renderer, _, clock = make_renderer(enabled=False)
@@ -101,7 +98,6 @@ class TestRendering:
     def test_shared_null_progress_is_inert(self):
         NO_PROGRESS.begin("x", total=1)
         NO_PROGRESS.advance(units=1, cells=5)
-        NO_PROGRESS.set_in_flight(3)
         NO_PROGRESS.retried("k", "c", 1)
         NO_PROGRESS.fell_back("k", "c")
         NO_PROGRESS.close()
