@@ -1,6 +1,6 @@
 """The one place a ``repro`` package turns a name into an import.
 
-Every package ``__init__`` (but ``obs`` and ``analysis``) declares its
+Every package ``__init__`` (but ``obs``) declares its
 public surface as a ``name -> submodule`` table and hands it to
 :func:`lazy_exports`; a submodule is imported — and, with no bytecode
 cache, compiled — the first time one of its names is asked for, so an

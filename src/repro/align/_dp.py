@@ -146,7 +146,7 @@ def banded_local_dtype(
     top = min(rows, cols) * max(int(matrix.max()), 0)
     floor = max(o + 2 * band * e, -int(matrix.min()))
     if top <= 2**15 - 1 and floor < -NEG_INF16:
-        # repro: allow[KER001] 0 <= V <= top < 2**15, U/H/scan >= -floor > NEG_INF16
+        # 0 <= V <= top < 2**15 and U/H/scan >= -floor > NEG_INF16.
         return np.dtype(np.int16)
     return kernel_dtype(scoring, max(rows, cols))
 

@@ -15,7 +15,8 @@ It is deliberately self-contained — it shares only leaf data types
 (:class:`Sequence`, :class:`Cigar`, :class:`ScoringScheme` and the
 result dataclasses) with the live kernels, never DP machinery.
 
-The module is exempt from the KER001/KER002 kernel-hygiene lint rules:
+The module is exempt from the kernel-hygiene scans of
+``tests/test_invariants.py`` (``narrow-dp-dtype``, ``nested-dp-loop``):
 its whole purpose is to stay the readable, loop-shaped specification
 the fast kernels are measured against.
 """

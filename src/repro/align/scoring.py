@@ -88,6 +88,13 @@ class ScoringScheme:
             self.__dict__["_matrix64"] = cached
         return cached
 
+    def __getstate__(self) -> dict:
+        """Pickle the value, not the ``matrix64`` memo, so that a scheme
+        pickles, and digests, alike before and after use."""
+        state = dict(self.__dict__)
+        state.pop("_matrix64", None)
+        return state
+
     def row_scores(self, base: int, codes: np.ndarray) -> np.ndarray:
         """Vector of substitution scores of ``base`` against ``codes``."""
         return self.matrix64[base, codes]

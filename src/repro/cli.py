@@ -350,9 +350,10 @@ def _cmd_align(args) -> int:
                     resilience=resilience,
                     telemetry=telemetry,
                 )
-            except ManifestError as error:
-                # Raised before any unit runs: --resume against a
-                # manifest from other inputs/config, or an unusable one.
+            except (ManifestError, ValueError) as error:
+                # Raised before any unit runs: a chromosome name used
+                # twice in one assembly, --resume against a manifest
+                # from other inputs/config, or an unusable one.
                 progress.close()
                 raise SystemExit(str(error))
         else:
@@ -647,49 +648,6 @@ def _cmd_tblastx(args) -> int:
     return 0
 
 
-def _add_lint(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "lint",
-        help="project-specific static analysis (determinism / layering "
-        "/ kernel invariants)",
-    )
-    # The same five options as repro.analysis.app.add_lint_arguments,
-    # spelled here because building the parser may not import the rule
-    # engine (tests/test_cli.py holds the two equal).
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("text", "json"),
-        default="text",
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also list suppressed findings (text format)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule table"
-    )
-    parser.set_defaults(func=_cmd_lint)
-
-
-def _cmd_lint(args) -> int:
-    from .analysis.app import run_lint
-
-    return run_lint(args)
-
-
 def _add_trace(subparsers) -> None:
     parser = subparsers.add_parser(
         "trace",
@@ -864,7 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_net(subparsers)
     _add_tblastx(subparsers)
     _add_trace(subparsers)
-    _add_lint(subparsers)
     _add_serve(subparsers)
     return parser
 

@@ -354,6 +354,17 @@ def _unit_key(ti: int, target: Sequence, qi: int, query: Sequence) -> str:
     return f"{ti}:{target.name or 'target'}|{qi}:{query.name or 'query'}"
 
 
+def _require_unique_names(role, assembly) -> None:
+    """MAF rows, chains and units all key on chromosome names."""
+    seen = set()
+    for seq in assembly:
+        if seq.name in seen:
+            raise ValueError(
+                f"{role} assembly has two chromosomes named {seq.name!r}"
+            )
+        seen.add(seq.name)
+
+
 def align_assemblies(
     target_assembly,
     query_assembly,
@@ -403,6 +414,8 @@ def align_assemblies(
     None of it changes the result: telemetry rides alongside the
     dispatch/gather order, never in it.
     """
+    for role, assembly in (("target", target_assembly), ("query", query_assembly)):
+        _require_unique_names(role, assembly)
     tracer = tracer if tracer is not None else NULL_TRACER
     config = config if config is not None else aligner_class.config_class()
     manifest = None

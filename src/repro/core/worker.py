@@ -16,7 +16,7 @@ whether it ran in a worker or as the parent's serial fallback.
 
 Worker output discipline: tasks never write to stdout (the parent owns
 the terminal); anything a worker wants seen goes back in its result.
-Rule KER005 in :mod:`repro.analysis` enforces this.
+The ``stray-print`` scan in ``tests/test_invariants.py`` enforces this.
 """
 
 from __future__ import annotations

@@ -155,6 +155,8 @@ def read_maf(source: _PathOrFile) -> List[Alignment]:
             line = line.strip()
             try:
                 if line.startswith("a"):
+                    if rows:
+                        raise ValueError("'a' line inside a block")
                     fields = dict(f.partition("=")[::2] for f in line.split())
                     score = int(float(fields.get("score", 0)))
                     rows = []
@@ -163,9 +165,10 @@ def read_maf(source: _PathOrFile) -> List[Alignment]:
                     if len(parts) < 7:
                         raise ValueError("'s' line needs 7 fields")
                     name, pos, size, strand, length, text = parts[1:7]
+                    if len(rows) == 2:
+                        raise ValueError("a block holds two 's' lines")
                     if rows and len(text) != len(rows[0][-1]):
                         raise ValueError("MAF rows differ in length")
-                    int(length)  # unused, but must be a number
                     if strand not in ("+", "-"):
                         raise ValueError(
                             f"strand must be '+' or '-', not {strand!r}"
@@ -174,6 +177,11 @@ def read_maf(source: _PathOrFile) -> List[Alignment]:
                         raise ValueError("the target row must be on '+'")
                     if int(pos) < 0:
                         raise ValueError(f"negative start {pos}")
+                    if int(pos) + int(size) > int(length):
+                        raise ValueError(
+                            f"start {pos} + size {size} is past srcSize "
+                            f"{length}"
+                        )
                     rows.append((name, int(pos), int(size), strand, text))
                 elif not line and len(rows) == 2:
                     (t_name, t_start, t_size, _, t_text) = rows[0]
@@ -192,6 +200,8 @@ def read_maf(source: _PathOrFile) -> List[Alignment]:
                         )
                     )
                     rows = []
+                elif not line and rows:
+                    raise ValueError("a block needs two 's' lines, found one")
             except ValueError as error:
                 raise ValueError(f"line {number}: {error}") from None
         return alignments

@@ -8,9 +8,6 @@ caller to retry (the daemon may still be binding, or mid-restart
 during a chaos drill).
 """
 
-# repro: allow-file[DET003] wall-clock deadlines for wait() polling;
-# job results never depend on these readings.
-
 from __future__ import annotations
 
 import http.client
@@ -118,7 +115,7 @@ class ServeClient:
                 if record.get("state") in _TERMINAL:
                     return record
             except (ConnectionError, http.client.HTTPException, OSError):
-                pass  # repro: allow[RES001] daemon restarting mid-drill
+                pass  # the daemon may be restarting mid-drill
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} not terminal after {timeout:.0f}s"

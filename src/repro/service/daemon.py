@@ -26,9 +26,6 @@
   queue stays journaled for the next start, new submissions get 503.
 """
 
-# repro: allow-file[DET003] admission timestamps, queue-wait deadlines
-# and latency metrics; alignment output never depends on these clocks.
-
 from __future__ import annotations
 
 import signal

@@ -23,9 +23,6 @@ a crash mid-write can never leave a torn MAF where a final output
 should be.
 """
 
-# repro: allow-file[DET003] job latency accounting for /status and the
-# serve benchmarks; alignment output never depends on these readings.
-
 from __future__ import annotations
 
 import hashlib

@@ -11,9 +11,8 @@ holds within a class and no class ever starves.
 
 Admission is **bounded**: :meth:`offer` refuses beyond ``max_queued``
 (the daemon answers HTTP 429 + ``Retry-After``), so a saturating burst
-degrades into shed requests instead of unbounded memory growth — the
-PAR003 discipline (no unbounded stage buffers) applied to the service
-edge.
+degrades into shed requests instead of unbounded memory growth: no
+buffer in the service grows with the offered load.
 """
 
 from __future__ import annotations

@@ -13,20 +13,42 @@ from repro.genome import Assembly, Sequence, make_species_pair
 def tasks_pickle_at_the_pool_boundary():
     """Pickle each task and its arguments before the engine hands them on.
     A pool pickles them later, in a thread, and the supervisor's retries
-    and serial fallback hide the error: a lambda still gives 42."""
+    and serial fallback hide the error: a lambda still gives 42.
+
+    A dispatched ticket's task must pickle to the same bytes when it is
+    collected.  The supervisor resends ``ticket.args`` on every retry,
+    so an argument mutated after dispatch, through any alias, makes the
+    answer depend on which attempt ran."""
     from repro.parallel.engine import ExecutionEngine
 
-    def pickled_first(delegate):
-        def checked(self, fn, /, *args, **kwargs):
-            pickle.dumps((fn, args, kwargs))
-            return delegate(self, fn, *args, **kwargs)
+    plain = {
+        name: getattr(ExecutionEngine, name)
+        for name in ("submit", "dispatch", "result")
+    }
+    sent = {}  # id(ticket) -> (ticket, kwargs, bytes pickled at dispatch)
 
-        return checked
+    def submit(self, fn, /, *args, **kwargs):
+        pickle.dumps((fn, args, kwargs))
+        return plain["submit"](self, fn, *args, **kwargs)
+
+    def dispatch(self, fn, /, *args, **kwargs):
+        pickled = pickle.dumps((fn, args, kwargs))
+        ticket = plain["dispatch"](self, fn, *args, **kwargs)
+        sent[id(ticket)] = (ticket, kwargs, pickled)
+        return ticket
+
+    def result(self, ticket, *args, **kwargs):
+        if id(ticket) in sent:
+            _, sent_kwargs, pickled = sent.pop(id(ticket))
+            now = pickle.dumps((ticket.fn, ticket.args, sent_kwargs))
+            assert now == pickled, (
+                f"{ticket.key!r}: task arguments mutated after dispatch"
+            )
+        return plain["result"](self, ticket, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("submit", "dispatch"):
-            delegate = getattr(ExecutionEngine, name)
-            patch.setattr(ExecutionEngine, name, pickled_first(delegate))
+        for guarded in (submit, dispatch, result):
+            patch.setattr(ExecutionEngine, guarded.__name__, guarded)
         yield
 
 

@@ -70,3 +70,22 @@ class TestAlignAssemblies:
         target, query = assembly_pair
         result = align_assemblies(target, query)
         assert result.total_matches > 15000
+
+
+@pytest.mark.parametrize("role", ["target", "query"])
+def test_duplicate_chromosome_name_is_refused_before_any_unit(
+    assembly_pair, tmp_path, role
+):
+    # MAF rows and chains key on the name: a second 'chr' once took the
+    # first one's srcSize and bases.  ``Assembly`` refuses the pair of
+    # names itself; a FASTA read gives a plain list.
+    pair = dict(zip(("target", "query"), assembly_pair))
+    pair[role] = [
+        Sequence(seq.codes, name="chr") for seq in pair[role].chromosomes
+    ]
+    manifest = tmp_path / "run.manifest"
+    with pytest.raises(
+        ValueError, match=f"^{role} assembly has two chromosomes named 'chr'$"
+    ):
+        align_assemblies(pair["target"], pair["query"], checkpoint=manifest)
+    assert not manifest.exists()

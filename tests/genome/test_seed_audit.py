@@ -1,20 +1,16 @@
 """Seed-audit: stochastic entry points must thread explicit RNG state.
 
-Two layers of defence: the DET rules prove no module touches global
-RNG state, and a signature audit pins the ``rng`` parameter on every
+Two layers of defence: the ``unseeded-rng`` and ``global-rng`` scans
+prove no module touches global RNG state, and a signature audit pins the ``rng`` parameter on every
 stochastic entry point so a refactor cannot quietly drop it (the
 paper's sensitivity comparisons depend on regenerating identical
 synthetic species pairs from a seed).
 """
 
 import inspect
-from pathlib import Path
-
 import pytest
 
-from repro.analysis import analyze_paths
-
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+from ..test_invariants import scan_modules, src_modules
 
 STOCHASTIC_ENTRY_POINTS = [
     ("repro.genome.evolution", "evolve"),
@@ -32,17 +28,20 @@ STOCHASTIC_ENTRY_POINTS = [
 
 
 def test_stochastic_modules_never_touch_global_rng():
-    targets = [
-        SRC / "genome",
-        SRC / "seed",
-        SRC / "align" / "stats.py",
+    modules = [
+        module
+        for module in src_modules()
+        if module.name.startswith(("repro.genome", "repro.seed"))
+        or module.name == "repro.align.stats"
     ]
-    result = analyze_paths(targets, select=["DET001", "DET002"])
-    rendered = "\n".join(f.render() for f in result.findings)
-    assert result.ok, f"global/unseeded RNG crept in:\n{rendered}"
-    # Not even a suppressed one: randomness here is part of the
+    assert len(modules) > 10
+    hits, forgiven = scan_modules(
+        modules, select={"unseeded-rng", "global-rng"}
+    )
+    assert hits == [], "\n".join(map(str, hits))
+    # Not even an allowed one: randomness here is part of the
     # reproducibility contract, never an acceptable exception.
-    assert result.suppressed == []
+    assert forgiven == []
 
 
 @pytest.mark.parametrize("modname,funcname", STOCHASTIC_ENTRY_POINTS)

@@ -175,6 +175,33 @@ class TestFormat:
             read_maf(io.StringIO(text))
         assert str(excinfo.value).startswith(message)
 
+    T = "s t 0 4 + 10 ACGT\n"
+    Q = "s q 0 4 + 10 ACGT\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"##maf\na score=1\n{T}\n", "line 4: a block needs two 's'"),
+            (
+                f"##maf\na score=1\n{T}{Q}{Q}\n",
+                "line 5: a block holds two 's' lines",
+            ),
+            (
+                f"##maf\na score=1\n{T}{Q}a score=2\n{T}{Q}\n",
+                "line 5: 'a' line inside a block",
+            ),
+            (
+                "##maf\na score=1\ns t 98 4 + 100 ACGT\n" + Q,
+                "line 3: start 98 + size 4 is past srcSize 100",
+            ),
+        ],
+        ids=["one_row", "three_rows", "no_blank_line", "past_src_size"],
+    )
+    def test_block_that_would_be_dropped_is_refused(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            read_maf(io.StringIO(text))
+        assert str(excinfo.value).startswith(message)
+
     def test_n_is_a_mismatch_and_case_is_ignored(self):
         assert str(_cigar_from_texts("ACNnacg-T", "acNNAG-TT")) == (
             "2=2X1=1X1D1I1="

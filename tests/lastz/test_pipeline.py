@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain import build_chains, total_matches
 from repro.core import DarwinWGA
+from repro.genome import Sequence
 from repro.lastz import LastzAligner, LastzConfig
 
 
@@ -85,8 +86,9 @@ class TestNoTileTraces:
         serial = LastzAligner().align(target, query)
         with LastzAligner(workers=2) as aligner:
             streamed = aligner.align(target, query)
+        twin = Sequence(query.codes, name=f"{query.name}-twin")
         units = align_assemblies(
-            [target], [query, query], aligner_class=LastzAligner, workers=2
+            [target], [query, twin], aligner_class=LastzAligner, workers=2
         )
         for result in (serial, streamed, units):
             assert result.workload.extension_tiles > 0

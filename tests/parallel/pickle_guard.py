@@ -1,47 +1,17 @@
-"""Shared helpers for the static-analysis rule tests, and for the
-tests of the runtime pickle guard that took over from FLOW003."""
+"""Shared helpers for the tests of the runtime pickle guard in
+``tests/conftest.py``."""
 
 from __future__ import annotations
 
 import pickle
-import textwrap
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.analysis import Finding, analyze_sources
 from repro.parallel.engine import ExecutionEngine
 
 #: What ``pickle.dumps`` raises for a value that cannot reach a worker.
 UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
-
-
-def lint_snippet(
-    source: str,
-    modname: str = "repro.seed.snippet",
-    select: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint one dedented snippet under a virtual module name."""
-    result = analyze_sources(
-        {modname: textwrap.dedent(source)}, select=select
-    )
-    return result.findings
-
-
-def lint_tree(
-    sources: Dict[str, str],
-    select: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint a virtual multi-module tree."""
-    return analyze_sources(
-        {name: textwrap.dedent(src) for name, src in sources.items()},
-        select=select,
-    ).findings
-
-
-def rules_of(findings: List[Finding]) -> List[str]:
-    return sorted(f.rule for f in findings)
 
 
 def task(x, *rest):
@@ -77,3 +47,11 @@ def passed_by_the_pickle_guard(call):
         if isinstance(handle, Future):
             return handle.result()
         return engine.result(handle)
+
+
+def mutated_after_dispatch(call):
+    """``call(engine)`` dispatches, mutates an argument, then collects:
+    the guard refuses the collection."""
+    with ExecutionEngine(1) as engine:
+        with pytest.raises(AssertionError, match="mutated after dispatch"):
+            call(engine)

@@ -10,14 +10,14 @@ case pins that the guard still gets it right.
 from repro.parallel import ExecutionEngine as Reexported
 from repro.parallel.engine import ExecutionEngine
 
-from . import helpers as h
-from .helpers import (
+from . import pickle_guard as h
+from .pickle_guard import (
     nested_def,
     passed_by_the_pickle_guard,
     rejected_by_the_pickle_guard,
     task,
 )
-from .helpers import task as aliased
+from .pickle_guard import task as aliased
 
 
 def test_plain_module_level_call_resolves():

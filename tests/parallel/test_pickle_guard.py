@@ -1,10 +1,14 @@
-"""FLOW002 (lint), and FLOW003's cases held by the runtime pickle guard.
+"""The runtime pickle guard of ``tests/conftest.py``, on real engines.
 
-FLOW003 guessed from a call graph what reaches ``submit``/``dispatch``.
-The autouse fixture in ``tests/conftest.py`` pickles exactly what does,
-before the engine delegates; the ``test_flow003_*`` cases below run real
-engines under it.  Without it a pool's pickling error is retried and
-the serial fallback runs the task in-process: a lambda still gives 42.
+The ``test_flow003_*`` cases: the guard pickles what reaches
+``submit``/``dispatch`` before the engine delegates.  Without it a
+pool's pickling error is retried and the serial fallback runs the task
+in-process: a lambda still gives 42.
+
+The ``test_flow002_*`` cases: the guard keeps the bytes it pickles at
+``dispatch`` and pickles the ticket again when ``result`` collects it,
+so an argument mutated after dispatch fails, through whatever alias or
+function the mutation came.
 """
 
 import os
@@ -12,87 +16,64 @@ import pickle
 
 import pytest
 
-from .helpers import (
+from .pickle_guard import (
     fan_out,
-    lint_tree,
+    mutated_after_dispatch,
     nested_def,
     passed_by_the_pickle_guard,
     rejected_by_the_pickle_guard,
-    rules_of,
     task,
 )
 
 # ---------------------------------------------------------------------------
-# FLOW002
+# An argument mutated after dispatch
 # ---------------------------------------------------------------------------
 
 
 def test_flow002_fires_on_mutation_after_submit():
-    tree = {
-        "repro.core.driver": """
-        def task(x):
-            return x
+    def run(engine):
+        payload = {"early": 0}
+        ticket = engine.dispatch(task, payload, key="unit")
+        payload["late"] = 1
+        return engine.result(ticket)
 
-        def run(engine, payload):
-            handle = engine.submit(task, payload)
-            payload["late"] = 1
-            return handle
-        """,
-    }
-    findings = lint_tree(tree, select=["FLOW002"])
-    assert rules_of(findings) == ["FLOW002"]
-    assert "payload" in findings[0].message
+    mutated_after_dispatch(run)
 
 
 def test_flow002_fires_on_mutating_method_call():
-    tree = {
-        "repro.core.driver": """
-        def task(x):
-            return x
+    def run(engine):
+        batch = [1, 2]
+        ticket = engine.dispatch(task, batch, key="unit")
+        alias = batch  # a name-based rule loses the object here
+        alias.append(9)
+        return engine.result(ticket)
 
-        def run(engine, batch):
-            handle = engine.dispatch(task, batch)
-            batch.append(9)
-            return handle
-        """,
-    }
-    findings = lint_tree(tree, select=["FLOW002"])
-    assert rules_of(findings) == ["FLOW002"]
+    mutated_after_dispatch(run)
 
 
 def test_flow002_quiet_when_mutation_precedes_submit():
-    tree = {
-        "repro.core.driver": """
-        def task(x):
-            return x
+    def run(engine):
+        payload = {}
+        payload["early"] = 1
+        return engine.dispatch(task, payload, key="unit")
 
-        def run(engine, payload):
-            payload["early"] = 1
-            return engine.submit(task, payload)
-        """,
-    }
-    assert lint_tree(tree, select=["FLOW002"]) == []
+    assert passed_by_the_pickle_guard(run) == {"early": 1}
 
 
 def test_flow002_quiet_when_name_is_rebound_first():
-    tree = {
-        "repro.core.driver": """
-        def task(x):
-            return x
+    def run(engine):
+        payload = {"sent": 1}
+        ticket = engine.dispatch(task, payload, key="unit")
+        payload = {}
+        payload["fresh"] = 1
+        return ticket
 
-        def run(engine, payload):
-            handle = engine.submit(task, payload)
-            payload = {}
-            payload["fresh"] = 1
-            return handle
-        """,
-    }
     # Rebinding makes a new object; mutating it cannot race the worker.
-    assert lint_tree(tree, select=["FLOW002"]) == []
+    assert passed_by_the_pickle_guard(run) == {"sent": 1}
 
 
 # ---------------------------------------------------------------------------
-# FLOW003, retired to the pickle guard
+# A task or argument that cannot pickle
 # ---------------------------------------------------------------------------
 
 
@@ -155,7 +136,7 @@ SHAPES = {
         for route in ("direct", "chain")
     ],
 )
-def test_flow003_covers_both_entry_points_and_positions(
+def test_flow003_covers_each_entry_point_and_position(
     method, shape, position, route
 ):
     value = SHAPES[shape]()
@@ -208,3 +189,41 @@ def test_flow003_quiet_on_module_level_task_to_dispatch():
         lambda engine: engine.dispatch(task, (1, 2), key="extend:0")
     )
     assert value == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Task callables handed to ``submit`` as pipelines write them
+# ---------------------------------------------------------------------------
+
+
+def double_task(x):
+    return x * 2
+
+
+class TestLambdaTask:
+    def test_flags_lambda_submitted_to_pool(self):
+        rejected_by_the_pickle_guard(
+            lambda engine: [
+                engine.submit(lambda x: x * 2, item) for item in (1, 2)
+            ]
+        )
+
+
+class TestNestedTask:
+    def test_flags_closure_submitted_to_pool(self):
+        scale = 3
+
+        def task(x):
+            return x * scale
+
+        rejected_by_the_pickle_guard(lambda engine: engine.submit(task, 1))
+
+    def test_flags_lambda_assigned_then_submitted(self):
+        task = lambda x: x * 2  # noqa: E731 - the shape under test
+        rejected_by_the_pickle_guard(lambda engine: engine.submit(task, 1))
+
+    def test_module_level_task_passes(self):
+        value = passed_by_the_pickle_guard(
+            lambda engine: engine.submit(double_task, 4)
+        )
+        assert value == 8

@@ -31,6 +31,18 @@ class TestDigests:
             config_digest(DarwinWGAConfig(both_strands=False)) != base
         )
 
+    def test_config_digest_does_not_change_with_use(self):
+        # Scoring memoises its int64 matrix on first use; the memo is
+        # not part of the value, so a used config still resumes.
+        from repro.core import DarwinWGAConfig
+
+        config = DarwinWGAConfig()
+        base = config_digest(config)
+        assert config.scoring.row_scores(0, np.arange(4)).tolist() == [
+            91, -90, -25, -100
+        ]
+        assert config_digest(config) == base
+
     def test_sequences_digest_tracks_content_order_and_names(self, rng):
         a = markov_genome(300, rng, name="a")
         b = markov_genome(300, rng, name="b")

@@ -193,6 +193,22 @@ class TestGracefulDegradation:
         assert client.wait(good["id"], timeout=120)["state"] == "done"
         daemon.stop()
 
+    def test_duplicate_chromosome_names_fail_the_job(self, tmp_path, genomes):
+        target, query = genomes
+        twice = tmp_path / "twice.fa"
+        twice.write_text(target.read_text().replace(">chr2", ">chr1"))
+        daemon = make_daemon(tmp_path)
+        client = ServeClient(port=daemon.start())
+        ack = client.submit(
+            {"kind": "align", "target": str(twice), "query": str(query)}
+        )
+        record = client.wait(ack["id"], timeout=30, poll=0.05)
+        daemon.stop()
+        assert record["state"] == "failed"
+        assert record["error"] == (
+            "ValueError: target assembly has two chromosomes named 'chr1'"
+        )
+
 
 class TestCrashRecovery:
     def submit_two(self, daemon, target, query):

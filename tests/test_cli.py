@@ -9,7 +9,7 @@ from repro.cli import build_parser, main
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
 COMMANDS = (
-    "generate align chain model mask net tblastx trace lint serve".split()
+    "generate align chain model mask net tblastx trace serve".split()
 )
 
 
@@ -536,6 +536,37 @@ class TestRobustness:
         assert "\n" not in message
         assert not state.exists()
 
+    @pytest.mark.parametrize("fasta", ["target.fa", "query.fa"])
+    def test_duplicate_chromosome_name_exits_with_one_line(
+        self, assemblies, fasta
+    ):
+        # Rows and chains key on the name: a second 'chr' once took the
+        # first one's srcSize and bases.
+        path = assemblies / fasta
+        lines = path.read_text().splitlines()
+        path.write_text(
+            "".join(
+                ">chr\n" if line.startswith(">") else line + "\n"
+                for line in lines
+            )
+        )
+        out = assemblies / "out.maf"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "align",
+                    str(assemblies / "target.fa"),
+                    str(assemblies / "query.fa"),
+                    "--out",
+                    str(out),
+                ]
+            )
+        role = fasta.removesuffix(".fa")
+        assert str(excinfo.value.code) == (
+            f"{role} assembly has two chromosomes named 'chr'"
+        )
+        assert not out.exists()
+
     def test_resume_requires_checkpoint(self, assemblies):
         with pytest.raises(SystemExit, match="checkpoint"):
             main(
@@ -558,13 +589,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_help_lists_the_ten_subcommands(self, capsys):
+    def test_help_lists_the_nine_subcommands(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
         unwrapped = "".join(capsys.readouterr().out.split())
         assert (
-            "{generate,align,chain,model,mask,net,tblastx,trace,lint,serve}"
+            "{generate,align,chain,model,mask,net,tblastx,trace,serve}"
             in unwrapped
         )
 
@@ -588,36 +619,14 @@ class TestParser:
             )
         assert "".join(texts) == GOLDEN_HELP.read_text()
 
-    def test_lint_options_equal_the_analysis_front_end_s(self):
-        # `repro lint` spells its five options in cli.py (building the
-        # parser may not import repro.analysis); they must stay the ones
-        # `python -m repro.analysis` installs.
-        import argparse
-
-        from repro.analysis.app import add_lint_arguments
-
-        def described(parser):
-            return [
-                (
-                    action.option_strings,
-                    action.dest,
-                    action.nargs,
-                    action.default,
-                    action.type,
-                    action.choices,
-                    action.help,
-                )
-                for action in parser._actions
-            ]
-
-        (subparsers,) = [
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        front_end = argparse.ArgumentParser()
-        add_lint_arguments(front_end)
-        assert described(subparsers.choices["lint"]) == described(front_end)
+    def test_lint_subcommand_and_analysis_package_are_gone(self, capsys):
+        # The source invariants are tier-1 tests (tests/test_invariants.py).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+        with pytest.raises(ImportError):
+            import repro.analysis  # noqa: F401
 
     def test_bench_subcommand_and_gate_module_are_gone(self, capsys):
         # The second benchmark gate was removed; perf/run.py is the ruler.

@@ -7,8 +7,10 @@ line.  ``PARENT_ALL`` is each package's ``__all__`` as it stood before
 the ``__init__`` files became ``name -> submodule`` tables, less the
 names deleted since: ``RANKS``, ``SELF_CONTAINED``, ``TOP_ONLY`` and
 ``PROJECT_RULES`` from ``repro.analysis`` (the layer table now lives in
-``tests/test_layers.py``), ``BoundedQueue`` and ``StrandStream``
-from ``repro.core`` (a single pair no longer streams its anchors),
+``tests/test_layers.py``), then the whole of ``repro.analysis`` (its
+rules are tier-1 scans in ``tests/test_invariants.py``),
+``BoundedQueue`` and ``StrandStream`` from ``repro.core`` (a single
+pair no longer streams its anchors),
 ``GactExtensionResult`` from ``repro.core`` (GACT returns GACT-X's
 ``ExtensionResult``) and ``dense_tile_cycles`` from ``repro.hw`` (GACT's
 tiles are costed by ``GactXArrayModel`` from their row windows).
@@ -73,7 +75,6 @@ def fasta_dir(tmp_path_factory):
 
 #: Nothing a serial ``repro align`` runs lives in these.
 OFF_PATH = (
-    "repro.analysis",
     "repro.hw",
     "repro.service",
     "repro.annotate",
@@ -180,11 +181,6 @@ PARENT_ALL = {
         expected_score gap_length_distribution karlin_lambda
         score_for_evalue UngappedResult ungapped_extend
         ungapped_extend_batch XDropExtension xdrop_extend
-    """,
-    "repro.analysis": """
-        AnalysisResult Finding ModuleInfo MODULE_RULES Severity all_rules
-        analyze_modules analyze_paths analyze_sources render_json
-        render_text
     """,
     "repro.annotate": """
         blosum62 ExonCoverageReport exon_coverage uncovered_exons

@@ -1,6 +1,10 @@
 """End-to-end integration tests spanning multiple subsystems."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,13 @@ from repro import (
 )
 from repro.annotate import exon_coverage, find_orthologous_exons
 from repro.chain import total_matches, ungapped_block_lengths
+from repro.cli import main
 from repro.genome import shuffle_preserving_kmers
 from repro.hw import CostModel, GactXArrayModel, default_asic
 from repro.io import maf_string, read_maf
 from repro.phylo import estimate_distance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFullWorkflow:
@@ -123,3 +130,29 @@ class TestFullWorkflow:
         false_positives = total_matches(build_chains(result.alignments))
         real = total_matches(build_chains(darwin.alignments))
         assert false_positives < 0.02 * max(real, 1)
+
+
+def test_assembly_maf_does_not_depend_on_hash_order(tmp_path):
+    """Set order changes with ``PYTHONHASHSEED``; none of it may reach
+    the output (the class the ``set-iteration`` scan guards)."""
+    generate = "generate --length 3000 --chromosomes 2 --distance 0.3"
+    args = [*generate.split(), "--seed", "3", "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    mafs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}.maf"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "align",
+                str(tmp_path / "target.fa"), str(tmp_path / "query.fa"),
+                "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        mafs.append(out.read_bytes())
+    assert mafs[0].count(b"\na score=") >= 2
+    assert mafs[0] == mafs[1]

@@ -1,7 +1,6 @@
-"""Synthetic trees for the layer DAG.  The LAY001–LAY005 lint rules
-retired to ``tests/test_layers.py``; its checker runs on these trees."""
+"""Synthetic trees for the layer DAG checker of ``tests/test_layers.py``."""
 
-from ..test_layers import layer_violations
+from .test_layers import layer_violations
 
 
 def kinds(tree):

@@ -1,7 +1,7 @@
 """The layer DAG of ``src/repro``, read from module-level imports (also
 under ``if``/``try``, never under ``if TYPE_CHECKING:``).  Standard
 library only: CI runs it without numpy.  The same checker runs on
-synthetic trees in ``tests/analysis/test_layering.py``."""
+synthetic trees in ``tests/test_layering.py``."""
 
 import ast
 import graphlib
@@ -12,12 +12,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: package -> rank, bottom to top: module-level imports go to equal or
 #: lower ranks.  A new subpackage needs a rank here and in CONTRIBUTING.md.
 LAYERS = (
-    "obs analysis _lazy", "genome resilience", "seed", "align",
+    "obs _lazy", "genome resilience", "seed", "align",
     "chain phylo", "core lastz annotate io", "hw parallel", "cli service repro",
 )
 RANKS = {pkg: rank for rank, row in enumerate(LAYERS) for pkg in row.split()}
 
-SELF_CONTAINED = {"obs", "analysis"}  # everything imports them: no repro
+SELF_CONTAINED = {"obs"}  # everything imports it: no repro
 TOP_ONLY = {"cli"}  # nothing imports it
 
 
